@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -416,7 +418,14 @@ def _add_problem_flags(sub) -> None:
     )
 
 
+#: A negative number in any float notation, so that argparse takes '-3e-05'
+#: for a value, as it does '-0.00003', and not for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+@functools.lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="semiclassic",
         description="1-D barrier scattering: WKB methods against an exact oracle",
@@ -452,6 +461,8 @@ def _make_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--output", default=None, help="write the results CSV here")
 
+    for each in (parser, *subs.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

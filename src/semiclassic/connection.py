@@ -41,9 +41,10 @@ from .special_fn import airy
 from .wkb_core import (
     Method,
     TransmissionReport,
-    action_integral,
+    _accumulate,
+    _between,
+    assert_outside_exclusion,
     barrier_integral,
-    _cumulative_decay,
 )
 from ._format import format_float
 
@@ -119,18 +120,25 @@ class WavefunctionTable:
             fh.write(self.csv_string())
 
 
+_REGIONS = np.array(
+    [Region.ALLOWED_LEFT, Region.FORBIDDEN, Region.ALLOWED_RIGHT], dtype=object
+)
+
+
+def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints) -> tuple:
+    """Region of every x in one vectorised pass.
+
+    Forbidden where V > E; otherwise allowed_right beyond the last turning
+    point and allowed_left elsewhere (so the inside of a well is left).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
+    forbidden = np.asarray(problem.v(xs), dtype=float) > problem.energy
+    return tuple(_REGIONS[np.where(forbidden, 1, np.where(xs > last, 2, 0))])
+
+
 def classify_region(problem: ScatteringProblem, x: float, tp: TurningPoints) -> Region:
-    if problem.v(x) > problem.energy:
-        return Region.FORBIDDEN
-    if tp.count == 2:
-        if x < tp.a:
-            return Region.ALLOWED_LEFT
-        if x > tp.b:
-            return Region.ALLOWED_RIGHT
-        return Region.ALLOWED_LEFT  # allowed between roots only for wells
-    if tp.count == 1:
-        return Region.ALLOWED_LEFT if x <= tp.a else Region.ALLOWED_RIGHT
-    return Region.ALLOWED_LEFT
+    return _region_tags(problem, x, tp)[0]
 
 
 def connect_increasing(cos_amplitude, sin_amplitude=0.0, slope=None):
@@ -294,8 +302,6 @@ def patched_barrier_solution(
         xs = _default_grid(problem, tp, n_per_region)
     else:
         xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
-        from .wkb_core import assert_outside_exclusion
-
         assert_outside_exclusion(problem, xs, tp=tp)
 
     m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
@@ -308,9 +314,9 @@ def patched_barrier_solution(
     beta_mid = np.asarray(problem.beta(mid), dtype=float)
 
     # Action phases toward/away from the turning points, in radians.
-    phi = np.array([action_integral(problem, x, tp.a) for x in left]) / hbar
-    theta = np.array([action_integral(problem, tp.b, x) for x in right]) / hbar
-    u = _cumulative_decay(problem, tp.a, mid)
+    phi = _accumulate(problem, tp.a, left[::-1], turning=True)[::-1] / hbar
+    theta = _accumulate(problem, tp.b, right, turning=True) / hbar
+    u = _between(problem, tp.a, tp.b, mid, forbidden=True)[0] / hbar
 
     e_grow, e_decay = math.exp(sigma_star), math.exp(-sigma_star)
     if incident_side == "left":
@@ -340,8 +346,7 @@ def patched_barrier_solution(
 
     psi = np.concatenate([psi_left, psi_mid, psi_right])
     order = np.concatenate([left, mid, right])
-    tags = [classify_region(problem, x, tp) for x in order]
-    return WavefunctionTable(xs=order, psi=psi, region_tags=tags)
+    return WavefunctionTable(xs=order, psi=psi, region_tags=_region_tags(problem, order, tp))
 
 
 def airy_local_solution(
@@ -367,19 +372,20 @@ def airy_local_solution(
         raise LinearizationError("V'(a) = 0: no linear turning point here")
     v_a = problem.v(a)
     floor = 0.1 * abs(mu) * exclusion_radius(problem, a)
-    for x in xs:
-        remainder = abs(problem.v(x) - v_a - mu * (x - a))
-        bound = 0.1 * abs(e - problem.v(x)) + floor
-        if remainder > bound:
-            raise LinearizationError(
-                f"x = {x:g} outside the linearization radius: |remainder| = "
-                f"{remainder:g} > {bound:g}"
-            )
+    v = np.asarray(problem.v(xs), dtype=float)
+    remainder = np.abs(v - v_a - mu * (xs - a))
+    bound = 0.1 * np.abs(e - v) + floor
+    bad = np.flatnonzero(remainder > bound)
+    if len(bad):
+        i = bad[0]
+        raise LinearizationError(
+            f"x = {xs[i]:g} outside the linearization radius: |remainder| = "
+            f"{remainder[i]:g} > {bound[i]:g}"
+        )
     scale = np.cbrt(2.0 * m * mu / hbar**2)
     zs = scale * (xs - a)
     vals = np.array(
         [getattr(airy(z), solution) for z in zs], dtype=complex
     )
-    tp = find_turning_points(problem)
-    tags = [classify_region(problem, x, tp) for x in xs]
+    tags = _region_tags(problem, xs, find_turning_points(problem))
     return WavefunctionTable(xs=xs, psi=vals, region_tags=tags)

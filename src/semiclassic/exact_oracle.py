@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import WavefunctionTable, classify_region
+from .connection import WavefunctionTable, _region_tags
 from .errors import (
     ChannelClosedError,
     DomainError,
@@ -128,7 +128,13 @@ def _solve_raw(problem: ScatteringProblem, config: OracleConfig) -> tuple[float,
     k2 = 2.0 * m * (e - v) / hbar**2
     psi = _propagate_leftward(xs, k2, k_r)
     a, c = _left_edge_decomposition(xs, psi, k_l)
-    t = (k_r / k_l) / abs(a) ** 2
+    mag = math.hypot(a.real, a.imag)
+    if not math.isfinite(mag * mag):
+        raise NumericalError(
+            f"incident amplitude overflows: log10|A| = {math.log10(mag):.1f}; "
+            "T is below double range, the barrier is too opaque for the oracle"
+        )
+    t = (k_r / k_l) / (mag * mag)
     r = abs(c / a) ** 2
     return t, r
 
@@ -252,8 +258,7 @@ def wavefunction_exact(
     psi = _propagate_leftward(xs, k2, k_r)
     a, _c = _left_edge_decomposition(xs, psi, k_l)
     psi = psi / a
-    tp = find_turning_points(problem)
-    tags = [classify_region(problem, x, tp) for x in xs]
+    tags = _region_tags(problem, xs, find_turning_points(problem))
     return WavefunctionTable(xs=xs, psi=psi, region_tags=tags)
 
 

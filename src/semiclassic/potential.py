@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DomainError, MultiWellError
 
@@ -370,48 +371,55 @@ def second_derivative(potential: PotentialModel, x):
     return potential.second_derivative(x)
 
 
-def _bisect_root(g, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
-    """Bisection on a bracketing interval, to relative x tolerance."""
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _knots(problem: ScatteringProblem, panels: int = 2048) -> tuple:
+    """Domain edges and refined interior extrema of V, as increasing (x, V) pairs.
 
-
-def find_turning_points(problem: ScatteringProblem, panels: int = 2048) -> TurningPoints:
-    """Locate the roots of V(x) - E inside the problem domain.
-
-    A bracketing scan over ``panels`` intervals feeds bisection; the two
-    outermost roots are returned for the single-barrier (or single-well)
-    topology.  More than two roots means a multi-well landscape, which is
-    rejected rather than silently truncated.
+    One vectorised pass over ``panels + 1`` samples finds where the slope of
+    V changes sign (a flat run counts once); each extremum is then refined by
+    bounded Brent minimisation between the samples around it.  V is monotone
+    between neighbouring knots, up to features narrower than a panel.
     """
     lo, hi = problem.domain
     xs = np.linspace(lo, hi, panels + 1)
-    g = np.asarray(problem.v(xs), dtype=float) - problem.energy
+    vs = np.asarray(problem.v(xs), dtype=float)
+    slope = np.sign(np.diff(vs))
+    steps = np.flatnonzero(slope)
+    turns = np.flatnonzero(slope[steps[:-1]] != slope[steps[1:]])
+    knots = [(lo, float(vs[0]))]
+    for i, j in zip(steps[turns], steps[turns + 1]):
+        sign = slope[i]  # +1 at a maximum, -1 at a minimum
+        res = minimize_scalar(
+            lambda x: -sign * problem.v(x),
+            bounds=(xs[i], xs[j + 1]),
+            method="bounded",
+            options={"xatol": 1e-6 * (xs[1] - xs[0])},
+        )
+        x, v = float(res.x), float(problem.v(res.x))
+        if sign * v < sign * vs[i + 1]:  # keep the best sample if Brent did worse
+            x, v = float(xs[i + 1]), float(vs[i + 1])
+        knots.append((x, v))
+    knots.append((hi, float(vs[-1])))
+    return tuple(knots)
 
+
+def _turning_points(problem: ScatteringProblem, knots: tuple) -> TurningPoints:
+    """Roots of V(x) - E from the monotone pieces between ``knots``.
+
+    Each piece holds at most one root, bracketed by its ends and found by
+    brentq, so two roots closer than a scan panel are both found.  More than
+    two roots means a multi-well landscape, which is rejected rather than
+    silently truncated.
+    """
+    e = problem.energy
     roots: list[float] = []
-    gfun = lambda x: problem.v(x) - problem.energy
-    for i in range(panels):
-        g0, g1 = g[i], g[i + 1]
-        if g0 == 0.0:
-            if not roots or abs(xs[i] - roots[-1]) > 1e-9 * max(1.0, abs(xs[i])):
-                roots.append(float(xs[i]))
-        elif (g0 < 0.0) != (g1 < 0.0):
-            roots.append(_bisect_root(gfun, float(xs[i]), float(xs[i + 1])))
-    if g[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+        if v0 == e:
+            roots.append(x0)
+        elif (v0 - e) * (v1 - e) < 0.0:
+            xtol = 4e-16 * max(1.0, abs(x0), abs(x1))
+            roots.append(brentq(lambda x: problem.v(x) - e, x0, x1, xtol=xtol))
+    if knots[-1][1] == e:
+        roots.append(knots[-1][0])
 
     if len(roots) > 2:
         raise MultiWellError(
@@ -422,8 +430,16 @@ def find_turning_points(problem: ScatteringProblem, panels: int = 2048) -> Turni
         return TurningPoints(a=None, b=None, count=0)
     if len(roots) == 1:
         return TurningPoints(a=roots[0], b=None, count=1)
-    a, b = sorted(roots)
-    return TurningPoints(a=a, b=b, count=2)
+    return TurningPoints(a=roots[0], b=roots[1], count=2)
+
+
+def find_turning_points(problem: ScatteringProblem, panels: int = 2048) -> TurningPoints:
+    """Locate the roots of V(x) - E inside the problem domain.
+
+    The extrema of V are found once (a ``panels``-panel scan, then refined),
+    and each monotone piece between them brackets at most one root.
+    """
+    return _turning_points(problem, _knots(problem, panels))
 
 
 def local_wavenumber(problem: ScatteringProblem, x: float) -> complex:

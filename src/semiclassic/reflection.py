@@ -23,8 +23,8 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, PoleError, RegimeError
-from .potential import PhysicalContext, ScatteringProblem, find_turning_points
-from .wkb_core import assert_outside_exclusion, effective_perturbation_value
+from .potential import PhysicalContext, ScatteringProblem, _knots, find_turning_points
+from .wkb_core import _accumulate, assert_outside_exclusion, effective_perturbation_value
 
 __all__ = [
     "PhaseGrid",
@@ -41,9 +41,6 @@ __all__ = [
     "born_first_order",
     "momentum_propagator",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -92,10 +89,13 @@ class PicardAmplitudes:
         return complex(self.c_minus[0])
 
 
-def _require_over_barrier(problem: ScatteringProblem, n_probe: int = 2049) -> None:
-    lo, hi = problem.domain
-    xs = np.linspace(lo, hi, n_probe)
-    vmax = float(np.max(np.asarray(problem.v(xs), dtype=float)))
+def _v_max(problem: ScatteringProblem) -> float:
+    """max V on the domain, from its edges and refined extrema."""
+    return max(v for _, v in _knots(problem))
+
+
+def _require_over_barrier(problem: ScatteringProblem) -> None:
+    vmax = _v_max(problem)
     if problem.energy <= vmax:
         raise RegimeError(
             f"E = {problem.energy:g} does not exceed max V = {vmax:g} on the "
@@ -124,23 +124,10 @@ def differential_reflection(problem: ScatteringProblem, x: float) -> float:
 
 
 def _action_spline(problem: ScatteringProblem, n_panels: int = 8192):
-    """Cubic interpolant of W(x) = int_{x_min}^x p, from Gauss panels."""
+    """Cubic interpolant of W(x) = int_{x_min}^x p, from the phase accumulator."""
     lo, hi = problem.domain
     xs = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (xs[1:] + xs[:-1])
-    half = 0.5 * (xs[1] - xs[0])
-    pts = mid[:, None] + half * _GL_NODES[None, :]
-    m, e = problem.context.mass, problem.energy
-    with np.errstate(invalid="ignore"):
-        vals = np.sqrt(2.0 * m * (e - np.asarray(problem.v(pts), dtype=float)))
-    if not np.all(np.isfinite(vals)):
-        raise RegimeError(
-            "phase accumulation needs a classically allowed domain "
-            "(E >= V everywhere between the edges)"
-        )
-    panel = half * vals @ _GL_WEIGHTS
-    w = np.concatenate([[0.0], np.cumsum(panel)])
-    return CubicSpline(xs, w)
+    return CubicSpline(xs, _accumulate(problem, lo, xs))
 
 
 def phase_transform(
@@ -316,8 +303,11 @@ def effective_perturbation_profile(
 def _require_over_barrier_or_allowed(problem: ScatteringProblem, xs) -> None:
     xa = np.atleast_1d(np.asarray(xs, dtype=float))
     v = np.asarray(problem.v(xa), dtype=float)
-    if np.any(problem.energy <= v):
-        raise RegimeError("all sample points must be classically allowed")
+    if np.any(problem.energy <= v) or problem.energy < _v_max(problem):
+        raise RegimeError(
+            "all sample points, and the domain the phase is accumulated "
+            "over, must be classically allowed"
+        )
 
 
 def matrix_element(

@@ -1,9 +1,10 @@
 """Action integrals, WKB expansion terms, leading transmission, quantization.
 
-Quadrature policy: adaptive Gauss-Kronrod everywhere; when an integration
-endpoint is a classical turning point the substitution x = a + s^2 removes
-the square-root branch point, so the transformed integrand is smooth and the
-quadrature keeps its full order.
+Quadrature policy: every action and decay integral comes from one
+vectorised cumulative Gauss-Legendre accumulator (:func:`_accumulate`).  On a
+span that starts at a classical turning point the substitution x = a + s^2
+removes the square-root branch point, so the transformed integrand is smooth
+and the fixed rule keeps its full order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # noqa: F401 - bench/tracing.py traces quad calls made from here
+from scipy.optimize import brentq
 
 from .errors import (
     BracketError,
@@ -28,6 +30,8 @@ from .errors import (
 from .potential import (
     ScatteringProblem,
     TurningPoints,
+    _knots,
+    _turning_points,
     exclusion_radius,
     find_turning_points,
 )
@@ -47,9 +51,16 @@ __all__ = [
     "effective_perturbation_value",
 ]
 
-#: |V(x) - E| below this (times max(1, |E|)) marks x as a turning point for
-#: quadrature purposes and triggers the s^2 endpoint substitution.
+#: E - V may dip this far (times max(1, |E|)) below 0 on an allowed path.
 _SINGULAR_EPS = 1e-8
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+#: Accumulator panels: one per 1/2048 of the domain along a span (the
+#: resolution of the turning-point scan), at least 16, plus 12 graded
+#: geometrically toward a turning point a span starts at.
+_PANEL_FRACTION = 1.0 / 2048
+_MIN_PANELS = 16
+_GRADED_PANELS = 12
 
 
 class Method(enum.Enum):
@@ -116,38 +127,64 @@ def assert_outside_exclusion(
     return tp
 
 
-def _quad(f, lo: float, hi: float, scale: float) -> float:
-    val, _ = integrate.quad(
-        f, lo, hi, limit=400, epsabs=1e-13 * max(1.0, scale), epsrel=1e-12
+def _accumulate(
+    problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
+) -> np.ndarray:
+    """Cumulative integral of sqrt(2m|E - V|) from ``start`` to each x in ``xs``.
+
+    ``xs`` runs monotonically away from ``start`` inside one region: allowed
+    (the integrand is p) or, with ``forbidden``, forbidden (hbar beta).  Each
+    gap between successive xs is cut into equal panels no wider than the
+    span's share of the accumulator grid, each with a 10-point Gauss-Legendre
+    rule.  When ``start`` is a turning point the variable is
+    s = sqrt(|x - start|), and extra panels are graded toward s = 0.
+    """
+    xs = np.asarray(xs, dtype=float)
+    dist = np.abs(xs - start)
+    if len(xs) == 0 or dist[-1] == 0.0:
+        return np.zeros(len(xs))
+    lo, hi = problem.domain
+    n = max(_MIN_PANELS, math.ceil(dist[-1] / ((hi - lo) * _PANEL_FRACTION)))
+    u = np.sqrt(dist) if turning else dist
+    gaps = np.diff(u, prepend=0.0)
+    per_gap = np.maximum(np.ceil(gaps * (n / u[-1])), 1).astype(int)
+    ends = np.cumsum(per_gap)  # edge index of each x
+    # Panel j of the gap that ends at u[g] starts ends[g] - j steps before u[g].
+    gap_of = np.repeat(np.arange(len(u)), per_gap)
+    step = (gaps / per_gap)[gap_of]
+    edges = np.append(u[gap_of] - (ends[gap_of] - np.arange(ends[-1])) * step, u[-1])
+    if turning:
+        graded = edges[1] * 0.5 ** np.arange(_GRADED_PANELS, 0, -1)
+        edges = np.concatenate([[0.0], graded, edges[1:]])
+        ends = ends + _GRADED_PANELS
+    half = 0.5 * np.diff(edges)
+    nodes = np.multiply.outer(half, _GL_NODES)
+    nodes += (edges[:-1] + half)[:, None]
+    x = start + (1.0 if xs[-1] > start else -1.0) * (nodes * nodes if turning else nodes)
+    excess = np.asarray(problem.v(x), dtype=float) - problem.energy
+    vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0))
+    if turning:
+        vals *= 2.0 * nodes
+    weights = math.sqrt(2.0 * problem.context.mass) * half
+    return np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
+
+
+def _between(problem: ScatteringProblem, a: float, b: float, xs=(), forbidden=False):
+    """Integrals from turning point a to each sorted x in (a, b), and to b.
+
+    Each half of [a, b] is accumulated from its own turning point.
+    """
+    xs = np.asarray(xs, dtype=float)
+    mid = 0.5 * (a + b)
+    near_b = xs > mid
+    from_a = _accumulate(
+        problem, a, np.append(xs[~near_b], mid), turning=True, forbidden=forbidden
     )
-    return val
-
-
-def _integrate_with_endpoint_substitution(
-    f, lo: float, hi: float, singular_lo: bool, singular_hi: bool, scale: float
-) -> float:
-    """Integrate f over [lo, hi]; s^2-substitute any turning-point endpoint."""
-    if hi <= lo:
-        return 0.0
-    if singular_lo and singular_hi:
-        mid = 0.5 * (lo + hi)
-        return (
-            _integrate_with_endpoint_substitution(f, lo, mid, True, False, scale)
-            + _integrate_with_endpoint_substitution(f, mid, hi, False, True, scale)
-        )
-    if singular_lo:
-        smax = math.sqrt(hi - lo)
-        return _quad(lambda s: 2.0 * s * f(lo + s * s), 0.0, smax, scale)
-    if singular_hi:
-        smax = math.sqrt(hi - lo)
-        return _quad(lambda s: 2.0 * s * f(hi - s * s), 0.0, smax, scale)
-    return _quad(f, lo, hi, scale)
-
-
-def _is_turning_endpoint(problem: ScatteringProblem, x: float) -> bool:
-    return abs(problem.v(x) - problem.energy) <= _SINGULAR_EPS * max(
-        1.0, abs(problem.energy)
+    from_b = _accumulate(
+        problem, b, np.append(xs[near_b][::-1], mid), turning=True, forbidden=forbidden
     )
+    total = from_a[-1] + from_b[-1]
+    return np.concatenate([from_a[:-1], total - from_b[-2::-1]]), total
 
 
 def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
@@ -170,7 +207,7 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
                 f"turning point at {x_c:g} lies strictly inside [{lo:g}, {hi:g}]"
             )
 
-    m, e = problem.context.mass, problem.energy
+    e = problem.energy
     probe = np.linspace(lo, hi, 33)[1:-1]
     if np.min(e - np.asarray(problem.v(probe), dtype=float)) < -_SINGULAR_EPS * max(
         1.0, abs(e)
@@ -179,18 +216,16 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
             f"[{lo:g}, {hi:g}] enters the classically forbidden region"
         )
 
-    def p_of(xv: float) -> float:
-        return math.sqrt(max(2.0 * m * (e - problem.v(xv)), 0.0))
-
-    scale = (hi - lo) * max(p_of(0.5 * (lo + hi)), 1.0)
-    val = _integrate_with_endpoint_substitution(
-        p_of,
-        lo,
-        hi,
-        _is_turning_endpoint(problem, lo),
-        _is_turning_endpoint(problem, hi),
-        scale,
+    lo_turning, hi_turning = (
+        any(x_c is not None and abs(end - x_c) <= edge for x_c in (tp.a, tp.b))
+        for end in (lo, hi)
     )
+    if lo_turning and hi_turning:
+        val = _between(problem, lo, hi)[1]
+    elif hi_turning:
+        val = _accumulate(problem, hi, [lo], turning=True)[0]
+    else:
+        val = _accumulate(problem, lo, [hi], turning=lo_turning)[0]
     return sign * val
 
 
@@ -208,27 +243,12 @@ def barrier_integral(
             f"barrier integral needs 2 turning points, found {tp.count} "
             "(E >= max V or no barrier in the domain)"
         )
-    a, b = tp.a, tp.b
-    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
-    mid = 0.5 * (a + b)
-    if problem.v(mid) <= e:
+    if problem.v(0.5 * (tp.a + tp.b)) <= problem.energy:
         raise NoBarrierError(
             "interval between turning points is classically allowed; "
             "this is a well, not a barrier"
         )
-
-    def beta_of(xv: float) -> float:
-        return math.sqrt(max(2.0 * m * (problem.v(xv) - e), 0.0)) / hbar
-
-    scale = (b - a) * max(beta_of(mid), 1.0)
-    return _integrate_with_endpoint_substitution(
-        beta_of,
-        a,
-        b,
-        _is_turning_endpoint(problem, a),
-        _is_turning_endpoint(problem, b),
-        scale,
-    )
+    return _between(problem, tp.a, tp.b, forbidden=True)[1] / problem.context.hbar
 
 
 def effective_perturbation_value(problem: ScatteringProblem, x: float) -> float:
@@ -272,42 +292,6 @@ def wkb_terms(problem: ScatteringProblem, x0: float, x: float) -> WkbTerms:
     )
 
 
-def _cumulative_action(problem: ScatteringProblem, ref: float, xs: np.ndarray):
-    """w(ref, x) for sorted xs, one quadrature segment per gap."""
-    out = np.empty(len(xs))
-    prev, acc = ref, 0.0
-    for i, xv in enumerate(xs):
-        acc += action_integral(problem, prev, xv)
-        out[i] = acc
-        prev = xv
-    return out
-
-
-def _cumulative_decay(problem: ScatteringProblem, ref: float, xs: np.ndarray):
-    """integral of beta from ref to each sorted x (forbidden region)."""
-    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
-
-    def beta_of(xv: float) -> float:
-        return math.sqrt(max(2.0 * m * (problem.v(xv) - e), 0.0)) / hbar
-
-    out = np.empty(len(xs))
-    prev, acc = ref, 0.0
-    for i, xv in enumerate(xs):
-        lo, hi = (prev, xv) if xv >= prev else (xv, prev)
-        seg = _integrate_with_endpoint_substitution(
-            beta_of,
-            lo,
-            hi,
-            _is_turning_endpoint(problem, lo),
-            _is_turning_endpoint(problem, hi),
-            max(1.0, hi - lo),
-        )
-        acc += seg if xv >= prev else -seg
-        out[i] = acc
-        prev = xv
-    return out
-
-
 def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
     """First-order WKB wave on a set of points sharing one region with x0.
 
@@ -316,7 +300,7 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
     rate beta.  Crossing a turning point requires the connection machinery
     instead, so mixed-region requests are rejected.
     """
-    from .connection import WavefunctionTable, classify_region
+    from .connection import WavefunctionTable, _region_tags
 
     c_plus = complex(amplitudes.c_plus if hasattr(amplitudes, "c_plus") else amplitudes[0])
     c_minus = complex(amplitudes.c_minus if hasattr(amplitudes, "c_minus") else amplitudes[1])
@@ -336,18 +320,19 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
 
     e, m, hbar = problem.energy, problem.context.mass, problem.context.hbar
     allowed = e >= problem.v(x0)
-    psi = np.empty(len(xs), dtype=complex)
+    # Signed phase (or decay) integral from x0, accumulated outward both ways.
+    before = xs < x0
+    w = np.concatenate([
+        -_accumulate(problem, x0, xs[before][::-1], forbidden=not allowed)[::-1],
+        _accumulate(problem, x0, xs[~before], forbidden=not allowed),
+    ]) / hbar
     if allowed:
-        w = _cumulative_action(problem, x0, xs)
         p = np.sqrt(2.0 * m * (e - np.asarray(problem.v(xs), dtype=float)))
-        psi = (c_plus * np.exp(1j * w / hbar) + c_minus * np.exp(-1j * w / hbar)) / np.sqrt(p)
+        psi = (c_plus * np.exp(1j * w) + c_minus * np.exp(-1j * w)) / np.sqrt(p)
     else:
-        s = _cumulative_decay(problem, x0, xs)
         beta = np.asarray(problem.beta(xs), dtype=float)
-        psi = (c_plus * np.exp(-s) + c_minus * np.exp(+s)) / np.sqrt(beta)
-
-    tags = [classify_region(problem, x, tp) for x in xs]
-    return WavefunctionTable(xs=xs, psi=psi, region_tags=tags)
+        psi = (c_plus * np.exp(-w) + c_minus * np.exp(+w)) / np.sqrt(beta)
+    return WavefunctionTable(xs=xs, psi=psi, region_tags=_region_tags(problem, xs, tp))
 
 
 def transmission_leading(
@@ -378,9 +363,9 @@ def quantize(
 ) -> float:
     """Level E_n of a single well from the half-integer action condition.
 
-    Solves integral_a^b sqrt(2m(E - V)) dx = (n + 1/2) pi hbar by bisection
-    on the energy bracket, to relative tolerance 1e-10.  The integrand is
-    cheap and monotone in E, so bisection wins on robustness.
+    Solves integral_a^b sqrt(2m(E - V)) dx = (n + 1/2) pi hbar by brentq on
+    the energy bracket.  The extrema of V are found once; each trial energy
+    only brackets its two turning points between them.
     """
     if n < 0:
         raise DomainError(f"quantum number must be nonnegative, got {n}")
@@ -388,10 +373,11 @@ def quantize(
     if not e_lo < e_hi:
         raise BracketError(f"empty bracket {bracket}")
     target = (n + 0.5) * math.pi * problem.context.hbar
+    knots = _knots(problem)
 
     def residual(e: float) -> float:
         prob_e = dataclasses.replace(problem, energy=e)
-        tp = find_turning_points(prob_e)
+        tp = _turning_points(prob_e, knots)
         if tp.count != 2:
             raise BracketError(
                 f"E = {e:g} has {tp.count} turning points; the bracket must "
@@ -399,30 +385,15 @@ def quantize(
             )
         if prob_e.v(0.5 * (tp.a + tp.b)) >= e:
             raise BracketError(f"E = {e:g}: interval between roots is not a well")
-        return action_integral(prob_e, tp.a, tp.b) - target
+        return _between(prob_e, tp.a, tp.b)[1] - target
 
-    f_lo, f_hi = residual(e_lo), residual(e_hi)
-    if f_lo == 0.0:
-        return e_lo
-    if f_hi == 0.0:
-        return e_hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
+    try:
+        return brentq(residual, e_lo, e_hi, xtol=1e-12 * max(1.0, abs(e_lo), abs(e_hi)))
+    except ValueError as exc:
         raise BracketError(
             f"quantization residual does not change sign on [{e_lo:g}, {e_hi:g}] "
             f"for n = {n}"
-        )
-    for _ in range(200):
-        e_mid = 0.5 * (e_lo + e_hi)
-        if e_hi - e_lo <= 1e-10 * max(1.0, abs(e_mid)):
-            return e_mid
-        f_mid = residual(e_mid)
-        if f_mid == 0.0:
-            return e_mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            e_lo, f_lo = e_mid, f_mid
-        else:
-            e_hi = e_mid
-    return 0.5 * (e_lo + e_hi)
+        ) from exc
 
 
 def quantize_levels(
@@ -436,11 +407,9 @@ def quantize_levels(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    lo_x, hi_x = problem.domain
-    xs = np.linspace(lo_x, hi_x, 2049)
-    v = np.asarray(problem.v(xs), dtype=float)
-    v_min = float(np.min(v))
-    rim = min(float(problem.v(lo_x)), float(problem.v(hi_x)))
+    knots = _knots(problem)
+    v_min = min(v for _, v in knots)
+    rim = min(knots[0][1], knots[-1][1])
     if rim <= v_min:
         raise SpectrumError("potential has no well below the domain edges")
     span = rim - v_min
@@ -449,13 +418,13 @@ def quantize_levels(
 
     def well_action(e: float) -> float:
         prob_e = dataclasses.replace(problem, energy=e)
-        tp = find_turning_points(prob_e)
+        tp = _turning_points(prob_e, knots)
         if tp.count != 2:
             raise SpectrumError(
                 f"E = {e:g} does not see a simple well (found {tp.count} "
                 "turning points)"
             )
-        return action_integral(prob_e, tp.a, tp.b)
+        return _between(prob_e, tp.a, tp.b)[1]
 
     actions = np.array([well_action(float(e)) for e in energies])
     levels = []

@@ -283,3 +283,39 @@ class TestTabulated:
             )
         )
         assert sigma == pytest.approx(ref, rel=1e-6)
+
+
+class TestNegativeExponentValues:
+    ECKART = [
+        "transmission", "--form", "eckart", "--height", "1", "--width", "1",
+        "--energy", "0.5", "--x-min", "-14", "--x-max", "14",
+    ]
+
+    def test_separate_argument_matches_joined(self, tmp_path):
+        apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
+        assert run_cli([*self.ECKART, "--center", "-3e-05", "--output", str(apart)]) == 0
+        assert run_cli([*self.ECKART, "--center=-3e-05", "--output", str(joined)]) == 0
+        assert read(apart) == read(joined)
+
+    def test_airy_z(self, tmp_path):
+        out = tmp_path / "airy.csv"
+        assert run_cli(["airy", "--z", "-1e-3", "--z", "-2E+0", "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-1e-3, -2.0]
+
+    def test_parser_built_once(self):
+        assert cli._make_parser() is cli._make_parser()
+
+
+class TestNumericalErrors:
+    def test_oracle_overflow_exit_4(self, capsys):
+        code = run_cli(
+            [
+                "transmission", "--form", "eckart", "--height", "200", "--width", "10",
+                "--energy", "1", "--x-min", "-200", "--x-max", "200", "--method", "exact",
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_NUMERIC:")
+        assert "log10|A| = 253." in err

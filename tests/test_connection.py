@@ -9,6 +9,7 @@ import pytest
 from semiclassic import (
     DomainError,
     EckartBarrier,
+    HarmonicWell,
     LinearRamp,
     LinearizationError,
     Method,
@@ -29,10 +30,26 @@ from semiclassic import (
     transmission_from_currents,
     transmission_leading,
 )
+from semiclassic.connection import Region, classify_region
 
 DEEP_ECKART = ScatteringProblem(
     potential=EckartBarrier(height=1.0, width=1.0), energy=0.15, domain=(-14.0, 14.0)
 )
+
+
+def reference_region(problem, x, tp):
+    """Point-by-point region rule the vectorised tags must reproduce."""
+    if problem.v(x) > problem.energy:
+        return Region.FORBIDDEN
+    if tp.count == 2:
+        if x < tp.a:
+            return Region.ALLOWED_LEFT
+        if x > tp.b:
+            return Region.ALLOWED_RIGHT
+        return Region.ALLOWED_LEFT  # allowed between roots only for wells
+    if tp.count == 1:
+        return Region.ALLOWED_LEFT if x <= tp.a else Region.ALLOWED_RIGHT
+    return Region.ALLOWED_LEFT
 
 
 class TestConnectionMaps:
@@ -159,6 +176,25 @@ class TestPatchedSolution:
         order = {"allowed_left": 0, "forbidden": 1, "allowed_right": 2}
         assert sorted(tags, key=order.get) == tags
         assert set(tags) == set(order)
+
+    def test_region_tags_match_pointwise_rule(self):
+        from semiclassic import OracleConfig, wavefunction_exact
+
+        tp = find_turning_points(DEEP_ECKART)
+        for table in (
+            patched_barrier_solution(DEEP_ECKART, n_per_region=20),
+            airy_local_solution(DEEP_ECKART, tp.a, np.linspace(tp.a - 0.3, tp.a + 0.3, 13)),
+            wavefunction_exact(DEEP_ECKART, OracleConfig(grid_points=2001)),
+        ):
+            expected = tuple(reference_region(DEEP_ECKART, x, tp) for x in table.xs)
+            assert table.region_tags == expected
+        # Two roots of a well, one root of a ramp, none on a flat line.
+        xs = np.linspace(-3.0, 3.0, 61)
+        for potential in (HarmonicWell(stiffness=1.0), LinearRamp(0.0, 1.0), LinearRamp(0.0, 0.0)):
+            problem = ScatteringProblem(potential=potential, energy=0.5)
+            tp = find_turning_points(problem)
+            for x in xs:
+                assert classify_region(problem, x, tp) is reference_region(problem, x, tp)
 
     def test_outgoing_region_is_pure_traveling_wave(self):
         table = patched_barrier_solution(DEEP_ECKART)

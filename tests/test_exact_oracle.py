@@ -14,6 +14,7 @@ from semiclassic import (
     LinearRamp,
     MatchingError,
     Method,
+    NumericalError,
     OracleConfig,
     ScatteringProblem,
     SpectrumError,
@@ -112,6 +113,14 @@ class TestScattering:
             potential=LinearRamp(offset=1.0, slope=0.0), energy=0.5, domain=(-10, 10)
         )
         with pytest.raises(ChannelClosedError):
+            solve_scattering_exact(problem)
+
+    def test_opaque_barrier_overflow_is_typed(self):
+        # |A| ~ e^{sigma*} ~ 1e253 at sigma* ~ 584: |A|^2 leaves double range.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=200.0, width=10.0), energy=1.0, domain=(-200, 200)
+        )
+        with pytest.raises(NumericalError, match=r"log10\|A\| = 253\.\d"):
             solve_scattering_exact(problem)
 
     def test_config_validation(self):

@@ -197,6 +197,16 @@ class TestTurningPoints:
             assert tp.count == 2
             assert abs((tp.a - center) + (tp.b - center)) <= 1e-10
 
+    def test_near_top_roots_inside_one_scan_panel(self):
+        # Both roots lie within 1e-4 of the peak, inside one of the 2048 scan
+        # panels; only the refined maximum separates them.
+        problem = problem_for(EckartBarrier(height=1.0, width=1.0, center=0.005), 1.0 - 1e-8, (-14, 14))
+        tp = find_turning_points(problem)
+        assert tp.count == 2
+        half = math.asinh(math.sqrt(1e-8 / (1.0 - 1e-8)))
+        assert abs(tp.a - (0.005 - half)) < 1e-10
+        assert abs(tp.b - (0.005 + half)) < 1e-10
+
     def test_multi_well_rejected(self):
         xs = np.linspace(-2.0, 2.0, 401)
         double_well = TabulatedPotential(xs, (xs**2 - 1.0) ** 2)

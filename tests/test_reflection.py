@@ -188,6 +188,17 @@ class TestOnceReflected:
         with pytest.raises(RegimeError):
             once_reflected_coefficient(problem)
 
+    def test_below_unsampled_peak_rejected(self):
+        # The peak at x = 0.005 falls between samples of any fixed grid; E is
+        # 1e-8 below it, which only the refined maximum of V reveals.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0, center=0.005),
+            energy=1.0 - 1e-8,
+            domain=(-14, 14),
+        )
+        with pytest.raises(RegimeError):
+            once_reflected_coefficient(problem)
+
 
 class TestEffectivePerturbation:
     def test_flat_potential(self):

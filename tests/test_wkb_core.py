@@ -104,6 +104,14 @@ class TestBarrierIntegral:
         ]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
+    def test_near_top_closed_form(self):
+        # sigma* = pi d (sqrt(2 m V0) - sqrt(2 m E)) / hbar for sech^2.
+        e = 1.0 - 1e-8
+        problem = problem_for(EckartBarrier(height=1.0, width=1.0, center=0.005), e, (-14, 14))
+        expected = math.pi * (math.sqrt(2.0) - math.sqrt(2.0 * e))
+        assert barrier_integral(problem) == pytest.approx(expected, rel=1e-6)
+        assert transmission_leading(problem).sigma_star == pytest.approx(expected, rel=1e-6)
+
     def test_no_barrier(self):
         with pytest.raises(NoBarrierError):
             barrier_integral(problem_for(EckartBarrier(height=1.0, width=1.0), 2.0, (-14, 14)))
