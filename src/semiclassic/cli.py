@@ -16,10 +16,8 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,23 +253,7 @@ def _compute_rows(config: RunConfig, energies) -> list:
             return _reflection_row(problem, config.method)
         return _transmission_row(problem, config.method, config.oracle)
 
-    workers = _thread_cap()
-    if workers > 1 and len(energies) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, energies))
     return [one(e) for e in energies]
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SEMICLASSIC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(
-            f"SEMICLASSIC_THREADS={raw!r} is not an integer"
-        ) from exc
 
 
 def _rows_to_csv(rows: list, columns: list) -> str:

@@ -104,13 +104,6 @@ class TestScan:
         run_cli([*self.ARGS, "--output", str(b)])
         assert read(a) == read(b)
 
-    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli([*self.ARGS, "--output", str(a)])
-        monkeypatch.setenv("SEMICLASSIC_THREADS", "3")
-        run_cli([*self.ARGS, "--output", str(b)])
-        assert read(a) == read(b)
-
     def test_bad_steps(self, capsys):
         assert run_cli([*self.ARGS[:-2], "--steps", "1"]) == 2
         assert capsys.readouterr().err.startswith("E_CONFIG:")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from semiclassic import (
     unitarity_defect,
     wavefunction_exact,
 )
+from semiclassic import exact_oracle
 
 FREE = ScatteringProblem(
     potential=LinearRamp(offset=0.0, slope=0.0), energy=0.5, domain=(-10.0, 10.0)
@@ -59,6 +61,28 @@ class TestAnalyticReferences:
     def test_positive_energy_required(self):
         with pytest.raises(DomainError):
             analytic_square_barrier_transmission(1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "closed_form, args",
+        [
+            (analytic_eckart_transmission, (400.0, 10.0, 200.0)),  # T ~ 8.8e-227
+            (analytic_eckart_transmission, (1.0, 1.0, 300000.0)),  # T = 1
+            (analytic_eckart_transmission, (400.0, 10.0, 1.0)),  # T ~ 6e-734
+            (analytic_square_barrier_transmission, (1e6, 10.0, 1.0)),  # T ~ 3e-12289
+        ],
+    )
+    def test_extreme_arguments_match_mpmath(self, closed_form, args):
+        # sinh and cosh of these arguments leave double range on their own.
+        with mp.workdps(40):
+            height, width, energy = (mp.mpf(v) for v in args)
+            if closed_form is analytic_eckart_transmission:
+                s2 = mp.sinh(mp.pi * mp.sqrt(2 * energy) * width) ** 2
+                d2 = mp.cosh(mp.pi / 2 * mp.sqrt(8 * height * width**2 - 1)) ** 2
+                exact = float(s2 / (s2 + d2))
+            else:
+                s = mp.sinh(mp.sqrt(2 * (height - energy)) * width)
+                exact = float(1 / (1 + height**2 * s**2 / (4 * energy * (height - energy))))
+        assert closed_form(*args) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestScattering:
@@ -123,6 +147,37 @@ class TestScattering:
         with pytest.raises(NumericalError, match=r"log10\|A\| = 253\.\d"):
             solve_scattering_exact(problem)
 
+    @pytest.mark.filterwarnings("error")
+    def test_more_opaque_barrier_keeps_its_magnitude(self):
+        # |A| ~ 1e366 passes the double range inside the sweep itself; the
+        # growth-bounded segments keep log10|A| (closed form: 366.61).
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=400.0, width=10.0), energy=1.0, domain=(-200, 200)
+        )
+        with pytest.raises(NumericalError, match=r"log10\|A\| = 366\.6"):
+            solve_scattering_exact(problem)
+
+    def test_numerov_breakdown_is_typed(self):
+        # h = 0.016, kappa = 316: 1 + h^2 k^2 / 12 = -1.13 inside the barrier,
+        # where the recurrence would return T = 2.2e-11 for a true 5.9e-18.
+        problem = ScatteringProblem(
+            potential=SquareBarrier(height=50000.0, width=0.05), energy=1.0, domain=(-8, 8)
+        )
+        with pytest.raises(NumericalError, match=r"h\*kappa_max = 5\.06"):
+            solve_scattering_exact(problem, OracleConfig(grid_points=1001))
+
+    def test_segmented_solve_is_a_rescaled_single_solve(self, monkeypatch):
+        # T ~ 5e-71: |A| ~ 1e35 fits one segment at the default growth bound
+        # and needs two at 1e20; dividing by powers of two changes no bit.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=50.0, width=3.0), energy=1.0, domain=(-60, 60)
+        )
+        whole = solve_scattering_exact(problem).transmission
+        psi = wavefunction_exact(problem).psi
+        monkeypatch.setattr(exact_oracle, "_SEGMENT_GROWTH", math.log(1e20))
+        assert solve_scattering_exact(problem).transmission == whole
+        assert np.array_equal(wavefunction_exact(problem).psi, psi)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             OracleConfig(grid_points=20000)
@@ -169,6 +224,15 @@ class TestBoundStates:
         for n, e in enumerate(levels):
             assert nodes_at(e - 1e-6) == n
             assert nodes_at(e + 1e-6) == n + 1
+
+    def test_wide_well_levels(self):
+        # The shot grows by ~e^800 across each tail, several growth segments.
+        problem = ScatteringProblem(
+            potential=HarmonicWell(stiffness=1.0), energy=0.0, domain=(-40, 40)
+        )
+        levels = solve_bound_states_exact(problem, 2, OracleConfig(grid_points=40001))
+        for n, e in enumerate(levels):
+            assert e == pytest.approx(n + 0.5, abs=1e-8)
 
     def test_non_confining_rejected(self):
         with pytest.raises(SpectrumError):

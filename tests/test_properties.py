@@ -1,13 +1,16 @@
-"""Randomised invariants: turning points, the phase accumulator, quantization.
+"""Randomised invariants: turning points, the phase accumulator, quantization,
+and the banded Numerov oracle against the point-by-point recurrence.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian with random
 height, width, centre, m and hbar; energies are drawn from the bulk of the
-barrier and from within 1e-8 of its top.
+barrier and from within 1e-8 of its top.  The oracle properties draw Eckart,
+Gaussian and square barriers with energies below and above the top.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +23,14 @@ from semiclassic import (
     ParabolicBarrier,
     PhysicalContext,
     ScatteringProblem,
+    SquareBarrier,
     action_integral,
     barrier_integral,
     find_turning_points,
     quantize_levels,
+    solve_scattering_exact,
 )
+from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -139,3 +145,83 @@ def test_harmonic_levels_are_half_integer_quanta(stiffness, mass, hbar, n_max):
     for n, e in enumerate(quantize_levels(problem, n_max)):
         exact = (n + 0.5) * hbar * omega
         assert abs(e - exact) <= 1e-8 * exact
+
+
+def numerov_loop_transmission(problem, grid_points=20001):
+    """T from the three-term Numerov recurrence stepped point by point
+    leftward from a unit outgoing wave: the reference for the banded solve."""
+    lo, hi = problem.domain
+    xs = np.linspace(lo, hi, grid_points)
+    m, hbar = problem.context.mass, problem.context.hbar
+    k2 = 2.0 * m * (problem.energy - problem.v(xs)) / hbar**2
+    k_l, k_r = math.sqrt(k2[0]), math.sqrt(k2[-1])
+    h = xs[1] - xs[0]
+    a = 1.0 + (h * h / 12.0) * k2
+    psi = np.empty(grid_points, dtype=complex)
+    psi[-2:] = np.exp(1j * k_r * xs[-2:])
+    for i in range(grid_points - 2, 0, -1):
+        psi[i - 1] = ((12.0 - 10.0 * a[i]) * psi[i] - a[i + 1] * psi[i + 1]) / a[i - 1]
+    dpsi = (
+        -25.0 * psi[0] + 48.0 * psi[1] - 36.0 * psi[2] + 16.0 * psi[3] - 3.0 * psi[4]
+    ) / (12.0 * h)
+    incident = 0.5 * abs(psi[0] + dpsi / (1j * k_l))
+    return (k_r / k_l) / incident**2
+
+
+def numerov_loop_nodes(xs, k2):
+    """Interior sign changes of the recurrence shot rightward from (0, 1e-8)."""
+    h = xs[1] - xs[0]
+    a = 1.0 + (h * h / 12.0) * k2
+    psi = np.zeros(len(xs))
+    psi[1] = 1e-8
+    for i in range(1, len(xs) - 1):
+        psi[i + 1] = ((12.0 - 10.0 * a[i]) * psi[i] - a[i - 1] * psi[i - 1]) / a[i + 1]
+    return int(np.sum(psi[1:-1] * psi[2:] < 0))
+
+
+@st.composite
+def oracle_barriers(draw):
+    """A random Eckart, Gaussian or square barrier with flat edges, at an
+    energy below or above its top."""
+    form = draw(st.sampled_from(["eckart", "gaussian", "square"]))
+    height, width = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    center = draw(st.floats(-2.0, 2.0))
+    context = PhysicalContext(mass=draw(st.floats(0.5, 4.0)), hbar=draw(st.floats(0.5, 1.5)))
+    e = height * draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 2.0)))
+    if form == "eckart":
+        potential, reach = EckartBarrier(height=height, width=width, center=center), 14.0 * width
+    elif form == "gaussian":
+        potential, reach = GaussianBump(amplitude=height, width=width, center=center), 8.0 * width
+    else:
+        potential, reach = SquareBarrier(height=height, width=width, center=center), 4.0 * width
+    return ScatteringProblem(
+        potential=potential, energy=e, domain=(center - reach, center + reach), context=context
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(oracle_barriers())
+def test_banded_transmission_matches_recurrence(problem):
+    # The two sides round differently (LAPACK may fuse multiply-adds).  At
+    # small h*k the two plane waves are nearly parallel over one step, and the
+    # rounding of N steps moves T by up to ~N*eps/(h*k) relative in either.
+    lo, hi = problem.domain
+    h = (hi - lo) / 20000
+    k_edge = math.sqrt(2.0 * problem.context.mass * problem.energy) / problem.context.hbar
+    rounding = 20001 * np.finfo(float).eps / (h * k_edge)
+    t = solve_scattering_exact(problem).transmission
+    assert t == pytest.approx(numerov_loop_transmission(problem), rel=max(1e-9, rounding))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 2.0), st.floats(0.5, 4.0), st.floats(0.5, 1.5), st.floats(0.1, 10.0)
+)
+def test_banded_node_count_matches_recurrence(stiffness, mass, hbar, quanta):
+    # Four classical amplitudes of the 10.5-quantum level: the tails grow by
+    # at most ~e^170, inside double range for the unscaled recurrence.
+    omega = math.sqrt(stiffness / mass)
+    reach = 4.0 * math.sqrt(2.0 * 10.5 * hbar * omega / stiffness)
+    xs = np.linspace(-reach, reach, 4001)
+    k2 = 2.0 * mass * (quanta * hbar * omega - 0.5 * stiffness * xs**2) / hbar**2
+    assert _count_nodes(*_numerov_coefficients(xs, k2)) == numerov_loop_nodes(xs, k2)
