@@ -43,15 +43,18 @@ TRANSMISSION_METHODS = ("wkb", "wkb-corrected", "connection", "exact")
 REFLECTION_METHODS = ("born1", "once-reflected")
 ALL_METHODS = TRANSMISSION_METHODS + REFLECTION_METHODS
 
-_FORM_FIELDS = {
-    "square": (SquareBarrier, ("height", "width", "center")),
-    "gaussian": (GaussianBump, ("amplitude", "width", "center")),
-    "eckart": (EckartBarrier, ("height", "width", "center")),
-    "harmonic": (HarmonicWell, ("stiffness",)),
-    "linear": (LinearRamp, ("offset", "slope")),
-    "parabolic": (ParabolicBarrier, ("height", "curvature", "center")),
+_FORMS = {
+    "square": SquareBarrier,
+    "gaussian": GaussianBump,
+    "eckart": EckartBarrier,
+    "harmonic": HarmonicWell,
+    "linear": LinearRamp,
+    "parabolic": ParabolicBarrier,
 }
-_OPTIONAL_FIELDS = {"center": 0.0}
+#: One float flag per model field, in order of first appearance.
+_SHAPE_FLAGS = tuple(
+    dict.fromkeys(f.name for cls in _FORMS.values() for f in dataclasses.fields(cls))
+)
 
 
 @dataclass
@@ -122,17 +125,17 @@ def _build_potential(sections: dict, args):
                 f"tabulated potential file {path} must have two columns (x V)"
             )
         return TabulatedPotential(data[:, 0], data[:, 1])
-    if form not in _FORM_FIELDS:
+    if form not in _FORMS:
         raise ConfigError(
             f"unknown potential form {form!r}; expected one of "
-            f"{sorted(_FORM_FIELDS) + ['tabulated']}"
+            f"{sorted(_FORMS) + ['tabulated']}"
         )
-    cls, fields = _FORM_FIELDS[form]
+    cls = _FORMS[form]
     kwargs = {}
-    for name in fields:
-        override = getattr(args, name, None)
-        default = _OPTIONAL_FIELDS.get(name)
-        kwargs[name] = _get_float(sections, "potential", name, override, default)
+    for f in dataclasses.fields(cls):
+        default = None if f.default is dataclasses.MISSING else f.default
+        override = getattr(args, f.name, None)
+        kwargs[f.name] = _get_float(sections, "potential", f.name, override, default)
     return cls(**kwargs)
 
 
@@ -382,12 +385,11 @@ def _add_problem_flags(sub) -> None:
         "--form",
         "--potential",
         dest="form",
-        choices=sorted(_FORM_FIELDS) + ["tabulated"],
+        choices=sorted(_FORMS) + ["tabulated"],
         default=None,
         help="potential model",
     )
-    for name in ("height", "width", "center", "amplitude", "stiffness",
-                 "offset", "slope", "curvature"):
+    for name in _SHAPE_FLAGS:
         sub.add_argument(f"--{name}", type=float, default=None)
     sub.add_argument("--table-file", default=None, help="two-column (x V) file")
     sub.add_argument("--energy", type=float, default=None)

@@ -133,7 +133,7 @@ def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints) -> tuple:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
-    forbidden = np.asarray(problem.v(xs), dtype=float) > problem.energy
+    forbidden = problem.v(xs) > problem.energy
     return tuple(_REGIONS[np.where(forbidden, 1, np.where(xs > last, 2, 0))])
 
 
@@ -309,9 +309,9 @@ def patched_barrier_solution(
     mid = xs[(xs > tp.a) & (xs < tp.b)]
     right = xs[xs > tp.b]
 
-    k_left = np.sqrt(2.0 * m * (e - np.asarray(problem.v(left), dtype=float))) / hbar
-    k_right = np.sqrt(2.0 * m * (e - np.asarray(problem.v(right), dtype=float))) / hbar
-    beta_mid = np.asarray(problem.beta(mid), dtype=float)
+    k_left = np.sqrt(2.0 * m * (e - problem.v(left))) / hbar
+    k_right = np.sqrt(2.0 * m * (e - problem.v(right))) / hbar
+    beta_mid = problem.beta(mid)
 
     # Action phases toward/away from the turning points, in radians.
     phi = _accumulate(problem, tp.a, left[::-1], turning=True)[::-1] / hbar
@@ -372,7 +372,7 @@ def airy_local_solution(
         raise LinearizationError("V'(a) = 0: no linear turning point here")
     v_a = problem.v(a)
     floor = 0.1 * abs(mu) * exclusion_radius(problem, a)
-    v = np.asarray(problem.v(xs), dtype=float)
+    v = problem.v(xs)
     remainder = np.abs(v - v_a - mu * (xs - a))
     bound = 0.1 * np.abs(e - v) + floor
     bad = np.flatnonzero(remainder > bound)

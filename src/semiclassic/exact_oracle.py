@@ -93,8 +93,7 @@ class OracleConfig:
 def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
     lo, hi = problem.domain
     xs = np.linspace(lo, hi, config.grid_points)
-    v = np.asarray(problem.v(xs), dtype=float)
-    return xs, v
+    return xs, problem.v(xs)
 
 
 def _check_flat_edges(problem, config, xs, v) -> None:

@@ -54,17 +54,38 @@ class PhysicalContext:
             raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
 
 
+def _elementwise(body, x):
+    """``body`` applied to x as a float array: an array back, or a float for scalar x."""
+    xa = np.asarray(x, dtype=float)
+    out = body(xa)
+    return out if xa.ndim else float(out)
+
+
 class PotentialModel:
-    """Base class: analytic V(x) with first and second derivatives."""
+    """Base class: analytic V(x) with first and second derivatives.
+
+    Models implement ``_value``, ``_derivative`` and ``_second_derivative`` on
+    float arrays; the public methods take a scalar or an array and return the
+    same kind.
+    """
+
+    def _value(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def _derivative(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def _second_derivative(self, x: np.ndarray):
+        raise NotImplementedError
 
     def value(self, x):
-        raise NotImplementedError
+        return _elementwise(self._value, x)
 
     def derivative(self, x):
-        raise NotImplementedError
+        return _elementwise(self._derivative, x)
 
     def second_derivative(self, x):
-        raise NotImplementedError
+        return _elementwise(self._second_derivative, x)
 
     def __call__(self, x):
         return self.value(x)
@@ -90,21 +111,18 @@ class SquareBarrier(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("width", self.width)
 
-    def value(self, x):
-        dx = np.abs(np.asarray(x, dtype=float) - self.center)
+    def _value(self, x):
+        dx = np.abs(x - self.center)
         half = 0.5 * self.width
         out = np.where(dx < half, self.height, 0.0)
-        out = np.where(dx == half, 0.5 * self.height, out)
-        return out if out.ndim else float(out)
+        return np.where(dx == half, 0.5 * self.height, out)
 
-    def derivative(self, x):
+    def _derivative(self, x):
         # Zero almost everywhere; the edge delta spikes are not representable.
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        return out if out.ndim else 0.0
+        return np.zeros_like(x)
 
-    def second_derivative(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        return out if out.ndim else 0.0
+    def _second_derivative(self, x):
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -118,22 +136,17 @@ class GaussianBump(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("width", self.width)
 
-    def value(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.width
-        out = self.amplitude * np.exp(-u * u)
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        u = (x - self.center) / self.width
+        return self.amplitude * np.exp(-u * u)
 
-    def derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        u = (xa - self.center) / self.width
-        out = self.amplitude * np.exp(-u * u) * (-2.0 * u / self.width)
-        return out if out.ndim else float(out)
+    def _derivative(self, x):
+        u = (x - self.center) / self.width
+        return self.amplitude * np.exp(-u * u) * (-2.0 * u / self.width)
 
-    def second_derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        u = (xa - self.center) / self.width
-        out = self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
-        return out if out.ndim else float(out)
+    def _second_derivative(self, x):
+        u = (x - self.center) / self.width
+        return self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
 
 
 @dataclass(frozen=True)
@@ -147,24 +160,19 @@ class EckartBarrier(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("width", self.width)
 
-    def value(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.width
-        out = self.height / np.cosh(u) ** 2
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        u = (x - self.center) / self.width
+        return self.height / np.cosh(u) ** 2
 
-    def derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        u = (xa - self.center) / self.width
+    def _derivative(self, x):
+        u = (x - self.center) / self.width
         s = 1.0 / np.cosh(u)
-        out = -2.0 * self.height * s * s * np.tanh(u) / self.width
-        return out if out.ndim else float(out)
+        return -2.0 * self.height * s * s * np.tanh(u) / self.width
 
-    def second_derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        u = (xa - self.center) / self.width
+    def _second_derivative(self, x):
+        u = (x - self.center) / self.width
         s2 = 1.0 / np.cosh(u) ** 2
-        out = (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
-        return out if np.asarray(out).ndim else float(out)
+        return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
 
 @dataclass(frozen=True)
@@ -176,19 +184,14 @@ class HarmonicWell(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("stiffness", self.stiffness)
 
-    def value(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = 0.5 * self.stiffness * xa * xa
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        return 0.5 * self.stiffness * x * x
 
-    def derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = self.stiffness * xa
-        return out if out.ndim else float(out)
+    def _derivative(self, x):
+        return self.stiffness * x
 
-    def second_derivative(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), self.stiffness)
-        return out if out.ndim else float(self.stiffness)
+    def _second_derivative(self, x):
+        return np.full_like(x, self.stiffness)
 
 
 @dataclass(frozen=True)
@@ -198,18 +201,14 @@ class LinearRamp(PotentialModel):
     offset: float
     slope: float
 
-    def value(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = self.offset + self.slope * xa
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        return self.offset + self.slope * x
 
-    def derivative(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), self.slope)
-        return out if out.ndim else float(self.slope)
+    def _derivative(self, x):
+        return np.full_like(x, self.slope)
 
-    def second_derivative(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        return out if out.ndim else 0.0
+    def _second_derivative(self, x):
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -228,19 +227,15 @@ class ParabolicBarrier(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("curvature", self.curvature)
 
-    def value(self, x):
-        dx = np.asarray(x, dtype=float) - self.center
-        out = self.height - 0.5 * self.curvature * dx * dx
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        dx = x - self.center
+        return self.height - 0.5 * self.curvature * dx * dx
 
-    def derivative(self, x):
-        dx = np.asarray(x, dtype=float) - self.center
-        out = -self.curvature * dx
-        return out if out.ndim else float(out)
+    def _derivative(self, x):
+        return -self.curvature * (x - self.center)
 
-    def second_derivative(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), -self.curvature)
-        return out if out.ndim else float(-self.curvature)
+    def _second_derivative(self, x):
+        return np.full_like(x, -self.curvature)
 
 
 @dataclass(frozen=True)
@@ -271,30 +266,25 @@ class TabulatedPotential(PotentialModel):
         object.__setattr__(self, "_spline", CubicSpline(xs, vs, bc_type="not-a-knot"))
 
     def _check_range(self, x) -> None:
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < self.xs[0]) or np.any(xa > self.xs[-1]):
+        if np.any(x < self.xs[0]) or np.any(x > self.xs[-1]):
             raise DomainError(
                 f"x outside tabulated range [{self.xs[0]}, {self.xs[-1]}]"
             )
 
-    def value(self, x):
+    def _value(self, x):
         self._check_range(x)
-        out = self._spline(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
+        return self._spline(x)
 
-    def derivative(self, x):
+    def _derivative(self, x):
         self._check_range(x)
-        xa = np.asarray(x, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(xa))
-        h = np.minimum(h, np.minimum(xa - self.xs[0], self.xs[-1] - xa))
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        h = np.minimum(h, np.minimum(x - self.xs[0], self.xs[-1] - x))
         h = np.maximum(h, 1e-12)
-        out = (self._spline(xa + h) - self._spline(xa - h)) / (2.0 * h)
-        return out if out.ndim else float(out)
+        return (self._spline(x + h) - self._spline(x - h)) / (2.0 * h)
 
-    def second_derivative(self, x):
+    def _second_derivative(self, x):
         self._check_range(x)
-        out = self._spline(np.asarray(x, dtype=float), 2)
-        return out if out.ndim else float(out)
+        return self._spline(x, 2)
 
 
 @dataclass(frozen=True)
@@ -328,17 +318,18 @@ class ScatteringProblem:
     def momentum(self, x):
         """p(x) = sqrt(2m(E - V)); nan where classically forbidden."""
         with np.errstate(invalid="ignore"):
-            out = np.sqrt(2.0 * self.context.mass * (self.energy - self.v(x)))
-        return out if np.asarray(out).ndim else float(out)
+            return _elementwise(
+                lambda xa: np.sqrt(2.0 * self.context.mass * (self.energy - self.v(xa))), x
+            )
 
     def beta(self, x):
         """Decay rate sqrt(2m(V - E))/hbar; nan where classically allowed."""
         with np.errstate(invalid="ignore"):
-            out = (
-                np.sqrt(2.0 * self.context.mass * (self.v(x) - self.energy))
-                / self.context.hbar
+            return _elementwise(
+                lambda xa: np.sqrt(2.0 * self.context.mass * (self.v(xa) - self.energy))
+                / self.context.hbar,
+                x,
             )
-        return out if np.asarray(out).ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -381,7 +372,7 @@ def _knots(problem: ScatteringProblem, panels: int = 2048) -> tuple:
     """
     lo, hi = problem.domain
     xs = np.linspace(lo, hi, panels + 1)
-    vs = np.asarray(problem.v(xs), dtype=float)
+    vs = problem.v(xs)
     slope = np.sign(np.diff(vs))
     steps = np.flatnonzero(slope)
     turns = np.flatnonzero(slope[steps[:-1]] != slope[steps[1:]])

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate  # noqa: F401 - bench/tracing.py traces quad calls made from here
 from scipy.optimize import brentq
 
 from .errors import (
@@ -48,7 +47,7 @@ __all__ = [
     "quantize",
     "quantize_levels",
     "assert_outside_exclusion",
-    "effective_perturbation_value",
+    "effective_perturbation",
 ]
 
 #: E - V may dip this far (times max(1, |E|)) below 0 on an allowed path.
@@ -127,6 +126,15 @@ def assert_outside_exclusion(
     return tp
 
 
+def _panel_nodes(edges: np.ndarray):
+    """10-point Gauss-Legendre nodes on each panel between ``edges`` (one row
+    per panel), and the panel half-widths that scale :data:`_GL_WEIGHTS`."""
+    half = 0.5 * np.diff(edges)
+    nodes = np.multiply.outer(half, _GL_NODES)
+    nodes += (edges[:-1] + half)[:, None]
+    return nodes, half
+
+
 def _accumulate(
     problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
 ) -> np.ndarray:
@@ -157,11 +165,9 @@ def _accumulate(
         graded = edges[1] * 0.5 ** np.arange(_GRADED_PANELS, 0, -1)
         edges = np.concatenate([[0.0], graded, edges[1:]])
         ends = ends + _GRADED_PANELS
-    half = 0.5 * np.diff(edges)
-    nodes = np.multiply.outer(half, _GL_NODES)
-    nodes += (edges[:-1] + half)[:, None]
+    nodes, half = _panel_nodes(edges)
     x = start + (1.0 if xs[-1] > start else -1.0) * (nodes * nodes if turning else nodes)
-    excess = np.asarray(problem.v(x), dtype=float) - problem.energy
+    excess = problem.v(x) - problem.energy
     vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0))
     if turning:
         vals *= 2.0 * nodes
@@ -209,9 +215,7 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
 
     e = problem.energy
     probe = np.linspace(lo, hi, 33)[1:-1]
-    if np.min(e - np.asarray(problem.v(probe), dtype=float)) < -_SINGULAR_EPS * max(
-        1.0, abs(e)
-    ):
+    if np.min(e - problem.v(probe)) < -_SINGULAR_EPS * max(1.0, abs(e)):
         raise RegionError(
             f"[{lo:g}, {hi:g}] enters the classically forbidden region"
         )
@@ -251,26 +255,30 @@ def barrier_integral(
     return _between(problem, tp.a, tp.b, forbidden=True)[1] / problem.context.hbar
 
 
-def effective_perturbation_value(problem: ScatteringProblem, x: float) -> float:
+def effective_perturbation(problem: ScatteringProblem, x):
     """Vtilde = (3 p'^2 - 2 p p'') / (4 p^4) from analytic V derivatives.
 
-    Valid in the classically allowed region (p > 0).  This is the residual
-    coupling left over when the wave equation is rewritten in the phase
-    variable; it vanishes identically for a free particle.
+    Valid in the classically allowed region (p > 0), at a scalar x or an
+    array of them.  This is the residual coupling left over when the wave
+    equation is rewritten in the phase variable; it vanishes identically for
+    a free particle.
     """
+    xa = np.asarray(x, dtype=float)
     m = problem.context.mass
-    e = problem.energy
-    v = problem.v(x)
-    if e <= v:
+    gap = problem.energy - problem.v(xa)
+    bad = np.flatnonzero(gap <= 0.0)
+    if bad.size:
+        i = bad[0]
         raise DomainError(
-            f"effective perturbation needs the allowed region; E - V = {e - v:g} at x = {x:g}"
+            "effective perturbation needs the allowed region; "
+            f"E - V = {np.ravel(gap)[i]:g} at x = {xa.flat[i]:g}"
         )
-    p = math.sqrt(2.0 * m * (e - v))
-    dv = problem.dv(x)
-    d2v = problem.d2v(x)
+    p = np.sqrt(2.0 * m * gap)
+    dv = problem.dv(xa)
     p1 = -m * dv / p
-    p2 = -m * d2v / p - (m * dv) ** 2 / p**3
-    return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
+    p2 = -m * problem.d2v(xa) / p - (m * dv) ** 2 / p**3
+    out = (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
+    return out if xa.ndim else float(out)
 
 
 def wkb_terms(problem: ScatteringProblem, x0: float, x: float) -> WkbTerms:
@@ -279,14 +287,12 @@ def wkb_terms(problem: ScatteringProblem, x0: float, x: float) -> WkbTerms:
     Both x0 and x must lie in the classically allowed region, outside every
     turning-point exclusion zone.
     """
-    tp = assert_outside_exclusion(problem, [x0, x])
+    assert_outside_exclusion(problem, [x0, x])
     sigma0 = action_integral(problem, x0, x)
     m = problem.context.mass
     p = math.sqrt(2.0 * m * (problem.energy - problem.v(x)))
     sigma1 = -math.log(math.sqrt(p))
-    v_tilde = effective_perturbation_value(problem, x)
-    sigma2_prime = -0.5 * p * v_tilde
-    del tp
+    sigma2_prime = -0.5 * p * effective_perturbation(problem, x)
     return WkbTerms(
         sigma0=sigma0, sigma1=sigma1, sigma2_prime=sigma2_prime, evaluation_point=x
     )
@@ -327,10 +333,10 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
         _accumulate(problem, x0, xs[~before], forbidden=not allowed),
     ]) / hbar
     if allowed:
-        p = np.sqrt(2.0 * m * (e - np.asarray(problem.v(xs), dtype=float)))
+        p = np.sqrt(2.0 * m * (e - problem.v(xs)))
         psi = (c_plus * np.exp(1j * w) + c_minus * np.exp(-1j * w)) / np.sqrt(p)
     else:
-        beta = np.asarray(problem.beta(xs), dtype=float)
+        beta = problem.beta(xs)
         psi = (c_plus * np.exp(-w) + c_minus * np.exp(+w)) / np.sqrt(beta)
     return WavefunctionTable(xs=xs, psi=psi, region_tags=_region_tags(problem, xs, tp))
 
@@ -396,14 +402,13 @@ def quantize(
         ) from exc
 
 
-def quantize_levels(
-    problem: ScatteringProblem, n_max: int, scan_points: int = 64
-) -> list[float]:
-    """E_0..E_n_max of a single well, with brackets found automatically.
+def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
+    """E_0..E_n_max of a single well, each solved by :func:`quantize`.
 
-    The well action grows monotonically with E, so a coarse scan between the
-    well bottom and the lowest domain-edge rim brackets every level; each
-    bracket then goes through :func:`quantize`.
+    The well action grows monotonically with E, so one check just below the
+    lowest domain-edge rim (two turning points, and an action above the
+    highest level's target) shows that every level lies between the well
+    bottom and the rim; that whole range is each level's bracket.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -413,28 +418,14 @@ def quantize_levels(
     if rim <= v_min:
         raise SpectrumError("potential has no well below the domain edges")
     span = rim - v_min
-    energies = np.linspace(v_min + 1e-6 * span, rim - 1e-9 * span, scan_points)
-    hbar = problem.context.hbar
-
-    def well_action(e: float) -> float:
-        prob_e = dataclasses.replace(problem, energy=e)
-        tp = _turning_points(prob_e, knots)
-        if tp.count != 2:
-            raise SpectrumError(
-                f"E = {e:g} does not see a simple well (found {tp.count} "
-                "turning points)"
-            )
-        return _between(prob_e, tp.a, tp.b)[1]
-
-    actions = np.array([well_action(float(e)) for e in energies])
-    levels = []
-    for n in range(n_max + 1):
-        target = (n + 0.5) * math.pi * hbar
-        if actions[-1] <= target:
-            raise SpectrumError(
-                f"the well holds fewer than {n_max + 1} levels below its rim"
-            )
-        j = int(np.searchsorted(actions, target))
-        bracket_lo = energies[j - 1] if j > 0 else v_min + 1e-9 * span
-        levels.append(quantize(problem, n, (float(bracket_lo), float(energies[j]))))
-    return levels
+    top = dataclasses.replace(problem, energy=rim - 1e-9 * span)
+    tp = _turning_points(top, knots)
+    if tp.count != 2:
+        raise SpectrumError(
+            f"E = {top.energy:g} does not see a simple well (found {tp.count} "
+            "turning points)"
+        )
+    if _between(top, tp.a, tp.b)[1] <= (n_max + 0.5) * math.pi * problem.context.hbar:
+        raise SpectrumError(f"the well holds fewer than {n_max + 1} levels below its rim")
+    bracket = (v_min + 1e-9 * span, top.energy)
+    return [quantize(problem, n, bracket) for n in range(n_max + 1)]

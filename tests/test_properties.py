@@ -1,13 +1,16 @@
 """Randomised invariants: turning points, the phase accumulator, quantization,
-and the banded Numerov oracle against the point-by-point recurrence.
+the banded Numerov oracle against the point-by-point recurrence, and the
+over-barrier reflection sums against adaptive quadrature.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian with random
 height, width, centre, m and hbar; energies are drawn from the bulk of the
 barrier and from within 1e-8 of its top.  The oracle properties draw Eckart,
-Gaussian and square barriers with energies below and above the top.
+Gaussian and square barriers with energies below and above the top.  The
+reflection properties draw weak Gaussian and Eckart bumps far below E.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -15,22 +18,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from semiclassic import (
+    DomainError,
     EckartBarrier,
     GaussianBump,
     HarmonicWell,
+    LinearRamp,
     ParabolicBarrier,
     PhysicalContext,
     ScatteringProblem,
     SquareBarrier,
     action_integral,
     barrier_integral,
+    effective_perturbation,
+    effective_perturbation_profile,
     find_turning_points,
+    matrix_element,
+    once_reflected_coefficient,
+    phase_transform,
     quantize_levels,
     solve_scattering_exact,
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
+from semiclassic.wkb_core import _accumulate
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -225,3 +237,154 @@ def test_banded_node_count_matches_recurrence(stiffness, mass, hbar, quanta):
     xs = np.linspace(-reach, reach, 4001)
     k2 = 2.0 * mass * (quanta * hbar * omega - 0.5 * stiffness * xs**2) / hbar**2
     assert _count_nodes(*_numerov_coefficients(xs, k2)) == numerov_loop_nodes(xs, k2)
+
+
+@st.composite
+def weak_bumps(draw):
+    """(problem, x0): a weak Gaussian or Eckart bump far below E, whose
+    effective perturbation decays below 1e-12 of its peak inside the domain,
+    and a reference point anywhere in the domain."""
+    form = draw(st.sampled_from(["gaussian", "eckart"]))
+    e = draw(st.floats(0.5, 3.0))
+    height, width = e * draw(st.floats(0.002, 0.05)), draw(st.floats(0.5, 2.0))
+    center = draw(st.floats(-2.0, 2.0))
+    context = PhysicalContext(mass=draw(st.floats(0.5, 4.0)), hbar=draw(st.floats(0.5, 1.5)))
+    if form == "gaussian":
+        potential, reach = GaussianBump(amplitude=height, width=width, center=center), 12.0 * width
+    else:
+        potential, reach = EckartBarrier(height=height, width=width, center=center), 20.0 * width
+    domain = (center - reach, center + reach)
+    x0 = domain[0] + draw(st.floats(0.0, 1.0)) * 2.0 * reach
+    return ScatteringProblem(potential=potential, energy=e, domain=domain, context=context), x0
+
+
+def spline_phase(problem, x0):
+    """w(x0, x) at scalar x from a cubic spline of the accumulated action on
+    8193 samples: the phase of the reference reflection integrals."""
+    lo, hi = problem.domain
+    xs = np.linspace(lo, hi, 8193)
+    spline = CubicSpline(xs, _accumulate(problem, lo, xs))
+    w_ref = float(spline(x0))
+    return lambda x: float(spline(x)) - w_ref
+
+
+def adaptive_complex(f, a, b):
+    """(integral of f, integral of |f|) over [a, b] by adaptive quad on the
+    scalar integrand, Re and Im apart."""
+    opts = dict(limit=800, epsabs=1e-13, epsrel=1e-12)
+    re = integrate.quad(lambda x: f(x).real, a, b, **opts)[0]
+    im = integrate.quad(lambda x: f(x).imag, a, b, **opts)[0]
+    return re + 1j * im, integrate.quad(lambda x: abs(f(x)), a, b, **opts)[0]
+
+
+def reference_once_reflected(problem, x0):
+    """-int r e^{2iw/hbar} dx and int |r| dx, point by point."""
+    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
+    w = spline_phase(problem, x0)
+
+    def integrand(x):
+        r = -m * problem.dv(x) / (2.0 * 2.0 * m * (e - problem.v(x)))
+        return r * cmath.exp(2.0j * w(x) / hbar)
+
+    val, mag = adaptive_complex(integrand, *problem.domain)
+    return -val, mag
+
+
+def reference_matrix_element(problem, k_i, k_f, x0):
+    """int Vtilde e^{i (k_f - k_i) w/hbar} p dx and int |Vtilde| p dx over the
+    support where |Vtilde| exceeds 1e-12 of its peak on 4097 samples."""
+    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
+    xs = np.linspace(*problem.domain, 4097)
+    vt = np.abs([effective_perturbation(problem, float(x)) for x in xs])
+    support = xs[vt >= 1e-12 * np.max(vt)]
+    w = spline_phase(problem, x0)
+
+    def integrand(x):
+        p = math.sqrt(2.0 * m * (e - problem.v(x)))
+        return effective_perturbation(problem, x) * cmath.exp(1j * (k_f - k_i) * w(x) / hbar) * p
+
+    return adaptive_complex(integrand, float(support[0]), float(support[-1]))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(weak_bumps())
+def test_once_reflected_matches_adaptive_quad(case):
+    problem, x0 = case
+    ref, mag = reference_once_reflected(problem, x0)
+    assert abs(once_reflected_coefficient(problem, x0=x0) - ref) <= 1e-11 * mag
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(weak_bumps())
+def test_born_matches_adaptive_quad(case):
+    # The Born amplitude is (i hbar / 2) v(1, -1), so v obeys the same bound.
+    problem, x0 = case
+    ref, mag = reference_matrix_element(problem, 1.0, -1.0, x0)
+    assert abs(matrix_element(problem, 1.0, -1.0, x0=x0) - ref) <= 1e-11 * mag
+
+
+@PROPERTY
+@given(weak_bumps(), st.floats(0.0, 1.0))
+def test_reflection_probability_ignores_reference_point(case, fraction):
+    # Moving x0 rotates R by a constant phase.  |R| moves only by the phase's
+    # rounding, a few 1e-13 rad, times int |r| dx, which for a smooth bump can
+    # exceed |R| by orders of magnitude.
+    problem, x0 = case
+    lo, hi = problem.domain
+    r2 = abs(once_reflected_coefficient(problem, x0=x0)) ** 2
+    shifted = abs(once_reflected_coefficient(problem, x0=lo + fraction * (hi - lo))) ** 2
+    xs = np.linspace(lo, hi, 4097)
+    r_abs = np.mean(np.abs(problem.dv(xs) / (4.0 * (problem.energy - problem.v(xs))))) * (hi - lo)
+    assert abs(shifted - r2) <= 2e-12 * math.sqrt(r2) * r_abs
+
+
+@PROPERTY
+@given(weak_bumps(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_matrix_element_is_hermitian(case, k_i, k_f):
+    problem, x0 = case
+    forward = matrix_element(problem, k_i, k_f, x0=x0)
+    assert matrix_element(problem, k_f, k_i, x0=x0) == pytest.approx(forward.conjugate(), rel=1e-13)
+
+
+@PROPERTY
+@given(weak_bumps())
+def test_effective_perturbation_array_matches_scalar_loop(case):
+    problem = case[0]
+    xs = np.linspace(*problem.domain, 257)
+    loop = [effective_perturbation(problem, float(x)) for x in xs]
+    np.testing.assert_allclose(effective_perturbation(problem, xs), loop, rtol=1e-14, atol=0.0)
+
+
+def test_effective_perturbation_names_first_forbidden_point():
+    problem = ScatteringProblem(
+        potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14.0, 14.0)
+    )
+    with pytest.raises(DomainError, match=r"at x = -0\.5$"):
+        effective_perturbation(problem, [-3.0, -0.5, 0.0, 0.5])
+
+
+def test_linear_ramp_vtilde_w2_from_turning_edge():
+    # Vtilde w^2 = 5/36 exactly for a linear potential with w measured from
+    # the turning point, here the left edge of the domain.
+    problem = ScatteringProblem(
+        potential=LinearRamp(offset=0.0, slope=-1.0), energy=1.0, domain=(-1.0, 30.0)
+    )
+    xs = [-0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 29.9]
+    profile = effective_perturbation_profile(problem, xs, x0=-1.0)
+    for w, v in profile.samples:
+        assert v * w * w == pytest.approx(5.0 / 36.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x0", [-12.5, 12.0 + 1e-9])
+def test_reference_point_outside_domain_rejected(x0):
+    problem = ScatteringProblem(
+        potential=GaussianBump(amplitude=0.01, width=1.0), energy=2.0, domain=(-12.0, 12.0)
+    )
+    for call in (
+        lambda: once_reflected_coefficient(problem, x0=x0),
+        lambda: matrix_element(problem, 1.0, -1.0, x0=x0),
+        lambda: phase_transform(problem, x0=x0),
+        lambda: effective_perturbation_profile(problem, [0.0], x0=x0),
+    ):
+        with pytest.raises(DomainError):
+            call()

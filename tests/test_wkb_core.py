@@ -18,6 +18,7 @@ from semiclassic import (
     ParabolicBarrier,
     RegionError,
     ScatteringProblem,
+    SpectrumError,
     SquareBarrier,
     TurningPointProximityError,
     action_integral,
@@ -279,3 +280,17 @@ class TestQuantize:
         problem = problem_for(HarmonicWell(stiffness=1.0), 0.5, (-12, 12))
         with pytest.raises(DomainError):
             quantize(problem, -1, (0.1, 0.9))
+
+    def test_levels_need_a_well(self):
+        for potential in (LinearRamp(offset=0.0, slope=1.0), GaussianBump(amplitude=1.0, width=1.0)):
+            with pytest.raises(SpectrumError):
+                quantize_levels(problem_for(potential, 0.0), 0)
+
+    def test_levels_above_the_rim(self):
+        # V = x^2/2 on [-3, 3] has its rim at 4.5: E_0..E_3 = 0.5..3.5 fit below
+        # it, E_4 = 4.5 does not.
+        problem = problem_for(HarmonicWell(stiffness=1.0), 0.0, (-3.0, 3.0))
+        levels = quantize_levels(problem, 3)
+        np.testing.assert_allclose(levels, [0.5, 1.5, 2.5, 3.5], rtol=1e-6)
+        with pytest.raises(SpectrumError):
+            quantize_levels(problem, 4)
