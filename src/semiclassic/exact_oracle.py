@@ -211,8 +211,9 @@ def solve_scattering_exact(
     """Exact T and R for a barrier problem with flat asymptotic edges.
 
     T = (k_R / k_L) |t|^2 and R = |r|^2 from the plane-wave decomposition;
-    their sum is checked against 1 to 1e-8 and the reported reflection is
-    then 1 - T (the oracle enforces unitarity).
+    their sum is checked against 1 to 1e-8, and each is then reported from
+    its own amplitude, clamped into [0, 1], so a small R keeps all its digits
+    instead of the few that 1 - T leaves.
     """
     config = config or OracleConfig()
     t, r = _solve_raw(problem, config)
@@ -221,11 +222,10 @@ def solve_scattering_exact(
             f"unitarity violated: T + R - 1 = {t + r - 1.0:.3e}; refine the grid"
         )
     # The defect just checked bounds the discretization noise; clamp the
-    # reported value into [0, 1] so T = 1 problems don't overshoot by ulps.
-    t = min(max(t, 0.0), 1.0)
+    # reported values into [0, 1] so T = 1 problems don't overshoot by ulps.
     return TransmissionReport(
-        transmission=t,
-        reflection=1.0 - t,
+        transmission=min(max(t, 0.0), 1.0),
+        reflection=min(r, 1.0),
         sigma_star=None,
         method=Method.EXACT_NUMEROV,
     )
@@ -234,7 +234,7 @@ def solve_scattering_exact(
 def unitarity_defect(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> float:
-    """Raw T + R - 1 before the oracle enforces unitarity."""
+    """Raw T + R - 1, the defect :func:`solve_scattering_exact` checks."""
     t, r = _solve_raw(problem, config or OracleConfig())
     return t + r - 1.0
 

@@ -36,8 +36,8 @@ __all__ = [
     "exclusion_radius",
 ]
 
-#: |V(root) - E| must not exceed this times max(1, |E|) at a reported root.
-ROOT_TOLERANCE = 1e-10
+#: Panels of the scan for the extrema of V (2049 samples over the domain).
+_SCAN_PANELS = 2048
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,9 @@ class PotentialModel:
 
     Models implement ``_value``, ``_derivative`` and ``_second_derivative`` on
     float arrays; the public methods take a scalar or an array and return the
-    same kind.
+    same kind.  A model must not change after construction (the built-in
+    ones are frozen dataclasses): the extrema of V found on a domain are kept
+    on the instance.
     """
 
     def _value(self, x: np.ndarray):
@@ -362,16 +364,22 @@ def second_derivative(potential: PotentialModel, x):
     return potential.second_derivative(x)
 
 
-def _knots(problem: ScatteringProblem, panels: int = 2048) -> tuple:
+def _knots(problem: ScatteringProblem) -> tuple:
     """Domain edges and refined interior extrema of V, as increasing (x, V) pairs.
 
-    One vectorised pass over ``panels + 1`` samples finds where the slope of
-    V changes sign (a flat run counts once); each extremum is then refined by
-    bounded Brent minimisation between the samples around it.  V is monotone
-    between neighbouring knots, up to features narrower than a panel.
+    One vectorised pass over ``_SCAN_PANELS + 1`` samples finds where the
+    slope of V changes sign (a flat run counts once); each extremum is then
+    refined by bounded Brent minimisation between the samples around it.  V
+    is monotone between neighbouring knots, up to features narrower than a
+    panel.  The knots depend on the potential and the domain only, so they
+    are found once per domain and kept on the (frozen) potential instance,
+    outside its fields: equality, hash and repr do not see them.
     """
+    stored = vars(problem.potential).setdefault("_knots_by_domain", {})
+    if problem.domain in stored:
+        return stored[problem.domain]
     lo, hi = problem.domain
-    xs = np.linspace(lo, hi, panels + 1)
+    xs = np.linspace(lo, hi, _SCAN_PANELS + 1)
     vs = problem.v(xs)
     slope = np.sign(np.diff(vs))
     steps = np.flatnonzero(slope)
@@ -390,17 +398,20 @@ def _knots(problem: ScatteringProblem, panels: int = 2048) -> tuple:
             x, v = float(xs[i + 1]), float(vs[i + 1])
         knots.append((x, v))
     knots.append((hi, float(vs[-1])))
-    return tuple(knots)
+    stored[problem.domain] = tuple(knots)
+    return stored[problem.domain]
 
 
-def _turning_points(problem: ScatteringProblem, knots: tuple) -> TurningPoints:
-    """Roots of V(x) - E from the monotone pieces between ``knots``.
+def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
+    """Locate the roots of V(x) - E inside the problem domain.
 
-    Each piece holds at most one root, bracketed by its ends and found by
-    brentq, so two roots closer than a scan panel are both found.  More than
-    two roots means a multi-well landscape, which is rejected rather than
-    silently truncated.
+    Each monotone piece between the extrema of V (:func:`_knots`, found once
+    per potential and domain) holds at most one root, bracketed by its ends
+    and found by brentq, so two roots closer than a scan panel are both
+    found.  More than two roots means a multi-well landscape, which is
+    rejected rather than silently truncated.
     """
+    knots = _knots(problem)
     e = problem.energy
     roots: list[float] = []
     for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
@@ -422,15 +433,6 @@ def _turning_points(problem: ScatteringProblem, knots: tuple) -> TurningPoints:
     if len(roots) == 1:
         return TurningPoints(a=roots[0], b=None, count=1)
     return TurningPoints(a=roots[0], b=roots[1], count=2)
-
-
-def find_turning_points(problem: ScatteringProblem, panels: int = 2048) -> TurningPoints:
-    """Locate the roots of V(x) - E inside the problem domain.
-
-    The extrema of V are found once (a ``panels``-panel scan, then refined),
-    and each monotone piece between them brackets at most one root.
-    """
-    return _turning_points(problem, _knots(problem, panels))
 
 
 def local_wavenumber(problem: ScatteringProblem, x: float) -> complex:

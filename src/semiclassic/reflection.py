@@ -273,19 +273,18 @@ def once_reflected_coefficient(
     return -_integrate(problem, *problem.domain, integrand)
 
 
-def effective_perturbation_forms(
-    problem: ScatteringProblem, x: float, fd_step: float | None = None
-):
+def effective_perturbation_forms(problem: ScatteringProblem, x: float):
     """The three algebraically equivalent forms of the residual potential.
 
     Returns (direct, sigma1_route, sigma2_route): the momentum-derivative
     form, the form (sigma1'' + sigma1'^2)/sigma0'^2 evaluated by finite
-    differences of sigma1 = -ln sqrt(p) (an independent numerical route),
-    and -(2/p) sigma2' with sigma2' recovered from the direct value (the
-    identity the expansion's second-order term is housed through).
+    differences of sigma1 = -ln sqrt(p) with step 1e-3 max(1, |x|) (an
+    independent numerical route), and -(2/p) sigma2' with sigma2' recovered
+    from the direct value (the identity the expansion's second-order term is
+    housed through).
     """
     direct = effective_perturbation(problem, x)
-    h = fd_step if fd_step is not None else 1e-3 * max(1.0, abs(x))
+    h = 1e-3 * max(1.0, abs(x))
     stencil = x + h * np.arange(-2.0, 3.0)
     p2s = 2.0 * problem.context.mass * (problem.energy - problem.v(stencil))
     bad = np.flatnonzero(p2s <= 0.0)

@@ -270,15 +270,14 @@ def _bessel_i_diff_plus_mp(numerator: int, x: float) -> tuple[float, float]:
         return float(minus - plus), float(minus + plus)
 
 
-def _bessel_i_pair_asymptotic(x: float) -> tuple[float, float]:
-    """I_{-1/3}(x) - I_{1/3}(x) and I_{-1/3}(x) + I_{1/3}(x) for large x.
+def _bessel_i_pair_asymptotic(nu: float, x: float) -> tuple[float, float]:
+    """I_{-nu}(x) - I_nu(x) and I_{-nu}(x) + I_nu(x) for large x.
 
     Both orders share the same exponentially growing series (the expansion
     coefficients depend on nu^2 only), so the difference is carried entirely
     by the subdominant exp(-x) reflection term with weight -sin(nu pi):
     I_nu ~ [e^x S(-1/x) - sin(nu pi) e^{-x} S(1/x)] / sqrt(2 pi x).
     """
-    nu = 1.0 / 3.0
     n_terms = 12
     a = [1.0]
     for k in range(1, n_terms):
@@ -316,18 +315,8 @@ def airy_bessel_form(z: float) -> AiryPair:
         diff13, plus13 = _bessel_i_diff_plus_mp(1, zeta)
         diff23, plus23 = _bessel_i_diff_plus_mp(2, zeta)
     else:
-        diff13, plus13 = _bessel_i_pair_asymptotic(zeta)
-        # Order 2/3 analogue for the derivatives.
-        nu = 2.0 / 3.0
-        n_terms = 12
-        a = [1.0]
-        for k in range(1, n_terms):
-            a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
-        s_plus = sum(a[k] / zeta**k for k in range(n_terms))
-        s_minus = sum((-1) ** k * a[k] / zeta**k for k in range(n_terms))
-        pref = 1.0 / math.sqrt(2.0 * math.pi * zeta)
-        diff23 = 2.0 * math.sin(math.pi * nu) * math.exp(-zeta) * s_plus * pref
-        plus23 = 2.0 * math.exp(zeta) * s_minus * pref
+        diff13, plus13 = _bessel_i_pair_asymptotic(1.0 / 3.0, zeta)
+        diff23, plus23 = _bessel_i_pair_asymptotic(2.0 / 3.0, zeta)
 
     ai = (math.sqrt(z) / 3.0) * diff13
     bi = math.sqrt(z / 3.0) * plus13
@@ -337,13 +326,13 @@ def airy_bessel_form(z: float) -> AiryPair:
     return AiryPair(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip)
 
 
-def airy_laplace_contour(z: float, phase_cycles: float = 100.0) -> float:
+def airy_laplace_contour(z: float) -> float:
     """Ai(z) from the real oscillatory integral (1/pi) int_0^inf cos(zt + t^3/3) dt.
 
     Validation-range quadrature for |z| <= 2: adaptive integration up to T
-    where the cubic phase has swept ``phase_cycles`` pi radians (well past the
-    stationary region), then an integration-by-parts tail estimate carried to
-    two terms.  Accurate to ~1e-7, comfortably inside the 1e-6 contract.
+    where the cubic phase has swept 100 pi radians (well past the stationary
+    region), then an integration-by-parts tail estimate carried to two
+    terms.  Accurate to ~1e-7, comfortably inside the 1e-6 contract.
     """
     z = float(z)
     if abs(z) > 2.0:
@@ -351,7 +340,7 @@ def airy_laplace_contour(z: float, phase_cycles: float = 100.0) -> float:
             f"airy_laplace_contour: |z| = {abs(z):g} > 2 is outside the "
             "validation range"
         )
-    t_max = (3.0 * phase_cycles * math.pi) ** (1.0 / 3.0)
+    t_max = (3.0 * 100.0 * math.pi) ** (1.0 / 3.0)
     val, _err = integrate.quad(
         lambda t: math.cos(z * t + t**3 / 3.0),
         0.0,
@@ -366,12 +355,13 @@ def airy_laplace_contour(z: float, phase_cycles: float = 100.0) -> float:
     return (val + tail) / math.pi
 
 
-def bessel_transform_check(z: float, delta: float = 1e-2) -> float:
+def bessel_transform_check(z: float) -> float:
     """Residual of the order-1/3 Bessel equation satisfied by transformed Ai.
 
     With tau = (2/3)(-z)^(3/2) and phi(tau) = Ai(z)/(-z)^(1/2), evaluates
     tau^2 phi'' + tau phi' + (tau^2 - 1/9) phi by five-point finite
-    differences in tau.  The result should vanish to ~1e-6 max(1, |phi|).
+    differences in tau with step 1e-2.  The result should vanish to ~1e-6
+    max(1, |phi|).
     """
     z = float(z)
     if z >= -0.5:
@@ -382,7 +372,7 @@ def bessel_transform_check(z: float, delta: float = 1e-2) -> float:
         zz = -((1.5 * tau) ** (2.0 / 3.0))
         return airy(zz).ai / math.sqrt(-zz)
 
-    h = delta
+    h = 1e-2
     samples = [phi(tau0 + j * h) for j in (-2, -1, 0, 1, 2)]
     dphi = (samples[0] - 8 * samples[1] + 8 * samples[3] - samples[4]) / (12 * h)
     d2phi = (-samples[0] + 16 * samples[1] - 30 * samples[2] + 16 * samples[3]

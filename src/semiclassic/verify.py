@@ -231,7 +231,7 @@ def criterion_7_reflection_regime() -> CriterionResult:
         domain=(-12.0, 12.0),
     )
     r_once = abs(reflection.once_reflected_coefficient(bump)) ** 2
-    r_exact = 1.0 - exact_oracle.solve_scattering_exact(bump).transmission
+    r_exact = exact_oracle.solve_scattering_exact(bump).reflection
     res.check("once_reflected_vs_exact_rel_error", abs(r_once - r_exact) / r_exact, 0.30)
 
     amps = (0.005, 0.01, 0.02)

@@ -29,8 +29,8 @@ from .errors import (
 from .potential import (
     ScatteringProblem,
     TurningPoints,
+    _SCAN_PANELS,
     _knots,
-    _turning_points,
     exclusion_radius,
     find_turning_points,
 )
@@ -57,7 +57,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 #: Accumulator panels: one per 1/2048 of the domain along a span (the
 #: resolution of the turning-point scan), at least 16, plus 12 graded
 #: geometrically toward a turning point a span starts at.
-_PANEL_FRACTION = 1.0 / 2048
+_PANEL_FRACTION = 1.0 / _SCAN_PANELS
 _MIN_PANELS = 16
 _GRADED_PANELS = 12
 
@@ -105,23 +105,20 @@ class TransmissionReport:
 
 
 def assert_outside_exclusion(
-    problem: ScatteringProblem,
-    xs,
-    tp: TurningPoints | None = None,
-    factor: float = 1.0,
+    problem: ScatteringProblem, xs, tp: TurningPoints | None = None
 ) -> TurningPoints:
-    """Raise if any x lies within ``factor`` Airy lengths of a turning point."""
+    """Raise if any x lies within one Airy length of a turning point."""
     if tp is None:
         tp = find_turning_points(problem)
     points = [p for p in (tp.a, tp.b) if p is not None]
     xa = np.atleast_1d(np.asarray(xs, dtype=float))
     for x_c in points:
         r = exclusion_radius(problem, x_c)
-        bad = np.abs(xa - x_c) < factor * r
+        bad = np.abs(xa - x_c) < r
         if np.any(bad):
             raise TurningPointProximityError(
-                f"x = {float(xa[bad][0]):g} is within {factor:g} Airy lengths "
-                f"({factor * r:g}) of the turning point at {x_c:g}"
+                f"x = {float(xa[bad][0]):g} is within one Airy length "
+                f"({r:g}) of the turning point at {x_c:g}"
             )
     return tp
 
@@ -370,8 +367,9 @@ def quantize(
     """Level E_n of a single well from the half-integer action condition.
 
     Solves integral_a^b sqrt(2m(E - V)) dx = (n + 1/2) pi hbar by brentq on
-    the energy bracket.  The extrema of V are found once; each trial energy
-    only brackets its two turning points between them.
+    the energy bracket, to brentq's relative tolerance.  The extrema of V
+    are found once per potential and domain; each trial energy only
+    brackets its two turning points between them.
     """
     if n < 0:
         raise DomainError(f"quantum number must be nonnegative, got {n}")
@@ -379,11 +377,10 @@ def quantize(
     if not e_lo < e_hi:
         raise BracketError(f"empty bracket {bracket}")
     target = (n + 0.5) * math.pi * problem.context.hbar
-    knots = _knots(problem)
 
     def residual(e: float) -> float:
         prob_e = dataclasses.replace(problem, energy=e)
-        tp = _turning_points(prob_e, knots)
+        tp = find_turning_points(prob_e)
         if tp.count != 2:
             raise BracketError(
                 f"E = {e:g} has {tp.count} turning points; the bracket must "
@@ -394,7 +391,7 @@ def quantize(
         return _between(prob_e, tp.a, tp.b)[1] - target
 
     try:
-        return brentq(residual, e_lo, e_hi, xtol=1e-12 * max(1.0, abs(e_lo), abs(e_hi)))
+        return brentq(residual, e_lo, e_hi, xtol=4e-16 * (e_hi - e_lo))
     except ValueError as exc:
         raise BracketError(
             f"quantization residual does not change sign on [{e_lo:g}, {e_hi:g}] "
@@ -412,14 +409,14 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    knots = _knots(problem)
-    v_min = min(v for _, v in knots)
-    rim = min(knots[0][1], knots[-1][1])
+    vs = [v for _, v in _knots(problem)]
+    v_min = min(vs)
+    rim = min(vs[0], vs[-1])
     if rim <= v_min:
         raise SpectrumError("potential has no well below the domain edges")
     span = rim - v_min
     top = dataclasses.replace(problem, energy=rim - 1e-9 * span)
-    tp = _turning_points(top, knots)
+    tp = find_turning_points(top)
     if tp.count != 2:
         raise SpectrumError(
             f"E = {top.energy:g} does not see a simple well (found {tp.count} "

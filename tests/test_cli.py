@@ -108,6 +108,22 @@ class TestScan:
         assert run_cli([*self.ARGS[:-2], "--steps", "1"]) == 2
         assert capsys.readouterr().err.startswith("E_CONFIG:")
 
+    @pytest.mark.parametrize(
+        "method", ["wkb", "wkb-corrected", "connection", "once-reflected", "born1"]
+    )
+    def test_extrema_scanned_once(self, method, knot_scans, tmp_path):
+        if method in ("once-reflected", "born1"):
+            problem = ["--form", "gaussian", "--amplitude", "0.05", "--width", "1",
+                       "--x-min", "-12", "--x-max", "12", "--e-min", "0.5", "--e-max", "3"]
+        else:
+            problem = ["--form", "eckart", "--height", "1", "--width", "1",
+                       "--x-min", "-14", "--x-max", "14", "--e-min", "0.05", "--e-max", "0.95"]
+        out = tmp_path / "scan.csv"
+        args = ["scan", *problem, "--method", method, "--steps", "12", "--output", str(out)]
+        assert run_cli(args) == 0
+        assert len(out.read_text().splitlines()) == 13
+        assert knot_scans() == 1
+
 
 class TestBoundStates:
     ARGS = [

@@ -22,6 +22,7 @@ from semiclassic import (
     SquareBarrier,
     analytic_eckart_transmission,
     analytic_square_barrier_transmission,
+    once_reflected_coefficient,
     solve_bound_states_exact,
     solve_scattering_exact,
     unitarity_defect,
@@ -124,6 +125,17 @@ class TestScattering:
         t1 = solve_scattering_exact(problem, OracleConfig(grid_points=10001)).transmission
         t2 = solve_scattering_exact(problem, OracleConfig(grid_points=20001)).transmission
         assert abs(t2 - t1) / t2 < 1e-7
+
+    def test_small_reflection_from_its_own_amplitude(self):
+        # A weak bump reflects ~3e-8: 1 - T would keep only a few of its
+        # digits, |C/A|^2 keeps them all and meets the once-reflected value.
+        problem = ScatteringProblem(
+            potential=GaussianBump(amplitude=0.01, width=1.0), energy=2.0, domain=(-12, 12)
+        )
+        rep = solve_scattering_exact(problem)
+        once = abs(once_reflected_coefficient(problem)) ** 2
+        assert rep.reflection == pytest.approx(once, rel=1e-5)
+        assert abs(rep.transmission + rep.reflection - 1.0) <= 1e-8
 
     def test_nonflat_edges_rejected(self):
         problem = ScatteringProblem(

@@ -1,5 +1,6 @@
 """Potential models, turning points, local wavenumbers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,6 +213,37 @@ class TestTurningPoints:
         double_well = TabulatedPotential(xs, (xs**2 - 1.0) ** 2)
         with pytest.raises(MultiWellError):
             find_turning_points(problem_for(double_well, 0.5, (-2.0, 2.0)))
+
+
+class TestStoredKnots:
+    def test_found_once_per_domain(self, knot_scans):
+        potential = EckartBarrier(height=1.0, width=1.0)
+        for e in (0.2, 0.5, 0.8, 0.5):
+            find_turning_points(problem_for(potential, e, (-14, 14)))
+        assert knot_scans() == 1
+        find_turning_points(problem_for(potential, 0.5, (0.0, 14)))
+        assert knot_scans() == 2
+        find_turning_points(problem_for(dataclasses.replace(potential), 0.5, (-14, 14)))
+        assert knot_scans() == 3
+
+    def test_domains_kept_apart(self):
+        potential = GaussianBump(amplitude=1.0, width=1.0, center=0.5)
+        both = find_turning_points(problem_for(potential, 0.5, (-9, 9)))
+        right = find_turning_points(problem_for(potential, 0.5, (1.0, 9)))
+        assert both.count == 2 and right.count == 1
+        assert right.a == pytest.approx(both.b, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        *SMOOTH_MODELS,
+        SquareBarrier(height=1.0, width=2.0),
+        TabulatedPotential(np.linspace(-10, 10, 41), np.exp(-np.linspace(-10, 10, 41) ** 2)),
+    ])
+    def test_equality_hash_repr_unchanged(self, model):
+        fresh = dataclasses.replace(model)
+        before = (repr(model), hash(model))
+        find_turning_points(problem_for(model, 0.5))
+        assert (repr(model), hash(model)) == before
+        assert model == fresh and fresh == model
 
 
 class TestLocalWavenumber:

@@ -11,6 +11,7 @@ reflection properties draw weak Gaussian and Eckart bumps far below E.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,23 @@ def test_turning_points_match_closed_forms(case):
         # V rounded to a few ulps of its top moves a root by that over |V'|.
         tol = 1e-10 * max(1.0, b - a) + 4e-16 * v_top / abs(problem.dv(exact))
         assert abs(found - exact) <= tol
+
+
+@PROPERTY
+@given(barriers(), FRACTIONS)
+def test_stored_knots_give_bit_identical_turning_points(case, fraction):
+    # The potential keeps the extrema found for each domain; turning points
+    # are the same as from a fresh, equal potential, and one instance used
+    # on two domains keeps their extrema apart.
+    problem, a, b, _ = case
+    right = dataclasses.replace(problem, domain=(0.75 * b + 0.25 * a, problem.domain[1]))
+    again = dataclasses.replace(problem, energy=fraction * problem.v(0.5 * (a + b)))
+    cases = (problem, right, again)
+    found = [find_turning_points(p) for p in cases]
+    assert found[0].count == 2 and found[1].count == 1
+    for p, tp in zip(cases, found):
+        fresh = dataclasses.replace(p, potential=dataclasses.replace(p.potential))
+        assert find_turning_points(p) == tp == find_turning_points(fresh)
 
 
 @PROPERTY

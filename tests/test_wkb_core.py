@@ -1,5 +1,6 @@
 """Action integrals, opacity, transmission, quantization."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from semiclassic import (
     Method,
     NoBarrierError,
     ParabolicBarrier,
+    PhysicalContext,
     RegionError,
     ScatteringProblem,
     SpectrumError,
@@ -32,6 +34,7 @@ from semiclassic import (
     wkb_terms,
     wkb_wavefunction,
 )
+from semiclassic import wkb_core
 
 FREE = LinearRamp(offset=0.0, slope=0.0)
 
@@ -294,3 +297,28 @@ class TestQuantize:
         np.testing.assert_allclose(levels, [0.5, 1.5, 2.5, 3.5], rtol=1e-6)
         with pytest.raises(SpectrumError):
             quantize_levels(problem, 4)
+
+    def test_levels_scan_the_extrema_once(self, knot_scans):
+        quantize_levels(problem_for(HarmonicWell(stiffness=1.0), 0.0, (-6.0, 6.0)), 3)
+        assert knot_scans() == 1
+
+    def test_levels_action_evaluations(self, monkeypatch):
+        # One check below the rim, then four brentq trials per level.
+        calls = []
+        between = wkb_core._between
+        monkeypatch.setattr(wkb_core, "_between", lambda *a, **k: calls.append(1) or between(*a, **k))
+        quantize_levels(problem_for(HarmonicWell(stiffness=1.0), 0.0, (-6.0, 6.0)), 1)
+        assert len(calls) == 9
+
+    def test_level_to_relative_precision(self):
+        # A level near E = 0 solves its action condition to rounding, not to
+        # an absolute energy tolerance.
+        problem = ScatteringProblem(
+            potential=GaussianBump(amplitude=-2.0, width=1.0, center=-0.3),
+            energy=0.0,
+            domain=(-9.0, 9.0),
+            context=PhysicalContext(mass=3.0),
+        )
+        level = dataclasses.replace(problem, energy=quantize(problem, 2, (-0.5, -1e-6)))
+        tp = find_turning_points(level)
+        assert abs(action_integral(level, tp.a, tp.b) - 2.5 * math.pi) <= 1e-13
