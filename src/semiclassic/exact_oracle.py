@@ -2,10 +2,12 @@
 
 Fixed-step Numerov integration (O(h^4) global accuracy) of psi'' = -k^2(x) psi.
 Scattering waves start at the right edge from a pure outgoing plane wave and
-are decomposed at the left edge into incident plus reflected waves; bound
-states come from counting the nodes of the real solution shot from the left
-edge.  Fixed steps rather than adaptive control keep the emitted numbers
-bit-reproducible.
+are decomposed at the left edge into incident plus reflected waves.  Bound
+states are bracketed by the node count of the real solution shot from the
+left edge (a Sturm count: the number of levels below E), and each level is
+then the root of the Wronskian of the solutions shot from both edges, which
+is smooth in E.  Fixed steps rather than adaptive control keep the emitted
+numbers bit-reproducible.
 
 The three-term recurrence a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0,
 a_i = 1 + h^2 k_i^2 / 12 and b_i = 12 - 10 a_i, started from two known values
@@ -33,12 +35,14 @@ than overflow where T leaves the double range.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
+from scipy.optimize import brentq
 
 from .connection import WavefunctionTable, _region_tags
 from .errors import (
@@ -67,6 +71,8 @@ _SEGMENT_GROWTH = math.log(1e150)
 _LOG10_2 = math.log10(2.0)
 _LN2 = math.log(2.0)
 _LOG10_MAX = math.log10(sys.float_info.max)
+#: First two rows of a bound-state shot: a node at the edge row.
+_EDGE_SEEDS = np.array([[0.0], [1e-8]])
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,7 @@ def unitarity_defect(
 
 def _count_nodes(a, b) -> int:
     """Interior sign changes of the real solution shot from the left edge."""
-    psi, _ = _shoot(a, b, np.array([[0.0], [1e-8]]))
+    psi, _ = _shoot(a, b, _EDGE_SEEDS)
     negative = np.signbit(psi[1:, 0])
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
@@ -249,51 +255,66 @@ def _count_nodes(a, b) -> int:
 def solve_bound_states_exact(
     problem: ScatteringProblem, n_max: int, config: OracleConfig | None = None
 ) -> list[float]:
-    """Levels E_0..E_n_max of a confining well by node-count bisection.
+    """Levels E_0..E_n_max of a confining well: Sturm brackets, then brentq.
 
-    The node count of the shooting solution equals the number of levels
-    below E, so bisecting the predicate count(E) > n converges to E_n
-    without any sign bookkeeping; tolerance 1e-9 relative.
+    The node count of the shot from the left edge is the number of levels
+    below E.  Counts are kept per energy for all levels, and a bracket is
+    split at its midpoint only while it holds more than one level (a pair
+    unresolved at width 1e-9 max(1, |E|) gets the midpoint).  An isolated
+    level is the brentq root (rtol 1e-12, xtol 2e-12) of the Wronskian at
+    the bottom of V of the shots from both edges over their norms, smooth in E.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     config = config or OracleConfig()
     xs, v = _grid_and_potential(problem, config)
-    m, hbar = problem.context.mass, problem.context.hbar
-    v_edge = min(v[0], v[-1])
-    v_min = float(np.min(v))
+    scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    j = int(np.argmin(v))
+    v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
     if v_edge <= v_min:
         raise SpectrumError("potential does not confine: no well below the edges")
 
     def nodes_at(energy: float) -> int:
-        return _count_nodes(*_numerov_coefficients(xs, 2.0 * m * (energy - v) / hbar**2))
+        return _count_nodes(*_numerov_coefficients(xs, scale * (energy - v)))
 
-    # Find a ceiling that holds more than n_max levels, staying below the rim.
-    ceiling = None
-    for frac in (0.5, 0.75, 0.9, 0.98):
-        e_try = v_min + frac * (v_edge - v_min)
-        if nodes_at(e_try) > n_max:
-            ceiling = e_try
-            break
-    if ceiling is None:
+    @functools.cache
+    def mismatch(energy: float) -> float:
+        a, b = _numerov_coefficients(xs, scale * (energy - v))
+        left = _shoot(a[: j + 2], b[: j + 2], _EDGE_SEEDS)[0][:, 0]
+        right = _shoot(a[: j - 1 : -1], b[: j - 1 : -1], _EDGE_SEEDS)[0][::-1, 0]
+        # Scaled to their peaks so no square overflows; np.sum, not
+        # np.linalg.norm, whose BLAS dot wakes a thread pool (~5 ms a call
+        # on 20000 rows).
+        left, right = left / np.max(np.abs(left)), right / np.max(np.abs(right))
+        wronskian = left[j + 1] * right[0] - left[j] * right[1]
+        return wronskian / math.sqrt(np.sum(left * left) * np.sum(right * right))
+
+    floor = v_min + 1e-12 * max(1.0, abs(v_min))
+    rim = v_edge - 1e-12 * max(1.0, abs(v_edge))
+    counts = {floor: 0, rim: nodes_at(rim)}
+    if counts[rim] <= n_max:
         raise SpectrumError(
-            f"the well holds fewer than {n_max + 1} levels below its rim on "
-            "this domain"
+            f"the well holds fewer than {n_max + 1} levels below its rim on this domain"
         )
-
-    ns = np.arange(n_max + 1)
-    lo = np.full(n_max + 1, v_min + 1e-12 * max(1.0, abs(v_min)))
-    hi = np.full(n_max + 1, ceiling)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        done = (hi - lo) <= 1e-9 * np.maximum(1.0, np.abs(mid))
-        if np.all(done):
-            break
-        counts = np.array([nodes_at(e) for e in mid])
-        above = counts > ns
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return [float(v) for v in 0.5 * (lo + hi)]
+    levels = []
+    for n in range(n_max + 1):
+        while True:
+            lo = max(e for e, c in counts.items() if c <= n)
+            hi = min(e for e, c in counts.items() if c > n)
+            mid = 0.5 * (lo + hi)
+            if counts[hi] - counts[lo] == 1 or hi - lo <= 1e-9 * max(1.0, abs(mid)):
+                break
+            counts[mid] = nodes_at(mid)
+        if counts[hi] - counts[lo] > 1:
+            levels.append(mid)
+            continue
+        try:
+            levels.append(brentq(mismatch, lo, hi, rtol=1e-12))
+        except ValueError as exc:
+            raise NumericalError(
+                f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
+            ) from exc
+    return levels
 
 
 def wavefunction_exact(

@@ -17,9 +17,11 @@ from semiclassic import (
     Method,
     NumericalError,
     OracleConfig,
+    PhysicalContext,
     ScatteringProblem,
     SpectrumError,
     SquareBarrier,
+    TabulatedPotential,
     analytic_eckart_transmission,
     analytic_square_barrier_transmission,
     once_reflected_coefficient,
@@ -249,6 +251,68 @@ class TestBoundStates:
     def test_non_confining_rejected(self):
         with pytest.raises(SpectrumError):
             solve_bound_states_exact(FREE, 2)
+
+    def test_level_just_below_rim(self):
+        # Depth 2, rim ~0: the node count is 2 at -0.04 (0.98 of the depth)
+        # and 3 at -1e-12, so the third level lies in the last 2 % of the well.
+        problem = ScatteringProblem(
+            potential=GaussianBump(amplitude=-2.0, width=1.0),
+            energy=0.0,
+            domain=(-9.0, 9.0),
+            context=PhysicalContext(mass=2.5, hbar=1.0),
+        )
+        config = OracleConfig(grid_points=8001)
+        levels = solve_bound_states_exact(problem, 2, config)
+        assert levels[2] == pytest.approx(-0.0150907, rel=1e-5)
+        with pytest.raises(SpectrumError):
+            solve_bound_states_exact(problem, 3, config)
+
+    @pytest.mark.parametrize(
+        "mass, expected",
+        [
+            # Each doublet split by ~1.3e-8 relative: resolved.
+            (8.0, [0.4918888996772416, 0.49188890596366897,
+                   1.4406454741556551, 1.4406468487877753]),
+            # Split below rounding: both levels of a doublet are one value.
+            (32.0, [0.2480111378545956, 0.2480111378545956,
+                    0.7357958598595857, 0.7357958598595857]),
+        ],
+    )
+    def test_double_well_doublets(self, mass, expected):
+        # Quartic double well 0.25 (x^2 - 4)^2; expected values are those of
+        # node-count bisection to 1e-9 max(1, |E|).
+        samples = np.linspace(-4.0, 4.0, 801)
+        problem = ScatteringProblem(
+            potential=TabulatedPotential(samples, 0.25 * (samples**2 - 4.0) ** 2),
+            energy=0.0,
+            domain=(-4.0, 4.0),
+            context=PhysicalContext(mass=mass, hbar=1.0),
+        )
+        levels = solve_bound_states_exact(problem, 3, OracleConfig(grid_points=8001))
+        assert levels == pytest.approx(expected, rel=1e-9)
+        if mass == 8.0:
+            assert levels[0] < levels[1] < levels[2] < levels[3]
+
+    def test_eight_levels_within_100_sweeps(self, monkeypatch):
+        # Every Numerov row solved for the `exact` benchmark's 8-level request
+        # (bisecting every level on the node count took 273 full sweeps).
+        rows = []
+        shoot = exact_oracle._shoot
+
+        def counted(a, b, seeds):
+            rows.append(len(a))
+            return shoot(a, b, seeds)
+
+        monkeypatch.setattr(exact_oracle, "_shoot", counted)
+        problem = ScatteringProblem(
+            potential=HarmonicWell(stiffness=1.0),
+            energy=0.0,
+            domain=(-6.0, 6.0),
+            context=PhysicalContext(mass=4.0, hbar=1.0),
+        )
+        levels = solve_bound_states_exact(problem, 7, OracleConfig(grid_points=3001))
+        assert levels == pytest.approx([0.5 * (n + 0.5) for n in range(8)], rel=1e-8)
+        assert sum(rows) <= 100 * 3001
 
 
 class TestWavefunction:

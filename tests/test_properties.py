@@ -1,13 +1,15 @@
 """Randomised invariants: turning points, the phase accumulator, quantization,
-the banded Numerov oracle against the point-by-point recurrence, and the
-over-barrier reflection sums against adaptive quadrature.
+the banded Numerov oracle against the point-by-point recurrence, its bound
+states against node-count bisection, and the over-barrier reflection sums
+against adaptive quadrature.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian with random
 height, width, centre, m and hbar; energies are drawn from the bulk of the
 barrier and from within 1e-8 of its top.  The oracle properties draw Eckart,
-Gaussian and square barriers with energies below and above the top.  The
-reflection properties draw weak Gaussian and Eckart bumps far below E.
+Gaussian and square barriers with energies below and above the top, and
+harmonic and Gaussian wells on domains off centre.  The reflection
+properties draw weak Gaussian and Eckart bumps far below E.
 """
 
 import cmath
@@ -27,6 +29,7 @@ from semiclassic import (
     GaussianBump,
     HarmonicWell,
     LinearRamp,
+    OracleConfig,
     ParabolicBarrier,
     PhysicalContext,
     ScatteringProblem,
@@ -40,6 +43,7 @@ from semiclassic import (
     once_reflected_coefficient,
     phase_transform,
     quantize_levels,
+    solve_bound_states_exact,
     solve_scattering_exact,
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
@@ -255,6 +259,83 @@ def test_banded_node_count_matches_recurrence(stiffness, mass, hbar, quanta):
     xs = np.linspace(-reach, reach, 4001)
     k2 = 2.0 * mass * (quanta * hbar * omega - 0.5 * stiffness * xs**2) / hbar**2
     assert _count_nodes(*_numerov_coefficients(xs, k2)) == numerov_loop_nodes(xs, k2)
+
+
+def node_count_levels(problem, n_max, config, rtol):
+    """Levels by bisecting every level on count(E) > n on every sweep, the
+    oracle's former method, stopped at a width of rtol |E|."""
+    xs = np.linspace(*problem.domain, config.grid_points)
+    v = problem.v(xs)
+    scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    v_edge, v_min = min(v[0], v[-1]), float(np.min(v))
+
+    def nodes_at(energy):
+        return _count_nodes(*_numerov_coefficients(xs, scale * (energy - v)))
+
+    ceiling = next(
+        e for e in v_min + np.array([0.5, 0.75, 0.9, 0.98]) * (v_edge - v_min)
+        if nodes_at(e) > n_max
+    )
+    ns = np.arange(n_max + 1)
+    lo = np.full(n_max + 1, v_min + 1e-12 * max(1.0, abs(v_min)))
+    hi = np.full(n_max + 1, ceiling)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= rtol * np.abs(mid)):
+            break
+        above = np.array([nodes_at(e) for e in mid]) > ns
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    return list(0.5 * (lo + hi))
+
+
+@st.composite
+def wells(draw):
+    """A harmonic or Gaussian well whose levels 0..2 lie well below its rim,
+    with random m and hbar, on a domain off centre."""
+    hbar = draw(st.floats(0.3, 1.5))
+    if draw(st.booleans()):
+        stiffness, mass = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 8.0))
+        # Three classical amplitudes of level 2 on either side, or more.
+        reach = 3.0 * math.sqrt(5.0 * hbar * math.sqrt(stiffness / mass) / stiffness)
+        potential, center = HarmonicWell(stiffness=stiffness), 0.0
+        left, right = reach * draw(st.floats(1.0, 1.5)), reach * draw(st.floats(1.0, 1.5))
+    else:
+        depth, width = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0))
+        center = draw(st.floats(-2.0, 2.0))
+        # sqrt(2 m depth) width / hbar of 8-14 holds about 6-11 levels.
+        strength = draw(st.floats(8.0, 14.0))
+        mass = (strength * hbar / width) ** 2 / (2.0 * depth)
+        potential = GaussianBump(amplitude=-depth, width=width, center=center)
+        left, right = width * draw(st.floats(6.0, 9.0)), width * draw(st.floats(6.0, 9.0))
+    return ScatteringProblem(
+        potential=potential,
+        energy=0.0,
+        domain=(center - left, center + right),
+        context=PhysicalContext(mass=mass, hbar=hbar),
+    )
+
+
+WELL_GRID = OracleConfig(grid_points=3001)
+
+
+@PROPERTY
+@given(wells())
+def test_levels_match_node_count_bisection(problem):
+    levels = solve_bound_states_exact(problem, 2, WELL_GRID)
+    assert levels == pytest.approx(node_count_levels(problem, 2, WELL_GRID, 1e-12), rel=1e-9)
+
+
+@PROPERTY
+@given(wells())
+def test_node_count_steps_at_each_level(problem):
+    # The shot has n nodes just below E_n and n + 1 just above.
+    xs = np.linspace(*problem.domain, WELL_GRID.grid_points)
+    v = problem.v(xs)
+    scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    for n, e in enumerate(solve_bound_states_exact(problem, 2, WELL_GRID)):
+        below, above = e - 1e-8 * abs(e), e + 1e-8 * abs(e)
+        assert _count_nodes(*_numerov_coefficients(xs, scale * (below - v))) == n
+        assert _count_nodes(*_numerov_coefficients(xs, scale * (above - v))) == n + 1
 
 
 @st.composite
