@@ -61,6 +61,7 @@ from .wkb_core import (
     WkbTerms,
     action_integral,
     barrier_integral,
+    opacities,
     quantize,
     quantize_levels,
     transmission_leading,

@@ -213,19 +213,18 @@ def _output_options(sections: dict, args):
 # method dispatch
 
 
-def _transmission_row(problem: ScatteringProblem, method: str, oracle) -> dict:
-    if method == "wkb":
-        report = wkb_core.transmission_leading(problem, corrected=False)
-    elif method == "wkb-corrected":
-        report = wkb_core.transmission_leading(problem, corrected=True)
-    elif method == "connection":
-        report = connection.transmission_from_currents(problem)
-    elif method == "exact":
-        report = exact_oracle.solve_scattering_exact(problem, oracle)
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ConfigError(f"unknown method {method!r}")
+#: sigma* -> report, for the methods whose scans take every sigma* from one
+#: batched turning-point solve and one opacity sum.
+_FROM_OPACITY = {
+    "wkb": lambda sigma, context: wkb_core._leading_report(sigma, corrected=False),
+    "wkb-corrected": lambda sigma, context: wkb_core._leading_report(sigma, corrected=True),
+    "connection": connection._current_ratio_report,
+}
+
+
+def _transmission_row(energy: float, report, method: str) -> dict:
     return {
-        "E": problem.energy,
+        "E": energy,
         "T": report.transmission,
         "R": report.reflection,
         "sigma_star": report.sigma_star,
@@ -250,11 +249,21 @@ def _reflection_row(problem: ScatteringProblem, method: str) -> dict:
 
 
 def _compute_rows(config: RunConfig, energies) -> list:
+    method, context = config.method, config.problem.context
+    if method in _FROM_OPACITY:
+        report = _FROM_OPACITY[method]
+        sigmas = wkb_core.opacities(config.problem, energies)
+        return [
+            _transmission_row(float(e), report(float(s), context), method)
+            for e, s in zip(energies, sigmas)
+        ]
+
     def one(e: float) -> dict:
         problem = dataclasses.replace(config.problem, energy=float(e))
-        if config.method in REFLECTION_METHODS:
-            return _reflection_row(problem, config.method)
-        return _transmission_row(problem, config.method, config.oracle)
+        if method in REFLECTION_METHODS:
+            return _reflection_row(problem, method)
+        report = exact_oracle.solve_scattering_exact(problem, config.oracle)
+        return _transmission_row(problem.energy, report, method)
 
     return [one(e) for e in energies]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     DomainError,
     LinearizationError,
+    NumericalError,
     OrientationError,
     TurningPointProximityError,
 )
@@ -42,7 +44,6 @@ from .wkb_core import (
     Method,
     TransmissionReport,
     _accumulate,
-    _between,
     assert_outside_exclusion,
     barrier_integral,
 )
@@ -119,6 +120,9 @@ class WavefunctionTable:
         with open(path, "w", newline="\n") as fh:
             fh.write(self.csv_string())
 
+
+#: ln of the largest float: math.exp overflows beyond it.
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 _REGIONS = np.array(
     [Region.ALLOWED_LEFT, Region.FORBIDDEN, Region.ALLOWED_RIGHT], dtype=object
@@ -227,7 +231,10 @@ def transmission_from_currents(problem: ScatteringProblem) -> TransmissionReport
     reflection is j_ref / j_inc, and unitarity T + R = 1 holds identically
     because the current algebra conserves flux.
     """
-    sigma_star = barrier_integral(problem)
+    return _current_ratio_report(barrier_integral(problem), problem.context)
+
+
+def _current_ratio_report(sigma_star: float, context: PhysicalContext) -> TransmissionReport:
     if sigma_star > 300.0:
         # The incident current would overflow; the ratio is 0 to all digits.
         return TransmissionReport(
@@ -237,7 +244,7 @@ def transmission_from_currents(problem: ScatteringProblem) -> TransmissionReport
             method=Method.CONNECTION_PATCHED,
             transmission_bare=0.0,
         )
-    j_inc, j_ref, j_out = barrier_currents(sigma_star, 1.0, problem.context)
+    j_inc, j_ref, j_out = barrier_currents(sigma_star, 1.0, context)
     return TransmissionReport(
         transmission=j_out / j_inc,
         reflection=j_ref / j_inc,
@@ -297,6 +304,11 @@ def patched_barrier_solution(
         )
     b_amp = complex(outgoing_amplitude)
     sigma_star = barrier_integral(problem, tp)
+    if sigma_star > _LN_FLOAT_MAX:
+        raise NumericalError(
+            f"opacity sigma* = {sigma_star:g} is too large for the patched wave: "
+            "its growing exponential e^sigma* overflows"
+        )
 
     if xs is None:
         xs = _default_grid(problem, tp, n_per_region)
@@ -316,7 +328,17 @@ def patched_barrier_solution(
     # Action phases toward/away from the turning points, in radians.
     phi = _accumulate(problem, tp.a, left[::-1], turning=True)[::-1] / hbar
     theta = _accumulate(problem, tp.b, right, turning=True) / hbar
-    u = _between(problem, tp.a, tp.b, mid, forbidden=True)[0] / hbar
+    # Decay integral from a, accumulated from the nearer turning point.
+    centre = 0.5 * (tp.a + tp.b)
+    near_b = mid > centre
+    from_a = _accumulate(
+        problem, tp.a, np.append(mid[~near_b], centre), turning=True, forbidden=True
+    )
+    from_b = _accumulate(
+        problem, tp.b, np.append(mid[near_b][::-1], centre), turning=True, forbidden=True
+    )
+    total = from_a[-1] + from_b[-1]
+    u = np.concatenate([from_a[:-1], total - from_b[-2::-1]]) / hbar
 
     e_grow, e_decay = math.exp(sigma_star), math.exp(-sigma_star)
     if incident_side == "left":

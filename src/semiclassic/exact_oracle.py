@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
 from .connection import WavefunctionTable, _region_tags
 from .errors import (
@@ -52,7 +51,7 @@ from .errors import (
     NumericalError,
     SpectrumError,
 )
-from .potential import ScatteringProblem, find_turning_points
+from .potential import ScatteringProblem, _bracketed_roots, find_turning_points
 from .wkb_core import Method, TransmissionReport
 
 __all__ = [
@@ -255,14 +254,16 @@ def _count_nodes(a, b) -> int:
 def solve_bound_states_exact(
     problem: ScatteringProblem, n_max: int, config: OracleConfig | None = None
 ) -> list[float]:
-    """Levels E_0..E_n_max of a confining well: Sturm brackets, then brentq.
+    """Levels E_0..E_n_max of a confining well: Sturm brackets, then one root solve.
 
     The node count of the shot from the left edge is the number of levels
     below E.  Counts are kept per energy for all levels, and a bracket is
     split at its midpoint only while it holds more than one level (a pair
     unresolved at width 1e-9 max(1, |E|) gets the midpoint).  An isolated
-    level is the brentq root (rtol 1e-12, xtol 2e-12) of the Wronskian at
-    the bottom of V of the shots from both edges over their norms, smooth in E.
+    level is the root, to 1e-12 relative plus 2e-12, of the Wronskian at the
+    bottom of V of the shots from both edges over their norms, smooth in E;
+    the shared solver (:func:`potential._bracketed_roots`) converges all
+    isolated levels in one call.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -296,7 +297,7 @@ def solve_bound_states_exact(
         raise SpectrumError(
             f"the well holds fewer than {n_max + 1} levels below its rim on this domain"
         )
-    levels = []
+    levels, isolated = [], []
     for n in range(n_max + 1):
         while True:
             lo = max(e for e, c in counts.items() if c <= n)
@@ -305,15 +306,22 @@ def solve_bound_states_exact(
             if counts[hi] - counts[lo] == 1 or hi - lo <= 1e-9 * max(1.0, abs(mid)):
                 break
             counts[mid] = nodes_at(mid)
-        if counts[hi] - counts[lo] > 1:
-            levels.append(mid)
-            continue
-        try:
-            levels.append(brentq(mismatch, lo, hi, rtol=1e-12))
-        except ValueError as exc:
-            raise NumericalError(
-                f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
-            ) from exc
+        levels.append(mid)
+        if counts[hi] - counts[lo] == 1:
+            f_lo, f_hi = mismatch(lo), mismatch(hi)
+            if f_lo * f_hi > 0.0:
+                raise NumericalError(
+                    f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
+                )
+            isolated.append((n, lo, hi, f_lo, f_hi))
+    if isolated:
+        ns, lo, hi, f_lo, f_hi = (np.array(column) for column in zip(*isolated))
+        roots = _bracketed_roots(
+            lambda es, _: [mismatch(e) for e in es[:, 0].tolist()], lo, hi, f_lo, f_hi,
+            2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
+        )
+        for n, root in zip(ns, roots.tolist()):
+            levels[n] = root
     return levels
 
 

@@ -7,14 +7,14 @@ an energy and a working domain; everything downstream consumes that bundle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
-from .errors import DomainError, MultiWellError
+from .errors import DomainError, MultiWellError, NumericalError
 
 __all__ = [
     "PhysicalContext",
@@ -38,6 +38,17 @@ __all__ = [
 
 #: Panels of the scan for the extrema of V (2049 samples over the domain).
 _SCAN_PANELS = 2048
+#: Relative tolerance of :func:`_bracketed_roots`: 4 ulp, as scipy's brentq.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+#: Steps after which :func:`_bracketed_roots` gives up (bisection alone
+#: narrows a bracket by 2^-200).
+_ROOT_MAX_STEPS = 200
+#: Points per step when the roots of V - E and of V' are solved: a step then
+#: narrows a bracket at least 30-fold, so a jump of V is found in ~10 steps.
+_ROOT_POINTS = 32
+#: Roots per solver call in :func:`_turning_points`, so that a long scan
+#: holds arrays of about a megabyte, not of its whole length.
+_ROOT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -162,18 +173,24 @@ class EckartBarrier(PotentialModel):
     def __post_init__(self) -> None:
         _require_positive("width", self.width)
 
+    # cosh(u) and its square overflow to inf far out (|u| > ~355), where
+    # 1/inf = 0 is the exact limit: the overflow is not worth a warning.
+
     def _value(self, x):
         u = (x - self.center) / self.width
-        return self.height / np.cosh(u) ** 2
+        with np.errstate(over="ignore"):
+            return self.height / np.cosh(u) ** 2
 
     def _derivative(self, x):
         u = (x - self.center) / self.width
-        s = 1.0 / np.cosh(u)
+        with np.errstate(over="ignore"):
+            s = 1.0 / np.cosh(u)
         return -2.0 * self.height * s * s * np.tanh(u) / self.width
 
     def _second_derivative(self, x):
         u = (x - self.center) / self.width
-        s2 = 1.0 / np.cosh(u) ** 2
+        with np.errstate(over="ignore"):
+            s2 = 1.0 / np.cosh(u) ** 2
         return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
 
@@ -364,16 +381,106 @@ def second_derivative(potential: PotentialModel, x):
     return potential.second_derivative(x)
 
 
-def _knots(problem: ScatteringProblem) -> tuple:
-    """Domain edges and refined interior extrema of V, as increasing (x, V) pairs.
+@functools.cache
+def _step_tables(points: int) -> tuple:
+    """For :func:`_bracketed_roots` with ``points`` points per step: the even
+    fractions of a bracket, and for each position i of the first point past
+    the root in a row (a, the points in order, b), the positions of the new
+    a (a new point), b and c (the old end on the far side of a from b)."""
+    i = np.arange(points + 2)
+    even = np.arange(1, points - 2) / (points - 2)
+    past_b = i > points
+    return even, np.minimum(i, points), np.where(past_b, i, i - 1), np.where(past_b, 0, points + 1)
+
+
+def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
+    """A root of f in each of many brackets, all solved in one loop.
+
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (T. R. Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)), on arrays.  Entry
+    i brackets a root between lo[i] and hi[i], where its values f_lo[i] and
+    f_hi[i] differ in sign or vanish; ``f(x, idx)`` evaluates the function of
+    entry idx[k] at the points in row k of x.  An entry stops at a zero value
+    or once its bracket is narrower than xtol[i] + 4 eps |x|, at the end with
+    the smaller |f|, and is dropped from the loop, so its root depends on its
+    own bracket and values only, not on the other entries of the call.
+
+    ``points`` is 1 or m >= 3.  With m, each step evaluates m points of every
+    bracket in one call of f (for a cheap f, about the cost of one point):
+    the interpolated point, a point half a tolerance to either side of it,
+    which close the bracket in the step the interpolation converges, and
+    m - 3 points evenly spaced across the bracket, which narrow it
+    (m - 2)-fold where interpolation fails, e.g. at a jump.
+    """
+    lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    roots = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    live = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    if not len(live):
+        return roots
+    a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+    xtol = (np.zeros_like(roots) + xtol)[live]
+    even, new_a, new_b, new_c = _step_tables(points)
+    width = b - a
+    t = fa / (fa - fb)  # the first step interpolates linearly
+    tl = (xtol + _ROOT_RTOL * np.abs(a)) / np.abs(width + width)
+    for _ in range(_ROOT_MAX_STEPS):
+        n = len(live)
+        step = np.empty((n, points))
+        step[:, 0] = t
+        if points > 1:
+            step[:, 1], step[:, 2], step[:, 3:] = t - tl, t + tl, even
+            step.sort(axis=1)
+        x, fx = np.empty((n, points + 2)), np.empty((n, points + 2))
+        x[:, 0], x[:, -1], fx[:, 0], fx[:, -1] = a, b, fa, fb
+        x[:, 1:-1] = a[:, None] + step * width[:, None]
+        fx[:, 1:-1] = np.reshape(f(x[:, 1:-1], live), (n, points))
+        # The new bracket is x[i - 1], x[i] for the first i whose value is 0
+        # or has lost a's sign.
+        i = np.argmax(fx * np.sign(fa)[:, None] <= 0.0, axis=1)
+        row = np.arange(0, n * (points + 2), points + 2)
+        x, fx = x.ravel(), fx.ravel()
+        ra, rb, rc = row + new_a[i], row + new_b[i], row + new_c[i]
+        a, b, c, fa, fb, fc = x[ra], x[rb], x[rc], fx[ra], fx[rb], fx[rc]
+        width = b - a
+        tol = xtol + _ROOT_RTOL * np.abs(a)
+        done = (np.abs(width) < tol) | (fa == 0.0)
+        if np.count_nonzero(done):
+            roots[live[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
+            if done.all():
+                return roots
+            keep = ~done
+            live, a, b, c, fa, fb, fc, xtol, tol, width = (
+                v[keep] for v in (live, a, b, c, fa, fb, fc, xtol, tol, width)
+            )
+        # Inverse quadratic interpolation through a, b and c where the paper's
+        # test (xi, phi) keeps it inside the bracket, else bisection; never
+        # closer than tol / 2 to either end.
+        d_ab, d_cb = fb - fa, fb - fc
+        xi, phi = width / (b - c), d_ab / d_cb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = fa / d_cb * (fc / d_ab - (c - a) * fb / (width * (fc - fa)))
+        iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+        tl = tol / np.abs(width + width)
+        t = np.minimum(np.maximum(np.where(iqi, t, 0.5), tl), 1.0 - tl)
+    raise NumericalError(f"root solver did not converge in {_ROOT_MAX_STEPS} steps")
+
+
+def _geometry(problem: ScatteringProblem) -> tuple:
+    """``(knots, xs, vs, runs)``: the extrema of V and the monotone runs between them.
 
     One vectorised pass over ``_SCAN_PANELS + 1`` samples finds where the
-    slope of V changes sign (a flat run counts once); each extremum is then
-    refined by bounded Brent minimisation between the samples around it.  V
-    is monotone between neighbouring knots, up to features narrower than a
-    panel.  The knots depend on the potential and the domain only, so they
-    are found once per domain and kept on the (frozen) potential instance,
-    outside its fields: equality, hash and repr do not see them.
+    slope of V changes sign (a flat run counts once).  Each extremum is the
+    root of the analytic V' between the samples around it, all from one
+    :func:`_bracketed_roots` call; where V' does not change sign there (a
+    jump of SquareBarrier, a finite-difference slope) or its root is worse
+    than the best sample, the best sample stands in.  ``knots`` are the
+    domain edges and the extrema as increasing (x, V) pairs; ``xs``, ``vs``
+    the samples with the extrema merged in.  Run k, from knot k to knot k + 1,
+    is ``(s, up, key, xtol)``: its first index in xs, +1 if V rises on it
+    else -1, up * V on it (increasing), and its root tolerance.  All of it
+    depends on the potential and the domain only, so it is found once per
+    domain and kept on the (frozen) potential instance, outside its fields:
+    equality, hash and repr do not see it.
     """
     stored = vars(problem.potential).setdefault("_knots_by_domain", {})
     if problem.domain in stored:
@@ -384,55 +491,102 @@ def _knots(problem: ScatteringProblem) -> tuple:
     slope = np.sign(np.diff(vs))
     steps = np.flatnonzero(slope)
     turns = np.flatnonzero(slope[steps[:-1]] != slope[steps[1:]])
-    knots = [(lo, float(vs[0]))]
-    for i, j in zip(steps[turns], steps[turns + 1]):
-        sign = slope[i]  # +1 at a maximum, -1 at a minimum
-        res = minimize_scalar(
-            lambda x: -sign * problem.v(x),
-            bounds=(xs[i], xs[j + 1]),
-            method="bounded",
-            options={"xatol": 1e-6 * (xs[1] - xs[0])},
+    i, j = steps[turns], steps[turns + 1] + 1  # an extremum lies in (xs[i], xs[j])
+    sign = slope[i]  # +1 at a maximum, -1 at a minimum
+    x_ext, v_ext = xs[i + 1], vs[i + 1]
+    if len(i):
+        d_lo, d_hi = np.split(problem.dv(xs[np.concatenate([i, j])]), 2)
+        k = np.flatnonzero(np.sign(d_lo) * np.sign(d_hi) < 0.0)
+        x_ext = x_ext.copy()
+        # To 1e-6 of a panel, where V is flat to rounding.
+        x_ext[k] = _bracketed_roots(
+            lambda x, _: problem.dv(x), xs[i[k]], xs[j[k]], d_lo[k], d_hi[k],
+            1e-6 * (xs[1] - xs[0]), _ROOT_POINTS,
         )
-        x, v = float(res.x), float(problem.v(res.x))
-        if sign * v < sign * vs[i + 1]:  # keep the best sample if Brent did worse
-            x, v = float(xs[i + 1]), float(vs[i + 1])
-        knots.append((x, v))
-    knots.append((hi, float(vs[-1])))
-    stored[problem.domain] = tuple(knots)
+        refined = problem.v(x_ext)
+        better = sign * refined >= sign * v_ext
+        x_ext, v_ext = np.where(better, x_ext, xs[i + 1]), np.where(better, refined, v_ext)
+    at = np.searchsorted(xs, x_ext)
+    cuts = np.concatenate([[0], at + np.arange(len(at)), [len(xs) + len(at) - 1]])
+    xs, vs = np.insert(xs, at, x_ext), np.insert(vs, at, v_ext)
+    knots = tuple(zip(xs[cuts].tolist(), vs[cuts].tolist()))
+    runs = []
+    for (s, t), (x0, v0), (x1, v1) in zip(zip(cuts, cuts[1:]), knots, knots[1:]):
+        up = 1.0 if v1 > v0 else -1.0
+        runs.append((s, up, up * vs[s : t + 1], 4e-16 * max(1.0, abs(x0), abs(x1))))
+    stored[problem.domain] = (knots, xs, vs, tuple(runs))
     return stored[problem.domain]
+
+
+def _knots(problem: ScatteringProblem) -> tuple:
+    """Domain edges and refined interior extrema of V, as increasing (x, V) pairs."""
+    return _geometry(problem)[0]
+
+
+def _turning_points(problem: ScatteringProblem, energies) -> tuple:
+    """Arrays ``(a, b, count)`` of the roots of V - E, one entry per energy.
+
+    ``count`` is the number of roots in the domain; a < b are the first two
+    (nan where there are fewer).  Each monotone run between the extrema of V
+    holds at most one root; an energy equal to V at a knot has its root
+    there.  Any other root is bracketed by the two samples around it, found
+    by searchsorted in its run (whose ends are the refined extrema, so two
+    roots inside one scan panel are both found), and all of them are solved
+    in one :func:`_bracketed_roots` call, each to 4e-16 max(1, |x|) over its
+    run's ends.
+    """
+    knots, xs, vs, runs = _geometry(problem)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    kx, kv = np.array(knots).T
+    # Column k: the root at knot k, or inside run k.
+    roots = np.where(e[:, None] == kv, kx, np.nan)
+    rows, cols = np.nonzero((kv[:-1] - e[:, None]) * (kv[1:] - e[:, None]) < 0.0)
+    if len(rows):
+        target = e[rows]
+        left, xtol = np.empty(len(rows), dtype=int), np.empty(len(rows))
+        for k, (s, up, key, tol) in enumerate(runs):
+            here = cols == k
+            left[here] = s - 1 + np.searchsorted(key, up * target[here])
+            xtol[here] = tol
+        for blk in (slice(r, r + _ROOT_BLOCK) for r in range(0, len(rows), _ROOT_BLOCK)):
+            e_blk, j = target[blk], left[blk]
+            roots[rows[blk], cols[blk]] = _bracketed_roots(
+                lambda x, idx: problem.v(x) - e_blk[idx, None],
+                xs[j], xs[j + 1], vs[j] - e_blk, vs[j + 1] - e_blk, xtol[blk], _ROOT_POINTS,
+            )
+    count = np.sum(~np.isnan(roots), axis=1)
+    roots = np.sort(roots, axis=1)  # nan last
+    return roots[:, 0], roots[:, 1], count
+
+
+def _multi_well(count: int) -> MultiWellError:
+    return MultiWellError(
+        f"found {count} turning points; only single-barrier/single-well "
+        "potentials (at most 2) are supported"
+    )
 
 
 def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
     """Locate the roots of V(x) - E inside the problem domain.
 
-    Each monotone piece between the extrema of V (:func:`_knots`, found once
-    per potential and domain) holds at most one root, bracketed by its ends
-    and found by brentq, so two roots closer than a scan panel are both
-    found.  More than two roots means a multi-well landscape, which is
-    rejected rather than silently truncated.
+    The batch of one of :func:`_turning_points`: each monotone piece between
+    the extrema of V (found once per potential and domain) holds at most one
+    root, bracketed within one scan panel, so two roots closer than a panel
+    are both found.  More than two roots means a multi-well landscape, which
+    is rejected rather than silently truncated.  The result is kept on the
+    (frozen) problem instance, outside its fields, so the wave, its Airy
+    bridges and the integrals of one problem share one solve.
     """
-    knots = _knots(problem)
-    e = problem.energy
-    roots: list[float] = []
-    for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
-        if v0 == e:
-            roots.append(x0)
-        elif (v0 - e) * (v1 - e) < 0.0:
-            xtol = 4e-16 * max(1.0, abs(x0), abs(x1))
-            roots.append(brentq(lambda x: problem.v(x) - e, x0, x1, xtol=xtol))
-    if knots[-1][1] == e:
-        roots.append(knots[-1][0])
-
-    if len(roots) > 2:
-        raise MultiWellError(
-            f"found {len(roots)} turning points; only single-barrier/single-well "
-            "potentials (at most 2) are supported"
-        )
-    if not roots:
-        return TurningPoints(a=None, b=None, count=0)
-    if len(roots) == 1:
-        return TurningPoints(a=roots[0], b=None, count=1)
-    return TurningPoints(a=roots[0], b=roots[1], count=2)
+    known = vars(problem).get("_turning_points")
+    if known is not None:
+        return known
+    a, b, count = _turning_points(problem, problem.energy)
+    n = int(count[0])
+    if n > 2:
+        raise _multi_well(n)
+    tp = TurningPoints(a=float(a[0]) if n else None, b=float(b[0]) if n == 2 else None, count=n)
+    vars(problem)["_turning_points"] = tp
+    return tp
 
 
 def local_wavenumber(problem: ScatteringProblem, x: float) -> complex:

@@ -1,10 +1,11 @@
 """Action integrals, WKB expansion terms, leading transmission, quantization.
 
-Quadrature policy: every action and decay integral comes from one
-vectorised cumulative Gauss-Legendre accumulator (:func:`_accumulate`).  On a
-span that starts at a classical turning point the substitution x = a + s^2
-removes the square-root branch point, so the transformed integrand is smooth
-and the fixed rule keeps its full order.
+Quadrature policy: every action and decay integral is a 10-point
+Gauss-Legendre sum on the same panels, cumulative along one span
+(:func:`_accumulate`) or, between two turning points, one row per energy of a
+2-D sum (:func:`_between`).  On a span that starts at a classical turning
+point the substitution x = a + s^2 removes the square-root branch point, so
+the transformed integrand is smooth and the fixed rule keeps its full order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BracketError,
@@ -30,7 +30,10 @@ from .potential import (
     ScatteringProblem,
     TurningPoints,
     _SCAN_PANELS,
+    _bracketed_roots,
     _knots,
+    _multi_well,
+    _turning_points,
     exclusion_radius,
     find_turning_points,
 )
@@ -41,6 +44,7 @@ __all__ = [
     "TransmissionReport",
     "action_integral",
     "barrier_integral",
+    "opacities",
     "wkb_terms",
     "wkb_wavefunction",
     "transmission_leading",
@@ -60,6 +64,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _PANEL_FRACTION = 1.0 / _SCAN_PANELS
 _MIN_PANELS = 16
 _GRADED_PANELS = 12
+#: Nodes in one block of the 2-D sum of :func:`_between`: rows are cut into
+#: blocks of at most this many, so that a long scan never holds more at once.
+_BLOCK_NODES = 1 << 17
 
 
 class Method(enum.Enum):
@@ -124,11 +131,12 @@ def assert_outside_exclusion(
 
 
 def _panel_nodes(edges: np.ndarray):
-    """10-point Gauss-Legendre nodes on each panel between ``edges`` (one row
-    per panel), and the panel half-widths that scale :data:`_GL_WEIGHTS`."""
+    """10-point Gauss-Legendre nodes on each panel between ``edges`` (along the
+    last axis; one more axis for the nodes), and the panel half-widths that
+    scale :data:`_GL_WEIGHTS`."""
     half = 0.5 * np.diff(edges)
     nodes = np.multiply.outer(half, _GL_NODES)
-    nodes += (edges[:-1] + half)[:, None]
+    nodes += (edges[..., :-1] + half)[..., None]
     return nodes, half
 
 
@@ -172,22 +180,44 @@ def _accumulate(
     return np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
 
 
-def _between(problem: ScatteringProblem, a: float, b: float, xs=(), forbidden=False):
-    """Integrals from turning point a to each sorted x in (a, b), and to b.
+def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.ndarray:
+    """Integral of sqrt(2m|E - V|) from turning point a to turning point b, per energy.
 
-    Each half of [a, b] is accumulated from its own turning point.
+    Each half of [a, b] is summed from its own turning point in
+    s = sqrt(|x - a|), on the panels :func:`_accumulate` would use (12 graded
+    toward s = 0, then max(16, ceil(half-span / (L/2048))) even ones), all
+    halves of all energies in one 2-D Gauss-Legendre sum, cut into blocks of
+    at most ``_BLOCK_NODES`` nodes.  A row with fewer panels than its block
+    is padded with panels of zero width, and the panels of a row are added in
+    order, so its value does not depend on the other rows of the call.
     """
-    xs = np.asarray(xs, dtype=float)
-    mid = 0.5 * (a + b)
-    near_b = xs > mid
-    from_a = _accumulate(
-        problem, a, np.append(xs[~near_b], mid), turning=True, forbidden=forbidden
-    )
-    from_b = _accumulate(
-        problem, b, np.append(xs[near_b][::-1], mid), turning=True, forbidden=forbidden
-    )
-    total = from_a[-1] + from_b[-1]
-    return np.concatenate([from_a[:-1], total - from_b[-2::-1]]), total
+    e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
+    start, energy = np.concatenate([a, b]), np.tile(e, 2)
+    dist = np.abs(np.tile(0.5 * (a + b), 2) - start)
+    lo, hi = problem.domain
+    n = np.maximum(_MIN_PANELS, np.ceil(dist / ((hi - lo) * _PANEL_FRACTION)))
+    u = np.sqrt(dist)
+    even = np.ceil(u * (n / u)).astype(int)
+    sign = np.repeat([1.0, -1.0], len(e))[:, None, None]  # from a rightward, from b leftward
+    rows = max(1, _BLOCK_NODES // (len(_GL_NODES) * (_GRADED_PANELS + int(even.max()))))
+    out = np.empty(len(start))
+    for r in range(0, len(start), rows):
+        blk = slice(r, r + rows)
+        k = np.arange(1, even[blk].max() + 1)
+        p, ub = even[blk, None], u[blk, None]
+        # Edge k of the even panels, as _accumulate places it; u from the
+        # row's last edge on, so that its padding panels have zero width.
+        uniform = np.where(k < p, ub - (p - k) * (ub / p), ub)
+        graded = uniform[:, :1] * 0.5 ** np.arange(_GRADED_PANELS, 0, -1)
+        nodes, half = _panel_nodes(np.concatenate([np.zeros_like(ub), graded, uniform], axis=1))
+        excess = problem.v(start[blk, None, None] + sign[blk] * (nodes * nodes))
+        excess -= energy[blk, None, None]
+        vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0)) * (2.0 * nodes)
+        # einsum sums each panel's 10 nodes on its own (a BLAS matmul would
+        # round a panel differently by its place in the block).
+        panels = np.einsum("rpk,k->rp", vals, _GL_WEIGHTS)
+        out[blk] = np.cumsum(math.sqrt(2.0 * problem.context.mass) * half * panels, axis=1)[:, -1]
+    return out[: len(e)] + out[len(e) :]
 
 
 def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
@@ -222,7 +252,7 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
         for end in (lo, hi)
     )
     if lo_turning and hi_turning:
-        val = _between(problem, lo, hi)[1]
+        val = _between(problem, e, lo, hi)[0]
     elif hi_turning:
         val = _accumulate(problem, hi, [lo], turning=True)[0]
     else:
@@ -236,20 +266,42 @@ def barrier_integral(
     """Opacity sigma* = (1/hbar) integral_a^b sqrt(2m(V - E)) dx.
 
     Requires a genuine barrier: two turning points with E < V between them.
+    The batch of one of :func:`opacities`: the same checks and sum.
     """
-    if tp is None:
-        tp = find_turning_points(problem)
-    if tp.count != 2:
-        raise NoBarrierError(
-            f"barrier integral needs 2 turning points, found {tp.count} "
-            "(E >= max V or no barrier in the domain)"
-        )
-    if problem.v(0.5 * (tp.a + tp.b)) <= problem.energy:
+    tp = find_turning_points(problem) if tp is None else tp
+    return float(_opacities(problem, problem.energy, tp.a, tp.b, tp.count)[0])
+
+
+def opacities(problem: ScatteringProblem, energies) -> np.ndarray:
+    """sigma* at each energy of a scan, from one turning-point solve and one sum.
+
+    An energy without a barrier raises as :func:`barrier_integral` would; the
+    first such energy in the given order is the one reported.
+    """
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    return _opacities(problem, e, *_turning_points(problem, e))
+
+
+def _opacities(problem: ScatteringProblem, energies, a, b, count) -> np.ndarray:
+    """sigma* at each energy from its turning points a < b and their count."""
+    e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
+    count = np.atleast_1d(count)
+    barrier = count == 2
+    barrier[barrier] = problem.v(0.5 * (a[barrier] + b[barrier])) > e[barrier]
+    if not barrier.all():
+        i = int(np.flatnonzero(~barrier)[0])
+        if count[i] > 2:
+            raise _multi_well(int(count[i]))
+        if count[i] != 2:
+            raise NoBarrierError(
+                f"barrier integral needs 2 turning points, found {count[i]} "
+                "(E >= max V or no barrier in the domain)"
+            )
         raise NoBarrierError(
             "interval between turning points is classically allowed; "
             "this is a well, not a barrier"
         )
-    return _between(problem, tp.a, tp.b, forbidden=True)[1] / problem.context.hbar
+    return _between(problem, e, a, b, forbidden=True) / problem.context.hbar
 
 
 def effective_perturbation(problem: ScatteringProblem, x):
@@ -348,7 +400,10 @@ def transmission_leading(
     barrier produces; corrected=False reports the bare e^{-2 sigma*}.  The
     bare value is always recorded alongside for comparison.
     """
-    sigma_star = barrier_integral(problem)
+    return _leading_report(barrier_integral(problem), corrected)
+
+
+def _leading_report(sigma_star: float, corrected: bool = True) -> TransmissionReport:
     bare = math.exp(-2.0 * sigma_star)
     corr = bare / (1.0 + 0.25 * bare) ** 2
     t = corr if corrected else bare
@@ -361,51 +416,81 @@ def transmission_leading(
     )
 
 
+def _well_actions(problem: ScatteringProblem, energies) -> np.ndarray:
+    """integral_a^b sqrt(2m(E - V)) dx across the well at each energy.
+
+    The first energy (in order) that does not see exactly two turning points
+    around a well raises :class:`BracketError`.
+    """
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    a, b, count = _turning_points(problem, e)
+    well = count == 2
+    well[well] = problem.v(0.5 * (a[well] + b[well])) < e[well]
+    if not well.all():
+        i = int(np.flatnonzero(~well)[0])
+        if count[i] > 2:
+            raise _multi_well(int(count[i]))
+        if count[i] != 2:
+            raise BracketError(
+                f"E = {e[i]:g} has {count[i]} turning points; the bracket must "
+                "keep the well topology (exactly 2)"
+            )
+        raise BracketError(f"E = {e[i]:g}: interval between roots is not a well")
+    return _between(problem, e, a, b)
+
+
+def _levels(problem: ScatteringProblem, ns, bracket, actions) -> np.ndarray:
+    """Level E_n for each n in ns, all from one :func:`_bracketed_roots` call.
+
+    ``actions`` are the well actions at the two ends of the energy bracket.
+    Each residual evaluation is one batched turning-point solve and one
+    batched action sum over the levels still converging.
+    """
+    ns = np.asarray(ns)
+    e_lo, e_hi = bracket
+    targets = (ns + 0.5) * math.pi * problem.context.hbar
+    f_lo, f_hi = actions[0] - targets, actions[1] - targets
+    bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) > 0.0)
+    if bad.size:
+        raise BracketError(
+            f"quantization residual does not change sign on [{e_lo:g}, {e_hi:g}] "
+            f"for n = {ns[bad[0]]}"
+        )
+    return _bracketed_roots(
+        lambda e, idx: _well_actions(problem, e[:, 0]) - targets[idx],
+        np.full(len(ns), float(e_lo)), np.full(len(ns), float(e_hi)), f_lo, f_hi,
+        4e-16 * (e_hi - e_lo),
+    )
+
+
 def quantize(
     problem: ScatteringProblem, n: int, bracket: tuple[float, float]
 ) -> float:
     """Level E_n of a single well from the half-integer action condition.
 
-    Solves integral_a^b sqrt(2m(E - V)) dx = (n + 1/2) pi hbar by brentq on
-    the energy bracket, to brentq's relative tolerance.  The extrema of V
-    are found once per potential and domain; each trial energy only
-    brackets its two turning points between them.
+    Solves integral_a^b sqrt(2m(E - V)) dx = (n + 1/2) pi hbar on the energy
+    bracket with the shared root solver (Chandrupatla's method), to
+    4e-16 of the bracket plus 4 ulp of E.  The extrema of V are found once per
+    potential and domain; each trial energy only brackets its two turning
+    points between them.
     """
     if n < 0:
         raise DomainError(f"quantum number must be nonnegative, got {n}")
     e_lo, e_hi = bracket
     if not e_lo < e_hi:
         raise BracketError(f"empty bracket {bracket}")
-    target = (n + 0.5) * math.pi * problem.context.hbar
-
-    def residual(e: float) -> float:
-        prob_e = dataclasses.replace(problem, energy=e)
-        tp = find_turning_points(prob_e)
-        if tp.count != 2:
-            raise BracketError(
-                f"E = {e:g} has {tp.count} turning points; the bracket must "
-                "keep the well topology (exactly 2)"
-            )
-        if prob_e.v(0.5 * (tp.a + tp.b)) >= e:
-            raise BracketError(f"E = {e:g}: interval between roots is not a well")
-        return _between(prob_e, tp.a, tp.b)[1] - target
-
-    try:
-        return brentq(residual, e_lo, e_hi, xtol=4e-16 * (e_hi - e_lo))
-    except ValueError as exc:
-        raise BracketError(
-            f"quantization residual does not change sign on [{e_lo:g}, {e_hi:g}] "
-            f"for n = {n}"
-        ) from exc
+    return float(_levels(problem, [n], bracket, _well_actions(problem, bracket))[0])
 
 
 def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
-    """E_0..E_n_max of a single well, each solved by :func:`quantize`.
+    """E_0..E_n_max of a single well, all solved together.
 
     The well action grows monotonically with E, so one check just below the
     lowest domain-edge rim (two turning points, and an action above the
     highest level's target) shows that every level lies between the well
-    bottom and the rim; that whole range is each level's bracket.
+    bottom and the rim; that whole range is each level's bracket, and one
+    root-solver call converges all the levels at once, as :func:`quantize`
+    converges one.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -422,7 +507,8 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
             f"E = {top.energy:g} does not see a simple well (found {tp.count} "
             "turning points)"
         )
-    if _between(top, tp.a, tp.b)[1] <= (n_max + 0.5) * math.pi * problem.context.hbar:
+    action = _between(problem, top.energy, tp.a, tp.b)[0]
+    if action <= (n_max + 0.5) * math.pi * problem.context.hbar:
         raise SpectrumError(f"the well holds fewer than {n_max + 1} levels below its rim")
-    bracket = (v_min + 1e-9 * span, top.energy)
-    return [quantize(problem, n, bracket) for n in range(n_max + 1)]
+    # The action vanishes at the bottom of the well; trial energies lie strictly inside.
+    return _levels(problem, range(n_max + 1), (v_min, top.energy), (0.0, action)).tolist()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from semiclassic import cli
@@ -328,3 +329,120 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC:")
         assert "log10|A| = 253." in err
+
+    def test_patched_wave_overflow_exit_4(self, capsys):
+        # sigma* ~ 1.4e4: e^sigma* overflows a float.
+        code = run_cli(
+            [
+                "wavefunction", "--form=square", "--height=1000000", "--width=1",
+                "--x-min=-1", "--x-max=14", "--mass=100", "--energy=1",
+                "--method=connection",
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_NUMERIC:")
+        assert "sigma* = 14142.1" in err
+
+
+#: The four barriers of the benchmark, with m = 4.
+BARRIER_FORMS = {
+    "eckart": ["--form=eckart", "--height=1", "--width=1", "--x-min=-14", "--x-max=14"],
+    "gaussian": ["--form=gaussian", "--amplitude=1", "--width=1", "--x-min=-8", "--x-max=8"],
+    "square": ["--form=square", "--height=1", "--width=2", "--x-min=-8", "--x-max=8"],
+    "parabolic": ["--form=parabolic", "--height=1", "--curvature=1", "--x-min=-3", "--x-max=3"],
+}
+
+
+class TestBatchedScan:
+    """Scans solve all their energies at once; each row is what one energy gives."""
+
+    def _rows(self, tmp_path, args):
+        out = tmp_path / "rows.csv"
+        assert run_cli([*args, "--mass=4", f"--output={out}"]) == 0
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("method", ["wkb", "wkb-corrected", "connection"])
+    @pytest.mark.parametrize("form", sorted(BARRIER_FORMS))
+    def test_scan_rows_match_single_energies(self, tmp_path, form, method):
+        scan = self._rows(
+            tmp_path,
+            ["scan", *BARRIER_FORMS[form], f"--method={method}",
+             "--e-min=0.2", "--e-max=0.8", "--steps=12"],
+        )
+        for row in scan[1:]:
+            energy = row.split(",")[0]
+            one = self._rows(
+                tmp_path,
+                ["transmission", *BARRIER_FORMS[form], f"--method={method}", f"--energy={energy}"],
+            )
+            assert one == [scan[0], row]
+
+    def test_scan_longer_than_a_block(self, tmp_path, monkeypatch):
+        from semiclassic.potential import ScatteringProblem
+
+        blocks = []
+        v = ScatteringProblem.v
+        monkeypatch.setattr(
+            ScatteringProblem, "v", lambda p, x: blocks.append(np.ndim(x) == 3) or v(p, x)
+        )
+        scan = self._rows(
+            tmp_path,
+            ["scan", *BARRIER_FORMS["eckart"], "--method=wkb-corrected",
+             "--e-min=0.05", "--e-max=0.95", "--steps=100"],
+        )
+        assert sum(blocks) >= 2  # the opacity sum took more than one block
+        monkeypatch.setattr(ScatteringProblem, "v", v)
+        for row in scan[1::9]:
+            one = self._rows(
+                tmp_path,
+                ["transmission", *BARRIER_FORMS["eckart"], "--method=wkb-corrected",
+                 f"--energy={row.split(',')[0]}"],
+            )
+            assert one[1] == row
+
+    @pytest.mark.parametrize("method", ["wkb", "wkb-corrected", "connection"])
+    def test_scan_over_the_top_fails_as_one_energy_would(self, capsys, method):
+        code = run_cli(
+            ["scan", *BARRIER_FORMS["eckart"], f"--method={method}",
+             "--e-min=0.5", "--e-max=1.5", "--steps=5"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "E_NO_BARRIER: barrier integral needs 2 turning points, found 1 "
+            "(E >= max V or no barrier in the domain)\n"
+        )
+
+    def test_scan_of_a_well_fails_as_one_energy_would(self, capsys):
+        code = run_cli(
+            ["scan", "--form=harmonic", "--stiffness=1", "--method=wkb",
+             "--e-min=0.5", "--e-max=1", "--steps=3"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "E_NO_BARRIER: interval between turning points is classically allowed; "
+            "this is a well, not a barrier\n"
+        )
+
+    @pytest.mark.parametrize("form, most", [("eckart", 50), ("square", 120)])
+    def test_scan_evaluates_v_few_times(self, tmp_path, monkeypatch, form, most):
+        from semiclassic.potential import ScatteringProblem
+
+        calls = []
+        v = ScatteringProblem.v
+        monkeypatch.setattr(ScatteringProblem, "v", lambda p, x: calls.append(1) or v(p, x))
+        self._rows(
+            tmp_path,
+            ["scan", *BARRIER_FORMS[form], "--method=wkb",
+             "--e-min=0.2", "--e-max=0.8", "--steps=12"],
+        )
+        assert len(calls) <= most
+
+    def test_eckart_far_tails_are_quiet(self, capsys):
+        # |x - c| / d reaches 1400, where cosh overflows to inf and V is 0.
+        code = run_cli(
+            ["transmission", "--form=eckart", "--height=1", "--width=0.01", "--energy=0.5",
+             "--x-min=-14", "--x-max=14", "--method=wkb"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ class TestEvaluate:
         np.testing.assert_allclose(
             evaluate(HarmonicWell(stiffness=2.0), xs), xs * xs
         )
+
+    def test_eckart_far_tails_without_warnings(self):
+        # At |u| = 1e4, cosh(u) overflows to inf and V, V', V'' are exactly 0.
+        model = EckartBarrier(height=1.0, width=0.5, center=0.3)
+        xs = np.array([0.3 - 0.5e4, 0.3 + 0.5e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (model.value, model.derivative, model.second_derivative):
+                assert np.all(f(xs) == 0.0)
+                assert f(float(xs[1])) == 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,14 @@
 """Randomised invariants: turning points, the phase accumulator, quantization,
-the banded Numerov oracle against the point-by-point recurrence, its bound
-states against node-count bisection, and the over-barrier reflection sums
-against adaptive quadrature.
+batched scans and levels against the per-energy route (brentq per monotone
+piece, each half span accumulated alone), the banded Numerov oracle against
+the point-by-point recurrence, its bound states against node-count
+bisection, and the over-barrier reflection sums against adaptive quadrature.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
-stays deterministic.  Barriers are Eckart, parabolic and Gaussian with random
-height, width, centre, m and hbar; energies are drawn from the bulk of the
-barrier and from within 1e-8 of its top.  The oracle properties draw Eckart,
+stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
+square, for scans) with random height, width, centre, m and hbar; energies
+are drawn from the bulk of the barrier and from within 1e-8 of its top.  The
+oracle properties draw Eckart,
 Gaussian and square barriers with energies below and above the top, and
 harmonic and Gaussian wells on domains off centre.  The reflection
 properties draw weak Gaussian and Eckart bumps far below E.
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from semiclassic import (
     DomainError,
@@ -41,12 +44,14 @@ from semiclassic import (
     find_turning_points,
     matrix_element,
     once_reflected_coefficient,
+    opacities,
     phase_transform,
     quantize_levels,
     solve_bound_states_exact,
     solve_scattering_exact,
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
+from semiclassic.potential import _knots, _turning_points
 from semiclassic.wkb_core import _accumulate
 
 #: The reference quadratures below ask for more than rounding allows near the top.
@@ -179,6 +184,102 @@ def test_harmonic_levels_are_half_integer_quanta(stiffness, mass, hbar, n_max):
     for n, e in enumerate(quantize_levels(problem, n_max)):
         exact = (n + 0.5) * hbar * omega
         assert abs(e - exact) <= 1e-8 * exact
+
+
+def reference_turning_points(problem):
+    """The roots of V - E one energy at a time, by brentq on each monotone
+    piece between the extrema of V: the reference for the batched solve."""
+    knots, e = _knots(problem), problem.energy
+    roots = []
+    for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+        if v0 == e:
+            roots.append(x0)
+        elif (v0 - e) * (v1 - e) < 0.0:
+            xtol = 4e-16 * max(1.0, abs(x0), abs(x1))
+            roots.append(brentq(lambda x: problem.v(x) - e, x0, x1, xtol=xtol))
+    if knots[-1][1] == e:
+        roots.append(knots[-1][0])
+    return roots
+
+
+def reference_between(problem, a, b, forbidden=False):
+    """integral of sqrt(2m|E - V|) from turning point a to turning point b,
+    each half accumulated from its own turning point on its own."""
+    mid = 0.5 * (a + b)
+    return (
+        _accumulate(problem, a, [mid], turning=True, forbidden=forbidden)[-1]
+        + _accumulate(problem, b, [mid], turning=True, forbidden=forbidden)[-1]
+    )
+
+
+@st.composite
+def scans(draw):
+    """(problem, energies, near_top): a random Eckart, parabolic, Gaussian or
+    square barrier on a shifted domain, with the energies of a scan in the
+    bulk of the barrier or within 1e-8 of its top."""
+    form = draw(st.sampled_from(["eckart", "parabolic", "gaussian", "square"]))
+    height, width = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    center = draw(st.floats(-2.0, 2.0))
+    context = PhysicalContext(mass=draw(st.floats(0.5, 8.0)), hbar=draw(st.floats(0.3, 1.5)))
+    if form == "eckart":
+        potential, reach = EckartBarrier(height=height, width=width, center=center), 14.0 * width
+    elif form == "parabolic":
+        potential = ParabolicBarrier(height=height, curvature=width, center=center)
+        reach = 1.5 * math.sqrt(2.0 * height / width)
+    elif form == "gaussian":
+        potential, reach = GaussianBump(amplitude=height, width=width, center=center), 10.0 * width
+    else:
+        potential = SquareBarrier(height=height, width=width, center=center)
+        reach = 0.5 * width + 4.0
+    shift = draw(st.floats(-0.2, 0.2)) * reach
+    near_top = draw(st.booleans())
+    fractions = FRACTIONS.filter(lambda f: (f > 0.95) == near_top)
+    energies = height * np.array(draw(st.lists(fractions, min_size=1, max_size=12)))
+    problem = ScatteringProblem(
+        potential=potential,
+        energy=0.0,
+        domain=(center - reach + shift, center + reach + shift),
+        context=context,
+    )
+    return problem, energies, near_top
+
+
+@PROPERTY
+@given(scans())
+def test_batched_scan_matches_per_energy_route(case):
+    problem, energies, near_top = case
+    a, b, count = _turning_points(problem, energies)
+    sigma = opacities(problem, energies)
+    v_top = max(v for _, v in _knots(problem))
+    for i, e in enumerate(energies):
+        one = dataclasses.replace(problem, energy=float(e))
+        ref = reference_turning_points(one)
+        assert count[i] == len(ref) == 2
+        for found, exact in zip((a[i], b[i]), ref):
+            # Near the top, V rounded to a few ulps moves a root by that over |V'|.
+            slope = abs(problem.dv(exact))
+            noise = 8e-16 * v_top / slope if slope else 0.0
+            assert abs(found - exact) <= 1e-13 * max(1.0, abs(exact)) + noise
+        ref_sigma = reference_between(one, *ref, forbidden=True) / problem.context.hbar
+        assert sigma[i] == pytest.approx(ref_sigma, rel=1e-6 if near_top else 1e-13)
+
+
+@PROPERTY
+@given(scans(), st.data())
+def test_rows_do_not_depend_on_their_batch(case, data):
+    problem, energies, _ = case
+    order = np.array(data.draw(st.permutations(range(len(energies)))))
+    part = order[: data.draw(st.integers(1, len(order)))]
+    whole = opacities(problem, energies)
+    a, b, _ = _turning_points(problem, energies)
+    for rows in (order, part):
+        assert np.array_equal(opacities(problem, energies[rows]), whole[rows])
+        a_rows, b_rows, _ = _turning_points(problem, energies[rows])
+        assert np.array_equal(a_rows, a[rows]) and np.array_equal(b_rows, b[rows])
+    for i, e in enumerate(energies):
+        tp = find_turning_points(dataclasses.replace(problem, energy=float(e)))
+        assert (tp.a, tp.b) == (a[i], b[i])
+        assert barrier_integral(dataclasses.replace(problem, energy=float(e))) == whole[i]
 
 
 def numerov_loop_transmission(problem, grid_points=20001):
@@ -316,6 +417,30 @@ def wells(draw):
 
 
 WELL_GRID = OracleConfig(grid_points=3001)
+
+
+def reference_levels(problem, n_max):
+    """Each WKB level alone, by brentq on the action through the per-energy
+    turning points, over the whole well: the reference for quantize_levels."""
+    vs = [v for _, v in _knots(problem)]
+    v_min, rim = min(vs), min(vs[0], vs[-1])
+    lo, hi = v_min + 1e-9 * (rim - v_min), rim - 1e-9 * (rim - v_min)
+
+    def residual(e, n):
+        one = dataclasses.replace(problem, energy=e)
+        return reference_between(one, *reference_turning_points(one)) - (
+            (n + 0.5) * math.pi * problem.context.hbar
+        )
+
+    return [brentq(residual, lo, hi, args=(n,), xtol=4e-16 * (hi - lo)) for n in range(n_max + 1)]
+
+
+@PROPERTY
+@given(wells())
+def test_wkb_levels_match_per_level_route(problem):
+    assert quantize_levels(problem, 2) == pytest.approx(reference_levels(problem, 2), rel=1e-12)
+
+
 
 
 @PROPERTY

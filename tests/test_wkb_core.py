@@ -302,13 +302,15 @@ class TestQuantize:
         quantize_levels(problem_for(HarmonicWell(stiffness=1.0), 0.0, (-6.0, 6.0)), 3)
         assert knot_scans() == 1
 
-    def test_levels_action_evaluations(self, monkeypatch):
-        # One check below the rim, then four brentq trials per level.
+    def test_levels_share_action_sums(self, monkeypatch):
+        # One sum just below the rim, then one sum over both levels per step
+        # of the shared root solver (the action is 0 at the bottom of the well,
+        # so that end costs none).
         calls = []
         between = wkb_core._between
         monkeypatch.setattr(wkb_core, "_between", lambda *a, **k: calls.append(1) or between(*a, **k))
         quantize_levels(problem_for(HarmonicWell(stiffness=1.0), 0.0, (-6.0, 6.0)), 1)
-        assert len(calls) == 9
+        assert len(calls) == 3
 
     def test_level_to_relative_precision(self):
         # A level near E = 0 solves its action condition to rounding, not to
