@@ -91,31 +91,33 @@ def _load_config_file(path: str) -> dict:
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _get_float(sections: dict, section: str, key: str, override, default=None):
-    if override is not None:
-        return float(override)
+#: Default of a setting that must be given.
+_REQUIRED = object()
+
+_KIND_NAMES = {float: "a number", int: "an integer"}
+
+
+def _setting(sections: dict, section: str, key: str, flag=None, default=_REQUIRED, kind=float):
+    """The flag if given, else ``[section] key`` read as ``kind``, else the default."""
+    if flag is not None:
+        return flag
     raw = sections.get(section, {}).get(key)
     if raw is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required field [{section}] {key}")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field [{section}] {key}")
+        return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(
-            f"field [{section}] {key}: {raw!r} is not a number"
+            f"field [{section}] {key}: {raw!r} is not {_KIND_NAMES[kind]}"
         ) from exc
 
 
 def _build_potential(sections: dict, args):
-    form = args.form or sections.get("potential", {}).get("form")
-    if form is None:
-        raise ConfigError("missing required field [potential] form")
-    form = form.strip().lower()
+    form = _setting(sections, "potential", "form", args.form, kind=str).strip().lower()
     if form == "tabulated":
-        path = args.table_file or sections.get("potential", {}).get("file")
-        if path is None:
-            raise ConfigError("tabulated potential needs [potential] file")
+        path = _setting(sections, "potential", "file", args.table_file, kind=str)
         try:
             data = np.loadtxt(path)
         except Exception as exc:
@@ -131,26 +133,26 @@ def _build_potential(sections: dict, args):
             f"{sorted(_FORMS) + ['tabulated']}"
         )
     cls = _FORMS[form]
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        default = None if f.default is dataclasses.MISSING else f.default
-        override = getattr(args, f.name, None)
-        kwargs[f.name] = _get_float(sections, "potential", f.name, override, default)
-    return cls(**kwargs)
+    return cls(**{
+        f.name: _setting(
+            sections, "potential", f.name, getattr(args, f.name),
+            _REQUIRED if f.default is dataclasses.MISSING else f.default,
+        )
+        for f in dataclasses.fields(cls)
+    })
 
 
 def _build_problem(sections: dict, args, need_energy: bool = True):
     context = PhysicalContext(
-        mass=_get_float(sections, "context", "mass", args.mass, 1.0),
-        hbar=_get_float(sections, "context", "hbar", args.hbar, 1.0),
+        mass=_setting(sections, "context", "mass", args.mass, 1.0),
+        hbar=_setting(sections, "context", "hbar", args.hbar, 1.0),
     )
     potential = _build_potential(sections, args)
-    if need_energy:
-        energy = _get_float(sections, "problem", "energy", args.energy)
-    else:
-        energy = _get_float(sections, "problem", "energy", args.energy, 0.0)
-    x_min = _get_float(sections, "problem", "x_min", args.x_min, -10.0)
-    x_max = _get_float(sections, "problem", "x_max", args.x_max, 10.0)
+    energy = _setting(
+        sections, "problem", "energy", args.energy, _REQUIRED if need_energy else 0.0
+    )
+    x_min = _setting(sections, "problem", "x_min", args.x_min, -10.0)
+    x_max = _setting(sections, "problem", "x_max", args.x_max, 10.0)
     try:
         return ScatteringProblem(
             potential=potential, energy=energy, domain=(x_min, x_max), context=context
@@ -160,36 +162,22 @@ def _build_problem(sections: dict, args, need_energy: bool = True):
 
 
 def _build_oracle(sections: dict, args) -> exact_oracle.OracleConfig:
-    grid = args.grid_points
-    if grid is None:
-        raw = sections.get("oracle", {}).get("grid_points")
-        grid = int(raw) if raw is not None else 20001
-    v_eps_raw = sections.get("oracle", {}).get("v_eps")
-    v_eps = float(v_eps_raw) if v_eps_raw is not None else 1e-10
-    margin_raw = sections.get("oracle", {}).get("match_margin")
-    margin = float(margin_raw) if margin_raw is not None else None
+    grid = _setting(sections, "oracle", "grid_points", args.grid_points, 20001, int)
+    margin = _setting(sections, "oracle", "match_margin", default=None)
+    v_eps = _setting(sections, "oracle", "v_eps", default=1e-10)
     try:
-        return exact_oracle.OracleConfig(
-            grid_points=int(grid), match_margin=margin, v_eps=v_eps
-        )
+        return exact_oracle.OracleConfig(grid_points=grid, match_margin=margin, v_eps=v_eps)
     except SemiclassicError as exc:
         raise ConfigError(f"invalid oracle config: {exc}") from exc
 
 
 def _build_scan(sections: dict, args):
-    e_min = args.e_min
-    e_max = args.e_max
-    steps = args.steps
-    scan_section = sections.get("scan", {})
-    if e_min is None and "e_min" in scan_section:
-        e_min = float(scan_section["e_min"])
-    if e_max is None and "e_max" in scan_section:
-        e_max = float(scan_section["e_max"])
-    if steps is None and "steps" in scan_section:
-        steps = int(scan_section["steps"])
+    e_min, e_max, steps = (
+        _setting(sections, "scan", key, getattr(args, key), None, kind)
+        for key, kind in (("e_min", float), ("e_max", float), ("steps", int))
+    )
     if e_min is None or e_max is None or steps is None:
         raise ConfigError("scan needs e_min, e_max and steps ([scan] or flags)")
-    e_min, e_max, steps = float(e_min), float(e_max), int(steps)
     if steps < 2:
         raise ConfigError(f"scan steps must be >= 2, got {steps}")
     if not e_min < e_max:
@@ -198,12 +186,8 @@ def _build_scan(sections: dict, args):
 
 
 def _output_options(sections: dict, args):
-    path = args.output
-    if path is None:
-        path = sections.get("output", {}).get("path")
-    fmt = args.format
-    if fmt is None:
-        fmt = sections.get("output", {}).get("format", "csv")
+    path = _setting(sections, "output", "path", args.output, None, str)
+    fmt = _setting(sections, "output", "format", args.format, "csv", str)
     if fmt not in ("csv", "structured-text"):
         raise ConfigError(f"unknown output format {fmt!r}")
     return path, fmt
@@ -268,63 +252,40 @@ def _compute_rows(config: RunConfig, energies) -> list:
     return [one(e) for e in energies]
 
 
-def _rows_to_csv(rows: list, columns: list) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            cells.append(value if isinstance(value, str) else format_float(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+_TRANSMISSION_COLUMNS = ["E", "T", "R", "sigma_star", "method"]
+_REFLECTION_COLUMNS = ["E", "re_R", "im_R", "R_squared", "method"]
 
 
-def _rows_to_text(rows: list, columns: list) -> str:
-    blocks = []
-    for row in rows:
-        lines = []
-        for col in columns:
-            value = row[col]
-            text = value if isinstance(value, str) else format_float(value)
-            lines.append(f"{col} = {text}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _emit(config: RunConfig, rows: list, columns: list) -> None:
-    if config.output_format == "csv":
-        payload = _rows_to_csv(rows, columns)
-    else:
-        payload = _rows_to_text(rows, columns)
-    if config.output_path:
-        with open(config.output_path, "w", newline="\n") as fh:
+def _write(path, payload: str) -> None:
+    if path:
+        with open(path, "w", newline="\n") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
+def _emit(config: RunConfig, rows: list, columns: list) -> None:
+    cells = [
+        [row[c] if isinstance(row[c], str) else format_float(row[c]) for c in columns]
+        for row in rows
+    ]
+    if config.output_format == "csv":
+        payload = "\n".join(",".join(line) for line in [columns, *cells])
+    else:
+        payload = "\n\n".join(
+            "\n".join(f"{col} = {v}" for col, v in zip(columns, line)) for line in cells
+        )
+    _write(config.output_path, payload + "\n")
+
+
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    if config.command == "transmission":
-        rows = _compute_rows(config, [config.problem.energy])
-        cols = (
-            ["E", "re_R", "im_R", "R_squared", "method"]
-            if config.method in REFLECTION_METHODS
-            else ["E", "T", "R", "sigma_star", "method"]
-        )
-        _emit(config, rows, cols)
-        return 0
-
-    if config.command == "scan":
-        e_min, e_max, steps = config.scan
-        energies = np.linspace(e_min, e_max, steps)
+    if config.command in ("transmission", "scan"):
+        # A transmission is the scan of one energy.
+        energies = np.linspace(*config.scan) if config.scan else [config.problem.energy]
         rows = _compute_rows(config, energies)
-        cols = (
-            ["E", "re_R", "im_R", "R_squared", "method"]
-            if config.method in REFLECTION_METHODS
-            else ["E", "T", "R", "sigma_star", "method"]
-        )
-        _emit(config, rows, cols)
+        reflection_method = config.method in REFLECTION_METHODS
+        _emit(config, rows, _REFLECTION_COLUMNS if reflection_method else _TRANSMISSION_COLUMNS)
         return 0
 
     if config.command == "bound-states":
@@ -348,25 +309,11 @@ def run(config: RunConfig) -> int:
             table = connection.patched_barrier_solution(
                 config.problem, outgoing_amplitude=config.outgoing_amplitude
             )
-        if config.output_path:
-            table.to_csv(config.output_path)
-        else:
-            sys.stdout.write(table.csv_string())
+        _write(config.output_path, table.csv_string())
         return 0
 
     if config.command == "airy":
-        rows = []
-        for z in config.z_values:
-            pair = special_fn.airy(z)
-            rows.append(
-                {
-                    "z": z,
-                    "ai": pair.ai,
-                    "bi": pair.bi,
-                    "ai_prime": pair.ai_prime,
-                    "bi_prime": pair.bi_prime,
-                }
-            )
+        rows = [{"z": z, **dataclasses.asdict(special_fn.airy(z))} for z in config.z_values]
         _emit(config, rows, ["z", "ai", "bi", "ai_prime", "bi_prime"])
         return 0
 
@@ -375,8 +322,7 @@ def run(config: RunConfig) -> int:
         results.append(verify.criterion_9_determinism(results))
         sys.stdout.write(verify.format_table(results) + "\n")
         if config.output_path:
-            with open(config.output_path, "w", newline="\n") as fh:
-                fh.write(verify.emit_csv(results))
+            _write(config.output_path, verify.emit_csv(results))
         return 0 if all(r.passed for r in results) else 4
 
     raise ConfigError(f"unknown command {config.command!r}")  # pragma: no cover
@@ -461,40 +407,36 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     command = args.command
+    if command == "verify":
+        return RunConfig(command=command, output_path=args.output)
+    sections = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    output_path, output_format = _output_options(sections, args)
     if command == "airy":
         return RunConfig(
             command=command,
-            output_path=args.output,
-            output_format=args.format or "csv",
+            output_path=output_path,
+            output_format=output_format,
             z_values=tuple(args.z),
         )
-    if command == "verify":
-        return RunConfig(command=command, output_path=args.output)
 
-    sections = _load_config_file(args.config) if args.config else {}
-    output_path, output_format = _output_options(sections, args)
     oracle = _build_oracle(sections, args)
-
-    need_energy = command in ("transmission", "wavefunction")
-    problem = _build_problem(sections, args, need_energy=need_energy)
-
-    config = RunConfig(
+    problem = _build_problem(
+        sections, args, need_energy=command in ("transmission", "wavefunction")
+    )
+    n_max = getattr(args, "n_max", 3)
+    if n_max < 0:
+        raise ConfigError(f"--n-max must be >= 0, got {n_max}")
+    return RunConfig(
         command=command,
         problem=problem,
-        method=getattr(args, "method", "wkb-corrected"),
+        method=args.method,
+        scan=_build_scan(sections, args) if command == "scan" else None,
         output_path=output_path,
         output_format=output_format,
         oracle=oracle,
+        n_max=n_max,
+        outgoing_amplitude=getattr(args, "outgoing_amplitude", 1.0),
     )
-    if command == "scan":
-        config.scan = _build_scan(sections, args)
-    if command == "bound-states":
-        if args.n_max < 0:
-            raise ConfigError(f"--n-max must be >= 0, got {args.n_max}")
-        config.n_max = args.n_max
-    if command == "wavefunction":
-        config.outgoing_amplitude = args.outgoing_amplitude
-    return config
 
 
 def main(argv=None) -> int:

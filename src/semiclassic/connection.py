@@ -192,10 +192,15 @@ def region_one_amplitudes(sigma_star: float, outgoing_amplitude=1.0):
     transmitted current, whatever sigma*.
     """
     b = complex(outgoing_amplitude)
-    ep = math.exp(sigma_star)
-    em = 0.25 * math.exp(-sigma_star)
+    try:
+        ep = math.exp(sigma_star)
+        em = 0.25 * math.exp(-sigma_star)
+    except OverflowError as exc:
+        raise _overflow(sigma_star, "amplitudes") from exc
     inc = -2.0j * b * (ep + em) * cmath.exp(0.25j * math.pi)
     ref = -2.0j * b * (ep - em) * cmath.exp(-0.25j * math.pi)
+    if not (cmath.isfinite(inc) and cmath.isfinite(ref)):
+        raise _overflow(sigma_star, "amplitudes")
     return inc, ref
 
 
@@ -208,12 +213,21 @@ def barrier_currents(
     (e^{sigma*} +/- e^{-sigma*}/4)^2 hbar/m.
     """
     scale = abs(complex(outgoing_amplitude)) ** 2 * context.hbar / context.mass
-    ep = math.exp(sigma_star)
-    em = 0.25 * math.exp(-sigma_star)
-    return (
-        4.0 * scale * (ep + em) ** 2,
-        4.0 * scale * (ep - em) ** 2,
-        4.0 * scale,
+    try:
+        ep = math.exp(sigma_star)
+        em = 0.25 * math.exp(-sigma_star)
+        j_inc, j_ref = 4.0 * scale * (ep + em) ** 2, 4.0 * scale * (ep - em) ** 2
+    except OverflowError as exc:
+        raise _overflow(sigma_star, "currents") from exc
+    if not math.isfinite(j_inc):
+        raise _overflow(sigma_star, "currents")
+    return j_inc, j_ref, 4.0 * scale
+
+
+def _overflow(sigma_star: float, what: str) -> NumericalError:
+    return NumericalError(
+        f"opacity sigma* = {sigma_star:g} is too large for the region-I {what}: "
+        "they overflow a float"
     )
 
 
@@ -303,7 +317,7 @@ def patched_barrier_solution(
             f"patched solution needs a barrier with 2 turning points, found {tp.count}"
         )
     b_amp = complex(outgoing_amplitude)
-    sigma_star = barrier_integral(problem, tp)
+    sigma_star = barrier_integral(problem)
     if sigma_star > _LN_FLOAT_MAX:
         raise NumericalError(
             f"opacity sigma* = {sigma_star:g} is too large for the patched wave: "
@@ -314,7 +328,7 @@ def patched_barrier_solution(
         xs = _default_grid(problem, tp, n_per_region)
     else:
         xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
-        assert_outside_exclusion(problem, xs, tp=tp)
+        assert_outside_exclusion(problem, xs)
 
     m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
     left = xs[xs < tp.a]

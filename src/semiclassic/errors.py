@@ -14,9 +14,6 @@ class SemiclassicError(Exception):
     code = "E_FAIL"
     exit_code = 4
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return super().__str__()
-
 
 class ConfigError(SemiclassicError):
     """Malformed or inconsistent run configuration."""
@@ -93,21 +90,14 @@ class BracketError(SemiclassicError):
 
 
 class RangeError(SemiclassicError):
-    """Argument outside the validated range of an evaluation routine."""
+    """Argument outside the range where an evaluation routine is accurate or
+    validated."""
 
     code = "E_RANGE"
 
 
-class AccuracyError(SemiclassicError):
-    """Requested evaluation point is outside the accurate regime."""
-
-    code = "E_ACCURACY"
-
-
-class ValidationRangeError(SemiclassicError):
-    """Argument outside the range a validation-only routine supports."""
-
-    code = "E_VALIDATION_RANGE"
+#: Former names of :class:`RangeError`, kept for the callers that import them.
+AccuracyError = ValidationRangeError = RangeError
 
 
 class PoleError(SemiclassicError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, RegimeError
-from .potential import PhysicalContext, ScatteringProblem, _knots, find_turning_points
+from .potential import PhysicalContext, ScatteringProblem, _knots
 from .wkb_core import (
     _GL_WEIGHTS,
     _accumulate,
@@ -135,9 +135,7 @@ def differential_reflection(problem: ScatteringProblem, x: float) -> float:
         raise DomainError(
             f"differential reflection needs the allowed region; E <= V at x = {x:g}"
         )
-    tp = find_turning_points(problem)
-    if tp.count:
-        assert_outside_exclusion(problem, [x], tp=tp)
+    assert_outside_exclusion(problem, [x])
     p2 = 2.0 * m * (e - v)
     return -m * problem.dv(x) / (2.0 * p2)
 

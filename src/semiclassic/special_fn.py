@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from scipy import integrate
 
-from .errors import AccuracyError, DomainError, RangeError, ValidationRangeError
+from .errors import DomainError, RangeError
 
 __all__ = [
     "AiryPair",
@@ -192,7 +192,7 @@ def airy_asymptotic(z: float) -> AiryPair:
     """
     z = float(z)
     if abs(z) < 3.0:
-        raise AccuracyError(
+        raise RangeError(
             f"airy_asymptotic: |z| = {abs(z):g} < 3 is outside the accurate "
             "regime; use the series evaluator"
         )
@@ -224,20 +224,6 @@ def airy_asymptotic(z: float) -> AiryPair:
     bi = (-s * ue + c * uo) / (sqrt_pi * q)
     bip = q * (c * ve + s * vo) / sqrt_pi
     return AiryPair(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip)
-
-
-def _bessel_i_series(nu: float, x: float) -> float:
-    """Ascending series for I_nu(x), x >= 0 (meant for x <= ~12)."""
-    t = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    total = t
-    x2 = 0.25 * x * x
-    k = 0
-    while True:
-        k += 1
-        t = t * x2 / (k * (k + nu))
-        total += t
-        if abs(t) < 1e-18 * abs(total) or k > 300:
-            return total
 
 
 def _bessel_i_diff_plus_mp(numerator: int, x: float) -> tuple[float, float]:
@@ -296,22 +282,16 @@ def airy_bessel_form(z: float) -> AiryPair:
 
     Ai(z) = (sqrt(z)/3)[I_{-1/3}(zeta) - I_{1/3}(zeta)],
     Bi(z) = sqrt(z/3) [I_{-1/3}(zeta) + I_{1/3}(zeta)], zeta = (2/3)z^(3/2).
-    Derivatives use the analogous order-2/3 combinations.  I_nu comes from
-    its ascending series for zeta <= 12 and from its exponential asymptotic
-    series beyond.
+    Derivatives use the analogous order-2/3 combinations.  For zeta <= 12
+    each combination I_{-nu} -/+ I_nu is one ascending series summed in
+    mpmath with guard digits; beyond, it comes from the exponential
+    asymptotic series.
     """
     z = float(z)
     if z <= 0.0:
         raise DomainError("airy_bessel_form: representation valid for z > 0 only")
     zeta = (2.0 / 3.0) * z**1.5
-    if zeta <= 3.0:
-        im13 = _bessel_i_series(-1.0 / 3.0, zeta)
-        ip13 = _bessel_i_series(1.0 / 3.0, zeta)
-        diff13, plus13 = im13 - ip13, im13 + ip13
-        im23 = _bessel_i_series(-2.0 / 3.0, zeta)
-        ip23 = _bessel_i_series(2.0 / 3.0, zeta)
-        diff23, plus23 = im23 - ip23, im23 + ip23
-    elif zeta <= 12.0:
+    if zeta <= 12.0:
         diff13, plus13 = _bessel_i_diff_plus_mp(1, zeta)
         diff23, plus23 = _bessel_i_diff_plus_mp(2, zeta)
     else:
@@ -336,7 +316,7 @@ def airy_laplace_contour(z: float) -> float:
     """
     z = float(z)
     if abs(z) > 2.0:
-        raise ValidationRangeError(
+        raise RangeError(
             f"airy_laplace_contour: |z| = {abs(z):g} > 2 is outside the "
             "validation range"
         )

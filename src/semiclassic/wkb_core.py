@@ -111,12 +111,9 @@ class TransmissionReport:
             )
 
 
-def assert_outside_exclusion(
-    problem: ScatteringProblem, xs, tp: TurningPoints | None = None
-) -> TurningPoints:
+def assert_outside_exclusion(problem: ScatteringProblem, xs) -> TurningPoints:
     """Raise if any x lies within one Airy length of a turning point."""
-    if tp is None:
-        tp = find_turning_points(problem)
+    tp = find_turning_points(problem)
     points = [p for p in (tp.a, tp.b) if p is not None]
     xa = np.atleast_1d(np.asarray(xs, dtype=float))
     for x_c in points:
@@ -260,15 +257,13 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
     return sign * val
 
 
-def barrier_integral(
-    problem: ScatteringProblem, tp: TurningPoints | None = None
-) -> float:
+def barrier_integral(problem: ScatteringProblem) -> float:
     """Opacity sigma* = (1/hbar) integral_a^b sqrt(2m(V - E)) dx.
 
     Requires a genuine barrier: two turning points with E < V between them.
     The batch of one of :func:`opacities`: the same checks and sum.
     """
-    tp = find_turning_points(problem) if tp is None else tp
+    tp = find_turning_points(problem)
     return float(_opacities(problem, problem.energy, tp.a, tp.b, tp.count)[0])
 
 
@@ -362,7 +357,7 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
 
     xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
     tp = assert_outside_exclusion(problem, xs)
-    assert_outside_exclusion(problem, [x0], tp=tp)
+    assert_outside_exclusion(problem, [x0])
 
     span_lo = min(float(xs[0]), x0)
     span_hi = max(float(xs[-1]), x0)

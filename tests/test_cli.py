@@ -446,3 +446,24 @@ class TestBatchedScan:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+class TestMalformedConfigValues:
+    """A config value of the wrong type is a config error, not an internal one."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, flags",
+        [
+            ("oracle", "grid_points", "abc", ["--steps=3", "--method=exact"]),
+            ("oracle", "v_eps", "tiny", ["--steps=3", "--method=exact"]),
+            ("scan", "steps", "ten", []),
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, section, key, value, flags):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        args = ["scan", f"--config={cfg}", *BARRIER_FORMS["eckart"], "--e-min=0.1", "--e-max=0.5"]
+        assert run_cli([*args, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:")
+        assert f"[{section}] {key}: {value!r}" in err

@@ -13,6 +13,7 @@ from semiclassic import (
     LinearRamp,
     LinearizationError,
     Method,
+    NumericalError,
     PhysicalContext,
     ScatteringProblem,
     TurningPointProximityError,
@@ -343,3 +344,23 @@ class TestAiryLocalSolution:
         problem = self.ramp_problem()
         with pytest.raises(DomainError):
             airy_local_solution(problem, -1.0, [0.0], solution="ci")
+
+
+class TestRegionOneOverflow:
+    """Where e^{sigma*} or its square overflows a float, the closed forms
+    raise NumericalError naming sigma*, not a bare OverflowError."""
+
+    @pytest.mark.parametrize("sigma", [355.0, 710.0, 800.0])
+    def test_barrier_currents(self, sigma):
+        with pytest.raises(NumericalError, match=f"sigma\\* = {sigma:g}"):
+            barrier_currents(sigma)
+
+    @pytest.mark.parametrize("sigma", [710.0, 800.0])
+    def test_region_one_amplitudes(self, sigma):
+        with pytest.raises(NumericalError, match=f"sigma\\* = {sigma:g}"):
+            region_one_amplitudes(sigma)
+
+    def test_below_the_overflow_is_finite(self):
+        j_inc, j_ref, j_out = barrier_currents(354.0)
+        assert math.isfinite(j_inc) and j_out == 4.0
+        assert all(cmath.isfinite(a) for a in region_one_amplitudes(700.0))
