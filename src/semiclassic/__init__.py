@@ -100,6 +100,7 @@ from .exact_oracle import (
     OracleConfig,
     analytic_eckart_transmission,
     analytic_square_barrier_transmission,
+    scan_scattering_exact,
     solve_bound_states_exact,
     solve_scattering_exact,
     unitarity_defect,

@@ -242,14 +242,13 @@ def _compute_rows(config: RunConfig, energies) -> list:
             for e, s in zip(energies, sigmas)
         ]
 
-    def one(e: float) -> dict:
-        problem = dataclasses.replace(config.problem, energy=float(e))
-        if method in REFLECTION_METHODS:
-            return _reflection_row(problem, method)
-        report = exact_oracle.solve_scattering_exact(problem, config.oracle)
-        return _transmission_row(problem.energy, report, method)
-
-    return [one(e) for e in energies]
+    if method == "exact":
+        reports = exact_oracle.scan_scattering_exact(config.problem, energies, config.oracle)
+        return [_transmission_row(float(e), r, method) for e, r in zip(energies, reports)]
+    return [
+        _reflection_row(dataclasses.replace(config.problem, energy=float(e)), method)
+        for e in energies
+    ]
 
 
 _TRANSMISSION_COLUMNS = ["E", "T", "R", "sigma_star", "method"]

@@ -16,16 +16,21 @@ Numerov's method).  LAPACK's ``dtbtrs`` solves it by the same substitution as
 the recurrence, in compiled code: one call per energy, the leftward sweep
 being the same solve on the reversed grid, with Re and Im of the seed as two
 right-hand sides.  a_i <= 0 anywhere (h kappa >= sqrt(12)) breaks the
-recurrence down and raises NumericalError.
+recurrence down and raises NumericalError.  A scan of energies sets up the
+grid, V and the work arrays once; each energy solves into the reused band
+and right-hand-side arrays and keeps only the five left-edge rows that T and
+R read.  The wavefunction runs the same checks, T + R = 1 included.
 
 Behind a barrier the solution grows by up to lambda_i = c + sqrt(c^2 - 1),
 c = b_i / 2 a_i, per step, and an opaque barrier would carry |psi| past the
 double range.  The grid is therefore cut, in one vectorised pass, wherever
-the running sum of ln lambda_i passes a multiple of ln 1e150; each segment is
-one banded solve seeded from the previous segment's last two values divided
-by a power of two.  The division is exact, so the segmented solve is
-bit-for-bit a rescaled single solve, and the carried exponent keeps log|A|
-exact.  A problem whose |psi| stays far from overflow is one segment.
+the running sum of ln lambda_i passes a multiple of ln 1e150.  The sum runs
+over the forbidden rows |c| > 1 alone: every other row adds arccosh(1) = 0
+exactly, so no cut moves.  Each segment is one banded solve seeded from the
+previous segment's last two values divided by a power of two.  The division
+is exact, so the segmented solve is bit-for-bit a rescaled single solve, and
+the carried exponent keeps log|A| exact.  A problem whose |psi| stays far
+from overflow is one segment.
 
 Closed-form transmissions for the rectangular and sech^2 barriers are
 provided as independent references the oracle is tested against; both are
@@ -56,6 +61,7 @@ from .wkb_core import Method, TransmissionReport
 
 __all__ = [
     "OracleConfig",
+    "scan_scattering_exact",
     "solve_scattering_exact",
     "solve_bound_states_exact",
     "wavefunction_exact",
@@ -87,12 +93,16 @@ class OracleConfig:
     v_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.grid_points < 1001 or self.grid_points % 2 == 0:
+        # A bool is an int, but never one >= 1001.
+        grid = self.grid_points
+        if not isinstance(grid, (int, np.integer)) or grid < 1001 or grid % 2 == 0:
+            raise DomainError(f"grid_points must be an odd integer >= 1001, got {grid!r}")
+        if self.match_margin is not None and not 0.0 < self.match_margin < math.inf:
             raise DomainError(
-                f"grid_points must be odd and >= 1001, got {self.grid_points}"
+                f"match_margin must be finite and positive, got {self.match_margin}"
             )
-        if self.v_eps <= 0.0:
-            raise DomainError("v_eps must be positive")
+        if not 0.0 < self.v_eps < math.inf:
+            raise DomainError(f"v_eps must be finite and positive, got {self.v_eps}")
 
 
 def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
@@ -101,87 +111,71 @@ def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
     return xs, problem.v(xs)
 
 
-def _check_flat_edges(problem, config, xs, v) -> None:
-    lo, hi = problem.domain
-    margin = config.match_margin if config.match_margin is not None else 0.05 * (hi - lo)
-    tol = config.v_eps * max(1.0, abs(problem.energy))
-    left = v[xs <= lo + margin]
-    right = v[xs >= hi - margin]
-    if np.max(np.abs(left - v[0])) > tol or np.max(np.abs(right - v[-1])) > tol:
-        raise MatchingError(
-            "potential is not flat at the domain edges to v_eps; widen the "
-            "domain before asking for plane-wave matching"
-        )
-
-
-def _edge_wavenumbers(problem, v) -> tuple[float, float]:
-    m, hbar, e = problem.context.mass, problem.context.hbar, problem.energy
-    guard = 1e-6 * max(1.0, abs(e))
-    if e - v[0] <= guard or e - v[-1] <= guard:
-        raise ChannelClosedError(
-            f"E = {e:g} must exceed the edge potential by more than {guard:g} "
-            "for an open scattering channel"
-        )
-    k_l = math.sqrt(2.0 * m * (e - v[0])) / hbar
-    k_r = math.sqrt(2.0 * m * (e - v[-1])) / hbar
-    return k_l, k_r
-
-
-def _numerov_coefficients(xs, k2) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0."""
+def _numerov_coefficients(xs, k2, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0, written
+    into the rows of ``out``, shape (2, len(k2)), if given."""
     h = xs[1] - xs[0]
-    a = 1.0 + (h * h / 12.0) * k2
+    a, b = np.empty((2, len(k2))) if out is None else out
+    np.multiply(h * h / 12.0, k2, out=a)
+    a += 1.0
     if np.min(a) <= 0.0:
         raise NumericalError(
             f"Numerov step breaks down: h*kappa_max = {h * math.sqrt(-np.min(k2)):.3g} "
             ">= sqrt(12) makes 1 + h^2 k^2 / 12 <= 0 on the grid; refine the grid"
         )
-    return a, 12.0 - 10.0 * a
+    np.subtract(12.0, np.multiply(10.0, a, out=b), out=b)
+    return a, b
 
 
-def _shoot(a, b, seeds) -> tuple[np.ndarray, int]:
+def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
     """The Numerov solution from its first two rows ``seeds``, shape (2, ncol).
 
-    Returns (psi, e); the solution is psi * 2**e.  Each segment (see the
-    module docstring) is one banded solve seeded from the previous segment's
-    last two rows; before it, every row solved so far is divided by the power
-    of two that brings those seeds into [0.5, 1).
+    Returns (psi, e): the solution is psi * 2**e on its last ``rows`` rows
+    (all of them for None).  Each segment (see the module docstring) is one
+    banded solve seeded from the previous segment's last two rows; before it,
+    every kept row solved so far is divided by the power of two that brings
+    those seeds into [0.5, 1).  ``work``, (3 + ncol) len(a) floats if given,
+    holds the band and the right-hand side, which the solve overwrites.
     """
-    n = len(a)
-    growth = np.cumsum(np.arccosh(np.maximum(np.abs(b[1:-1] / (2.0 * a[1:-1])), 1.0)))
-    cuts = np.flatnonzero(np.diff(np.floor(growth / _SEGMENT_GROWTH))) + 1
-    psi = np.empty((n, seeds.shape[1]))
-    psi[:2] = seeds
+    n, ncol = len(a), seeds.shape[1]
+    first = 0 if rows is None else n - rows
+    work = np.empty((3 + ncol) * n) if work is None else work
+    # An allowed row adds arccosh(1) = 0 to the growth, so summing only the
+    # forbidden rows moves no cut; the first row never starts a new segment.
+    ratio = np.multiply(2.0, a[1:-1], out=work[: n - 2])
+    ratio = np.abs(np.divide(b[1:-1], ratio, out=ratio), out=ratio)
+    forbidden = np.flatnonzero(ratio > 1.0)
+    growth = np.cumsum(np.arccosh(ratio[forbidden]))
+    cuts = forbidden[:0]
+    if growth.size and growth[-1] >= _SEGMENT_GROWTH:
+        cuts = forbidden[np.flatnonzero(np.diff(np.floor(growth / _SEGMENT_GROWTH), prepend=0.0))]
+        cuts = cuts[cuts > 0]
+    psi = np.empty((n - first, ncol))
     exponent = 0
     for start, stop in zip([0, *cuts], [*(cuts + 2), n]):
-        _, shift = math.frexp(float(np.max(np.abs(psi[start : start + 2]))))
-        psi[: start + 2] = np.ldexp(psi[: start + 2], -shift)
+        _, shift = math.frexp(float(np.max(np.abs(seeds))))
+        solved = psi[: max(start - first, 0)]
+        np.ldexp(solved, -shift, out=solved)
         exponent += shift
         # Lower band storage: column j holds A[j, j], A[j+1, j], A[j+2, j];
         # the first two rows are the identity on the seeds.
-        ab = np.array([a[start:stop], -b[start:stop], a[start:stop]], order="F")
+        size = stop - start
+        ab = work[: 3 * size].reshape((3, size), order="F")
+        ab[0] = ab[2] = a[start:stop]
+        np.negative(b[start:stop], out=ab[1])
         ab[0, :2] = 1.0
         ab[1, 0] = 0.0
-        rhs = np.zeros((stop - start, psi.shape[1]), order="F")
-        rhs[:2] = psi[start : start + 2]
-        x, info = dtbtrs(ab, rhs, uplo="L")
+        rhs = work[3 * size : (3 + ncol) * size].reshape((size, ncol), order="F")
+        rhs[:2] = np.ldexp(seeds, -shift)
+        rhs[2:] = 0.0
+        x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
         if info != 0:
             raise NumericalError(f"banded Numerov solve failed: LAPACK info = {info}")
-        psi[start:stop] = x
+        if stop > first:
+            kept = max(start, first)
+            psi[kept - first : stop - first] = x[kept - start :]
+        seeds = x[-2:].copy()
     return psi, exponent
-
-
-def _leftward_wave(problem: ScatteringProblem, config: OracleConfig):
-    """(xs, psi, e, k_l, k_r): the wave psi * 2**e from a unit outgoing wave
-    at the right edge."""
-    xs, v = _grid_and_potential(problem, config)
-    _check_flat_edges(problem, config, xs, v)
-    k_l, k_r = _edge_wavenumbers(problem, v)
-    m, hbar, e = problem.context.mass, problem.context.hbar, problem.energy
-    a, b = _numerov_coefficients(xs, 2.0 * m * (e - v) / hbar**2)
-    seed = np.exp(1j * k_r * xs[:-3:-1])
-    psi, exponent = _shoot(a[::-1], b[::-1], np.column_stack([seed.real, seed.imag]))
-    return xs, psi[::-1, 0] + 1j * psi[::-1, 1], exponent, k_l, k_r
 
 
 def _left_edge_decomposition(xs, psi, k_left) -> tuple[complex, complex]:
@@ -195,52 +189,102 @@ def _left_edge_decomposition(xs, psi, k_left) -> tuple[complex, complex]:
     return complex(a), complex(c)
 
 
-def _solve_raw(problem: ScatteringProblem, config: OracleConfig) -> tuple[float, float]:
-    xs, psi, exponent, k_l, k_r = _leftward_wave(problem, config)
-    a, c = _left_edge_decomposition(xs, psi, k_l)
-    mag = math.hypot(a.real, a.imag)
-    log10_mag = math.log10(mag) + exponent * _LOG10_2
-    if 2.0 * log10_mag >= _LOG10_MAX:
-        raise NumericalError(
-            f"incident amplitude overflows: log10|A| = {log10_mag:.1f}; "
-            "T is below double range, the barrier is too opaque for the oracle"
+def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
+    """(T, R, xs, psi) at each energy in order, from one set-up of the grid.
+
+    Raw T and R, the grid, and the wave of unit incident amplitude on its
+    first ``rows`` points (all of them for None; the edge decomposition reads
+    5).  Each energy runs every check in turn -- flat edges, open channel,
+    Numerov breakdown, overflow of |A|, |T + R - 1| <= ``tolerance`` -- so
+    a scan raises for its first failing energy.
+    """
+    xs, v = _grid_and_potential(problem, config)
+    lo, hi = problem.domain
+    margin = config.match_margin if config.match_margin is not None else 0.05 * (hi - lo)
+    left, right = v[xs <= lo + margin], v[xs >= hi - margin]
+    deviation = max(np.max(np.abs(left - v[0])), np.max(np.abs(right - v[-1])))
+    m, hbar = problem.context.mass, problem.context.hbar
+    # The leftward sweep is the shot on the reversed grid.
+    v_reversed = v[::-1].copy()
+    k2, coefficients, work = np.empty(len(xs)), np.empty((2, len(xs))), np.empty(5 * len(xs))
+    for e in energies:
+        e = float(e)
+        if deviation > config.v_eps * max(1.0, abs(e)):
+            raise MatchingError(
+                "potential is not flat at the domain edges to v_eps; widen the "
+                "domain before asking for plane-wave matching"
+            )
+        guard = 1e-6 * max(1.0, abs(e))
+        if e - v[0] <= guard or e - v[-1] <= guard:
+            raise ChannelClosedError(
+                f"E = {e:g} must exceed the edge potential by more than {guard:g} "
+                "for an open scattering channel"
+            )
+        k_l = math.sqrt(2.0 * m * (e - v[0])) / hbar
+        k_r = math.sqrt(2.0 * m * (e - v[-1])) / hbar
+        np.subtract(e, v_reversed, out=k2)
+        k2 *= 2.0 * m
+        k2 /= hbar**2
+        a, b = _numerov_coefficients(xs, k2, coefficients)
+        seed = np.exp(1j * k_r * xs[:-3:-1])
+        psi, exponent = _shoot(a, b, np.column_stack([seed.real, seed.imag]), rows, work)
+        psi = psi[::-1, 0] + 1j * psi[::-1, 1]
+        amplitude, c = _left_edge_decomposition(xs, psi, k_l)
+        mag = math.hypot(amplitude.real, amplitude.imag)
+        log10_mag = math.log10(mag) + exponent * _LOG10_2
+        if 2.0 * log10_mag >= _LOG10_MAX:
+            raise NumericalError(
+                f"incident amplitude overflows: log10|A| = {log10_mag:.1f}; "
+                "T is below double range, the barrier is too opaque for the oracle"
+            )
+        t = (k_r / k_l) / math.ldexp(mag * mag, 2 * exponent)
+        r = abs(c / amplitude) ** 2
+        if abs(t + r - 1.0) > tolerance:
+            raise NumericalError(
+                f"unitarity violated: T + R - 1 = {t + r - 1.0:.3e}; refine the grid"
+            )
+        yield t, r, xs, psi / amplitude
+
+
+def scan_scattering_exact(
+    problem: ScatteringProblem, energies, config: OracleConfig | None = None
+) -> list[TransmissionReport]:
+    """Exact T and R at each energy of a scan, for a barrier with flat edges.
+
+    T = (k_R / k_L) |t|^2 and R = |r|^2 from the plane-wave decomposition;
+    their sum is checked against 1 to 1e-8, and each is then reported from
+    its own amplitude, clamped into [0, 1], so a small R keeps all its digits
+    instead of the few that 1 - T leaves.  The grid, V and the work arrays
+    are set up once; an energy that fails a check raises as
+    :func:`solve_scattering_exact` would, the first such energy in order.
+    """
+    # The defect checked bounds the discretization noise; clamping keeps
+    # T = 1 problems from overshooting by ulps.
+    return [
+        TransmissionReport(
+            transmission=min(max(t, 0.0), 1.0),
+            reflection=min(r, 1.0),
+            sigma_star=None,
+            method=Method.EXACT_NUMEROV,
         )
-    t = (k_r / k_l) / math.ldexp(mag * mag, 2 * exponent)
-    r = abs(c / a) ** 2
-    return t, r
+        for t, r, _, _ in _scattering_rows(problem, energies, config or OracleConfig())
+    ]
 
 
 def solve_scattering_exact(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> TransmissionReport:
-    """Exact T and R for a barrier problem with flat asymptotic edges.
-
-    T = (k_R / k_L) |t|^2 and R = |r|^2 from the plane-wave decomposition;
-    their sum is checked against 1 to 1e-8, and each is then reported from
-    its own amplitude, clamped into [0, 1], so a small R keeps all its digits
-    instead of the few that 1 - T leaves.
-    """
-    config = config or OracleConfig()
-    t, r = _solve_raw(problem, config)
-    if abs(t + r - 1.0) > 1e-8:
-        raise NumericalError(
-            f"unitarity violated: T + R - 1 = {t + r - 1.0:.3e}; refine the grid"
-        )
-    # The defect just checked bounds the discretization noise; clamp the
-    # reported values into [0, 1] so T = 1 problems don't overshoot by ulps.
-    return TransmissionReport(
-        transmission=min(max(t, 0.0), 1.0),
-        reflection=min(r, 1.0),
-        sigma_star=None,
-        method=Method.EXACT_NUMEROV,
-    )
+    """Exact T and R at the problem's energy: :func:`scan_scattering_exact` of one."""
+    return scan_scattering_exact(problem, [problem.energy], config)[0]
 
 
 def unitarity_defect(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> float:
     """Raw T + R - 1, the defect :func:`solve_scattering_exact` checks."""
-    t, r = _solve_raw(problem, config or OracleConfig())
+    [(t, r, _, _)] = _scattering_rows(
+        problem, [problem.energy], config or OracleConfig(), tolerance=math.inf
+    )
     return t + r - 1.0
 
 
@@ -328,10 +372,11 @@ def solve_bound_states_exact(
 def wavefunction_exact(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> WavefunctionTable:
-    """The integrated scattering wave on the grid, unit incident amplitude."""
-    xs, psi, _, k_l, _ = _leftward_wave(problem, config or OracleConfig())
-    a, _c = _left_edge_decomposition(xs, psi, k_l)
-    psi = psi / a
+    """The integrated scattering wave on the grid, unit incident amplitude,
+    checked as :func:`solve_scattering_exact` checks T and R."""
+    [(_, _, xs, psi)] = _scattering_rows(
+        problem, [problem.energy], config or OracleConfig(), rows=None
+    )
     tags = _region_tags(problem, xs, find_turning_points(problem))
     return WavefunctionTable(xs=xs, psi=psi, region_tags=tags)
 

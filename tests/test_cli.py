@@ -467,3 +467,112 @@ class TestMalformedConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:")
         assert f"[{section}] {key}: {value!r}" in err
+
+
+#: The scans of the `exact` benchmark (m = 4): 12 energies below the top of
+#: the Eckart, Gaussian and square barriers, 8 above the Eckart and square
+#: tops and above the weak bump; and an opaque square barrier (T ~ 1e-93 to
+#: 1e-47).
+EXACT_SCANS = {
+    "eckart-below": (BARRIER_FORMS["eckart"], "0.2", "0.8", 12),
+    "gaussian-below": (BARRIER_FORMS["gaussian"], "0.2", "0.8", 12),
+    "square-below": (BARRIER_FORMS["square"], "0.2", "0.8", 12),
+    "eckart-above": (BARRIER_FORMS["eckart"], "1.21", "1.89", 8),
+    "square-above": (BARRIER_FORMS["square"], "1.21", "1.89", 8),
+    "weak-above": (
+        ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"],
+        "0.34", "0.94", 8,
+    ),
+    "opaque": (
+        ["--form=square", "--height=40", "--width=6", "--x-min=-12", "--x-max=12"],
+        "0.5", "30", 8,
+    ),
+}
+
+
+class TestExactScan:
+    """An exact scan sets up its grid once; each row is what one energy gives."""
+
+    def _rows(self, tmp_path, args):
+        out = tmp_path / "rows.csv"
+        assert run_cli([*args, "--mass=4", "--method=exact", f"--output={out}"]) == 0
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("scan", sorted(EXACT_SCANS))
+    def test_scan_rows_match_single_energies(self, tmp_path, monkeypatch, scan):
+        form, e_min, e_max, steps = EXACT_SCANS[scan]
+        if scan == "opaque":
+            # psi grows by ~e^107 across the barrier: three segments at a
+            # bound of 1e20, where the default 1e150 leaves one.
+            from semiclassic import exact_oracle
+
+            monkeypatch.setattr(exact_oracle, "_SEGMENT_GROWTH", math.log(1e20))
+        rows = self._rows(
+            tmp_path, ["scan", *form, f"--e-min={e_min}", f"--e-max={e_max}", f"--steps={steps}"]
+        )
+        assert len(rows) == steps + 1
+        for row in rows[1:]:
+            one = self._rows(tmp_path, ["transmission", *form, f"--energy={row.split(',')[0]}"])
+            assert one == [rows[0], row]
+
+    def test_scan_from_a_closed_channel_fails_as_one_energy_would(self, capsys):
+        code = run_cli(
+            ["scan", *BARRIER_FORMS["square"], "--method=exact",
+             "--e-min=-0.5", "--e-max=0.5", "--steps=4"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "E_CHANNEL_CLOSED: E = -0.5 must exceed the edge potential by more than 1e-06 "
+            "for an open scattering channel\n"
+        )
+
+    def test_scan_evaluates_v_once(self, tmp_path, monkeypatch):
+        from semiclassic.potential import ScatteringProblem
+
+        points = []
+        v = ScatteringProblem.v
+        monkeypatch.setattr(
+            ScatteringProblem, "v", lambda p, x: points.append(np.size(x)) or v(p, x)
+        )
+        self._rows(
+            tmp_path,
+            ["scan", *BARRIER_FORMS["eckart"], "--e-min=0.2", "--e-max=0.8", "--steps=12"],
+        )
+        assert points == [20001]
+
+    def test_coarse_grid_wave_exit_4(self, capsys):
+        code = run_cli(
+            ["wavefunction", *BARRIER_FORMS["eckart"], "--mass=20", "--energy=3",
+             "--grid-points=1001", "--method=exact"]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("E_NUMERIC: unitarity violated: T + R - 1 = ")
+
+
+class TestInvalidOracleConfig:
+    """A value that would crash the oracle or switch its flat-edge check off
+    is a config error."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("match_margin", "-1"),
+            ("match_margin", "nan"),
+            ("match_margin", "0"),
+            ("match_margin", "inf"),
+            ("v_eps", "nan"),
+            ("v_eps", "inf"),
+            ("v_eps", "0"),
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(f"[oracle]\n{key} = {value}\n")
+        # V is not flat at the edges of +/-4: the default config raises E_MATCHING.
+        code = run_cli(
+            ["scan", f"--config={cfg}", "--form=gaussian", "--amplitude=1", "--width=3",
+             "--x-min=-4", "--x-max=4", "--method=exact", "--e-min=0.2", "--e-max=0.5",
+             "--steps=4"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"E_CONFIG: invalid oracle config: {key} ")

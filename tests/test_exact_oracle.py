@@ -198,6 +198,53 @@ class TestScattering:
         with pytest.raises(DomainError):
             OracleConfig(grid_points=999)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_points", 1001.0),
+            ("grid_points", True),
+            ("match_margin", -1.0),
+            ("match_margin", math.nan),
+            ("match_margin", 0.0),
+            ("match_margin", math.inf),
+            ("v_eps", math.nan),
+            ("v_eps", math.inf),
+        ],
+    )
+    def test_values_that_would_break_or_switch_off_a_check(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            OracleConfig(**{field: value})
+
+    def test_kept_rows_are_the_tail_of_the_whole_shot(self, monkeypatch):
+        # Growth over the last 12 rows cuts at rows 188, 190, ..., 196 at a
+        # bound of 5: the five kept rows span the last two segments.
+        a = np.ones(200)
+        a[-12:] = 0.5
+        seeds = np.array([[1.0, 0.3], [0.9, 0.5]])
+        whole = np.ldexp(*exact_oracle._shoot(a, 12.0 - 10.0 * a, seeds))
+        monkeypatch.setattr(exact_oracle, "_SEGMENT_GROWTH", 5.0)
+        for rows in (2, 3, 5, 9, 200):
+            tail, exponent = exact_oracle._shoot(a, 12.0 - 10.0 * a, seeds, rows)
+            assert exponent == 41
+            assert np.array_equal(np.ldexp(tail, exponent), whole[-rows:])
+
+    def test_scan_rows_are_single_energy_rows(self):
+        problem = ScatteringProblem(
+            potential=SquareBarrier(height=1.0, width=2.0), energy=0.5, domain=(-8, 8)
+        )
+        energies = [0.3, 1.7, 0.05, 1.0 + 1e-9]
+        reports = exact_oracle.scan_scattering_exact(problem, energies)
+        for e, report in zip(energies, reports):
+            one = ScatteringProblem(potential=problem.potential, energy=e, domain=(-8, 8))
+            assert report == solve_scattering_exact(one)
+
+    def test_scan_raises_for_its_first_failing_energy(self):
+        problem = ScatteringProblem(
+            potential=SquareBarrier(height=1.0, width=2.0), energy=0.5, domain=(-8, 8)
+        )
+        with pytest.raises(ChannelClosedError, match="E = -0.5 "):
+            exact_oracle.scan_scattering_exact(problem, [0.5, -0.5, -1.0])
+
 
 class TestBoundStates:
     def test_harmonic_levels(self):
@@ -355,3 +402,22 @@ class TestWavefunction:
         table = wavefunction_exact(problem, OracleConfig(grid_points=2001))
         values = {t.value for t in table.region_tags}
         assert values == {"allowed_left", "forbidden", "allowed_right"}
+
+    @pytest.mark.parametrize("mass", [20.0, 120.0])
+    def test_coarse_grid_wave_is_checked_for_unitarity(self, mass):
+        # T + R - 1 is 1.5e-3 to 1.9e-2 on 1001 points for m = 20 to 120.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0),
+            energy=3.0,
+            domain=(-14, 14),
+            context=PhysicalContext(mass=mass, hbar=1.0),
+        )
+        with pytest.raises(NumericalError, match="unitarity violated"):
+            wavefunction_exact(problem, OracleConfig(grid_points=1001))
+
+    def test_opaque_wave_is_checked_for_overflow(self):
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=200.0, width=10.0), energy=1.0, domain=(-200, 200)
+        )
+        with pytest.raises(NumericalError, match=r"log10\|A\| = 253\."):
+            wavefunction_exact(problem)

@@ -47,6 +47,7 @@ from semiclassic import (
     opacities,
     phase_transform,
     quantize_levels,
+    scan_scattering_exact,
     solve_bound_states_exact,
     solve_scattering_exact,
 )
@@ -346,6 +347,19 @@ def test_banded_transmission_matches_recurrence(problem):
     rounding = 20001 * np.finfo(float).eps / (h * k_edge)
     t = solve_scattering_exact(problem).transmission
     assert t == pytest.approx(numerov_loop_transmission(problem), rel=max(1e-9, rounding))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(oracle_barriers(), st.lists(st.floats(0.5, 1.5), min_size=1, max_size=6), st.data())
+def test_oracle_rows_do_not_depend_on_their_batch(problem, scales, data):
+    energies = problem.energy * np.array(scales)
+    order = np.array(data.draw(st.permutations(range(len(energies)))))
+    part = order[: data.draw(st.integers(1, len(order)))]
+    whole = scan_scattering_exact(problem, energies)
+    for rows in (order, part):
+        assert scan_scattering_exact(problem, energies[rows]) == [whole[i] for i in rows]
+    for e, report in zip(energies, whole):
+        assert solve_scattering_exact(dataclasses.replace(problem, energy=float(e))) == report
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
