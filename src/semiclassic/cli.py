@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -143,20 +144,22 @@ def _build_potential(sections: dict, args):
 
 
 def _build_problem(sections: dict, args, need_energy: bool = True):
-    context = PhysicalContext(
-        mass=_setting(sections, "context", "mass", args.mass, 1.0),
-        hbar=_setting(sections, "context", "hbar", args.hbar, 1.0),
-    )
-    potential = _build_potential(sections, args)
-    energy = _setting(
-        sections, "problem", "energy", args.energy, _REQUIRED if need_energy else 0.0
-    )
-    x_min = _setting(sections, "problem", "x_min", args.x_min, -10.0)
-    x_max = _setting(sections, "problem", "x_max", args.x_max, 10.0)
     try:
+        context = PhysicalContext(
+            mass=_setting(sections, "context", "mass", args.mass, 1.0),
+            hbar=_setting(sections, "context", "hbar", args.hbar, 1.0),
+        )
+        potential = _build_potential(sections, args)
+        energy = _setting(
+            sections, "problem", "energy", args.energy, _REQUIRED if need_energy else 0.0
+        )
+        x_min = _setting(sections, "problem", "x_min", args.x_min, -10.0)
+        x_max = _setting(sections, "problem", "x_max", args.x_max, 10.0)
         return ScatteringProblem(
             potential=potential, energy=energy, domain=(x_min, x_max), context=context
         )
+    except ConfigError:
+        raise
     except SemiclassicError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
@@ -257,8 +260,11 @@ _REFLECTION_COLUMNS = ["E", "re_R", "im_R", "R_squared", "method"]
 
 def _write(path, payload: str) -> None:
     if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -357,14 +363,21 @@ def _add_problem_flags(sub) -> None:
 
 
 #: A negative number in any float notation, so that argparse takes '-3e-05'
-#: for a value, as it does '-0.00003', and not for an option.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: and '-inf' for a value, as it does '-0.00003', and not for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?|nan))$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``E_CONFIG`` line, not as usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semiclassic",
         description="1-D barrier scattering: WKB methods against an exact oracle",
     )
@@ -425,6 +438,9 @@ def _config_from_args(args) -> RunConfig:
     n_max = getattr(args, "n_max", 3)
     if n_max < 0:
         raise ConfigError(f"--n-max must be >= 0, got {n_max}")
+    outgoing_amplitude = getattr(args, "outgoing_amplitude", 1.0)
+    if not math.isfinite(outgoing_amplitude):
+        raise ConfigError(f"--outgoing-amplitude must be finite, got {outgoing_amplitude}")
     return RunConfig(
         command=command,
         problem=problem,
@@ -434,15 +450,13 @@ def _config_from_args(args) -> RunConfig:
         output_format=output_format,
         oracle=oracle,
         n_max=n_max,
-        outgoing_amplitude=getattr(args, "outgoing_amplitude", 1.0),
+        outgoing_amplitude=outgoing_amplitude,
     )
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(_make_parser().parse_args(argv))
         return run(config)
     except SemiclassicError as exc:
         sys.stderr.write(f"{exc.code}: {exc}\n")

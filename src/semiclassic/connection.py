@@ -175,6 +175,13 @@ def connect_decreasing(decaying_amplitude, growing_amplitude=0.0, slope=None):
     return 2.0 * complex(decaying_amplitude), -complex(growing_amplitude)
 
 
+def _amplitude(outgoing_amplitude) -> complex:
+    b = complex(outgoing_amplitude)
+    if not cmath.isfinite(b):
+        raise DomainError(f"outgoing amplitude must be finite, got {outgoing_amplitude}")
+    return b
+
+
 def region_one_amplitudes(sigma_star: float, outgoing_amplitude=1.0):
     """Incident and reflected traveling-wave amplitudes feeding the barrier.
 
@@ -191,7 +198,7 @@ def region_one_amplitudes(sigma_star: float, outgoing_amplitude=1.0):
     so |A_inc|^2 - |A_ref|^2 = 4|B|^2 exactly: the net current equals the
     transmitted current, whatever sigma*.
     """
-    b = complex(outgoing_amplitude)
+    b = _amplitude(outgoing_amplitude)
     try:
         ep = math.exp(sigma_star)
         em = 0.25 * math.exp(-sigma_star)
@@ -316,7 +323,7 @@ def patched_barrier_solution(
         raise DomainError(
             f"patched solution needs a barrier with 2 turning points, found {tp.count}"
         )
-    b_amp = complex(outgoing_amplitude)
+    b_amp = _amplitude(outgoing_amplitude)
     sigma_star = barrier_integral(problem)
     if sigma_star > _LN_FLOAT_MAX:
         raise NumericalError(

@@ -46,8 +46,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from ._lazy import lazy
 from .connection import WavefunctionTable, _region_tags
 from .errors import (
     ChannelClosedError,
@@ -58,6 +58,8 @@ from .errors import (
 )
 from .potential import ScatteringProblem, _bracketed_roots, find_turning_points
 from .wkb_core import Method, TransmissionReport
+
+linalg = lazy("scipy.linalg")
 
 __all__ = [
     "OracleConfig",
@@ -168,7 +170,7 @@ def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
         rhs = work[3 * size : (3 + ncol) * size].reshape((size, ncol), order="F")
         rhs[:2] = np.ldexp(seeds, -shift)
         rhs[2:] = 0.0
-        x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
+        x, info = linalg.lapack.dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
         if info != 0:
             raise NumericalError(f"banded Numerov solve failed: LAPACK info = {info}")
         if stop > first:

@@ -7,14 +7,17 @@ an energy and a working domain; everything downstream consumes that bundle.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._lazy import lazy
 from .errors import DomainError, MultiWellError, NumericalError
+
+interpolate = lazy("scipy.interpolate")
 
 __all__ = [
     "PhysicalContext",
@@ -79,8 +82,19 @@ class PotentialModel:
     float arrays; the public methods take a scalar or an array and return the
     same kind.  A model must not change after construction (the built-in
     ones are frozen dataclasses): the extrema of V found on a domain are kept
-    on the instance.
+    on the instance.  Every field of a dataclass model must be finite, and
+    those named in ``_positive`` must also be > 0.
     """
+
+    _positive = ()
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.name in self._positive and not (v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{f.name} must be strictly positive, got {v}")
+            if not math.isfinite(v):
+                raise DomainError(f"{f.name} must be finite, got {v}")
 
     def _value(self, x: np.ndarray):
         raise NotImplementedError
@@ -104,11 +118,6 @@ class PotentialModel:
         return self.value(x)
 
 
-def _require_positive(name: str, v: float) -> None:
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"{name} must be strictly positive, got {v}")
-
-
 @dataclass(frozen=True)
 class SquareBarrier(PotentialModel):
     """Rectangular barrier of the given height and width.
@@ -121,8 +130,7 @@ class SquareBarrier(PotentialModel):
     width: float
     center: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_positive("width", self.width)
+    _positive = ("width",)
 
     def _value(self, x):
         dx = np.abs(x - self.center)
@@ -146,8 +154,7 @@ class GaussianBump(PotentialModel):
     width: float
     center: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_positive("width", self.width)
+    _positive = ("width",)
 
     def _value(self, x):
         u = (x - self.center) / self.width
@@ -170,8 +177,7 @@ class EckartBarrier(PotentialModel):
     width: float
     center: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_positive("width", self.width)
+    _positive = ("width",)
 
     # cosh(u) and its square overflow to inf far out (|u| > ~355), where
     # 1/inf = 0 is the exact limit: the overflow is not worth a warning.
@@ -200,8 +206,7 @@ class HarmonicWell(PotentialModel):
 
     stiffness: float
 
-    def __post_init__(self) -> None:
-        _require_positive("stiffness", self.stiffness)
+    _positive = ("stiffness",)
 
     def _value(self, x):
         return 0.5 * self.stiffness * x * x
@@ -243,8 +248,7 @@ class ParabolicBarrier(PotentialModel):
     curvature: float
     center: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_positive("curvature", self.curvature)
+    _positive = ("curvature",)
 
     def _value(self, x):
         dx = x - self.center
@@ -269,7 +273,7 @@ class TabulatedPotential(PotentialModel):
 
     xs: tuple
     vs: tuple
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _spline: interpolate.CubicSpline = field(init=False, repr=False, compare=False)
 
     def __init__(self, xs, vs):
         xs = tuple(float(v) for v in xs)
@@ -278,11 +282,14 @@ class TabulatedPotential(PotentialModel):
             raise DomainError(f"tabulated grid needs >= 4 points, got {len(xs)}")
         if len(xs) != len(vs):
             raise DomainError("tabulated grid: x and V lengths differ")
+        if not all(map(math.isfinite, xs + vs)):
+            raise DomainError("tabulated grid: x and V must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("tabulated grid must be strictly increasing in x")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "_spline", CubicSpline(xs, vs, bc_type="not-a-knot"))
+        spline = interpolate.CubicSpline(xs, vs, bc_type="not-a-knot")
+        object.__setattr__(self, "_spline", spline)
 
     def _check_range(self, x) -> None:
         if np.any(x < self.xs[0]) or np.any(x > self.xs[-1]):

@@ -16,10 +16,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-from scipy import integrate
-
+from ._lazy import lazy
 from .errors import DomainError, RangeError
+
+mp = lazy("mpmath")
+integrate = lazy("scipy.integrate")
 
 __all__ = [
     "AiryPair",

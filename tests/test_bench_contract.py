@@ -4,9 +4,12 @@ The benchmark drives semiclassic from outside the package, so a renamed or
 removed name would otherwise show only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,30 @@ def test_workload_calls_bind():
     inspect.signature(connection.patched_barrier_solution).bind(problem, n_per_region=100)
     inspect.signature(connection.airy_local_solution).bind(problem, 0.0, [0.0], solution="ai")
     inspect.signature(cli.main).bind(["scan"])
+
+
+def _modules_the_tracer_looks_up():
+    """The constant names of every ``sys.modules[...]`` lookup in the tracer."""
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    return sorted({
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "sys.modules"
+        and isinstance(node.slice, ast.Constant)
+    })
+
+
+def test_tracer_modules_are_registered_on_import():
+    """The tracer looks these up on entry; a lazy module counts, since it is
+    registered in ``sys.modules`` at import and loads on the tracer's use."""
+    names = _modules_the_tracer_looks_up()
+    assert names
+    src = str(Path(semiclassic.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import semiclassic; "
+         f"print([n for n in {names!r} if n not in sys.modules])"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

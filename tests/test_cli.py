@@ -576,3 +576,74 @@ class TestInvalidOracleConfig:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(f"E_CONFIG: invalid oracle config: {key} ")
+
+
+class TestUsageErrorsExit2:
+    """Every invalid input exits 2 with one ``E_CONFIG: message`` line."""
+
+    ECKART = [
+        "transmission", "--form=eckart", "--height=1", "--width=1", "--energy=0.5",
+        "--x-min=-14", "--x-max=14",
+    ]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mass", "0", "invalid problem: mass must be positive and finite, got 0.0"),
+        ("--mass", "-1", "invalid problem: mass must be positive and finite, got -1.0"),
+        ("--hbar", "nan", "invalid problem: hbar must be positive and finite, got nan"),
+        ("--width", "nan", "invalid problem: width must be strictly positive, got nan"),
+        ("--height", "inf", "invalid problem: height must be finite, got inf"),
+        ("--energy", "nan", "invalid problem: energy must be finite, got nan"),
+        ("--x-min", "-inf", "invalid problem: domain must satisfy x_min < x_max"),
+        ("--energy", "abc", "argument --energy: invalid float value: 'abc'"),
+        ("--bogus", "1", "unrecognized arguments: --bogus 1"),
+    ])
+    def test_invalid_value(self, capsys, flag, value, message):
+        assert run_cli([*self.ECKART, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: {message}")
+        assert err.count("\n") == 1
+
+    def test_missing_command(self, capsys):
+        assert run_cli([]) == 2
+        assert capsys.readouterr().err == (
+            "E_CONFIG: the following arguments are required: command\n"
+        )
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: semiclassic scan")
+
+    def test_non_finite_table(self, tmp_path, capsys):
+        table = tmp_path / "pot.txt"
+        table.write_text("-2 0\n-1 nan\n0 1\n1 0.5\n2 0\n")
+        code = run_cli(
+            ["transmission", "--form=tabulated", f"--table-file={table}", "--energy=0.5",
+             "--x-min=-2", "--x-max=2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "E_CONFIG: invalid problem: tabulated grid: x and V must be finite\n"
+        )
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert run_cli([*self.ECKART, "--method=wkb", f"--output={path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: cannot write output {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_outgoing_amplitude(self, capsys, value):
+        code = run_cli(
+            ["wavefunction", "--form=eckart", "--height=1", "--width=1", "--mass=64",
+             "--energy=0.55", "--x-min=-14", "--x-max=14", "--method=connection",
+             "--outgoing-amplitude", value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"E_CONFIG: --outgoing-amplitude must be finite, got {float(value)}\n"
+        )

@@ -171,6 +171,13 @@ class TestPatchedSolution:
         table = patched_barrier_solution(DEEP_ECKART, outgoing_amplitude=0.0)
         assert np.all(table.psi == 0.0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_amplitude_raises(self, amplitude):
+        with pytest.raises(DomainError, match="outgoing amplitude must be finite"):
+            patched_barrier_solution(DEEP_ECKART, outgoing_amplitude=amplitude)
+        with pytest.raises(DomainError, match="outgoing amplitude must be finite"):
+            region_one_amplitudes(2.0, amplitude)
+
     def test_region_tags_ordered(self):
         table = patched_barrier_solution(DEEP_ECKART)
         tags = [t.value for t in table.region_tags]

@@ -1,8 +1,15 @@
-"""Every root the package finds comes from its own bracketed solver
-(``potential._bracketed_roots``): no module imports ``scipy.optimize``."""
+"""The package's import graph.
+
+Every root the package finds comes from its own bracketed solver
+(``potential._bracketed_roots``): no module imports ``scipy.optimize``.
+``import semiclassic`` loads numpy and the package alone; scipy's submodules
+and mpmath run their code on first use (``semiclassic._lazy``).
+"""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +25,10 @@ def imported_names(path):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             yield node.module
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lazy"
+              and isinstance(node.args[0], ast.Constant)):
+            yield node.args[0].value
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -30,7 +41,8 @@ def test_no_scipy_optimize(path):
 
 def test_guard_sees_every_spelling(tmp_path):
     for line in ("import scipy.optimize", "from scipy import optimize",
-                 "from scipy.optimize import brentq", "import scipy.optimize._zeros as z"):
+                 "from scipy.optimize import brentq", "import scipy.optimize._zeros as z",
+                 'optimize = lazy("scipy.optimize")'):
         module = tmp_path / "m.py"
         module.write_text(f"def f():\n    {line}\n")
         assert any(n.startswith("scipy.optimize") for n in imported_names(module)), line
@@ -61,3 +73,41 @@ def test_every_public_name_of_the_package_resolves():
     for module, name in names:
         source = importlib.import_module(f"semiclassic.{module}")
         assert getattr(semiclassic, name) is getattr(source, name), name
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(PACKAGE.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_heavy_dependency():
+    """A lazy module not yet touched is a ``LazyLoader`` placeholder, not a
+    plain module; scipy's optimizer and special functions are not there at all."""
+    out = _fresh(
+        "import types\n"
+        "import semiclassic, semiclassic.cli\n"
+        "for name in ('mpmath', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg'):\n"
+        "    module = sys.modules.get(name)\n"
+        "    print(name, module is None or type(module) is not types.ModuleType)\n"
+        "for name in ('scipy.optimize', 'scipy.special'):\n"
+        "    print(name, name not in sys.modules)\n"
+    )
+    assert [line for line in out.splitlines() if not line.endswith(" True")] == []
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("semiclassic.TabulatedPotential([0, 1, 2, 3], [0, 1, 1, 0])(0.5)", "0.625"),
+    ("round(semiclassic.airy_laplace_contour(0.5), 6)", "0.231694"),
+    ("semiclassic.airy(10.0).ai", "1.1047532552898686e-10"),
+    ("round(semiclassic.solve_scattering_exact(semiclassic.ScatteringProblem("
+     "semiclassic.EckartBarrier(1.0, 1.0), 0.5, (-14.0, 14.0),"
+     " semiclassic.PhysicalContext(mass=4.0))).transmission, 6)", "0.007208"),
+], ids=["interpolate", "integrate", "mpmath", "linalg"])
+def test_first_use_of_each_dependency_works(code, expected):
+    assert _fresh(f"import semiclassic\nprint({code})").strip() == expected

@@ -138,6 +138,14 @@ class TestTabulated:
         with pytest.raises(DomainError):
             TabulatedPotential([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("xs, vs", [
+        ([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 2.0, 3.0]),
+    ])
+    def test_non_finite_samples(self, xs, vs):
+        with pytest.raises(DomainError, match="x and V must be finite"):
+            TabulatedPotential(xs, vs)
+
 
 class TestValidation:
     def test_positive_parameters(self):
@@ -147,6 +155,17 @@ class TestValidation:
             HarmonicWell(stiffness=0.0)
         with pytest.raises(DomainError):
             PhysicalContext(mass=-1.0)
+
+    @pytest.mark.parametrize("model, kwargs, message", [
+        (EckartBarrier, {"height": math.nan, "width": 1.0}, "height must be finite, got nan"),
+        (GaussianBump, {"amplitude": math.inf, "width": 1.0}, "amplitude must be finite"),
+        (SquareBarrier, {"height": 1.0, "width": 1.0, "center": -math.inf}, "center must be"),
+        (LinearRamp, {"offset": 0.0, "slope": math.nan}, "slope must be finite, got nan"),
+        (ParabolicBarrier, {"height": 1.0, "curvature": math.inf}, "curvature must be strictly"),
+    ])
+    def test_every_field_finite(self, model, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            model(**kwargs)
 
     def test_domain_ordering(self):
         with pytest.raises(DomainError):
