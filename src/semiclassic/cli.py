@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, method dispatch, CSV emission.
+"""Command-line front end: config parsing, method dispatch, table output.
 
 Configs are flat key = value text with section headers (full grammar in the
 README); any file value can be overridden by a command-line flag.  Output is
@@ -19,12 +19,11 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import connection, exact_oracle, reflection, special_fn, verify, wkb_core
-from ._format import format_float
+from ._format import table_text
 from .errors import ConfigError, SemiclassicError
 from .potential import (
     EckartBarrier,
@@ -38,7 +37,7 @@ from .potential import (
     TabulatedPotential,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 TRANSMISSION_METHODS = ("wkb", "wkb-corrected", "connection", "exact")
 REFLECTION_METHODS = ("born1", "once-reflected")
@@ -56,24 +55,6 @@ _FORMS = {
 _SHAPE_FLAGS = tuple(
     dict.fromkeys(f.name for cls in _FORMS.values() for f in dataclasses.fields(cls))
 )
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, after config/flag merging."""
-
-    command: str
-    problem: ScatteringProblem | None = None
-    method: str = "wkb-corrected"
-    scan: tuple | None = None  # (e_min, e_max, steps)
-    output_path: str | None = None
-    output_format: str = "csv"
-    oracle: exact_oracle.OracleConfig = field(
-        default_factory=exact_oracle.OracleConfig
-    )
-    n_max: int = 3
-    outgoing_amplitude: float = 1.0
-    z_values: tuple = ()
 
 
 # --------------------------------------------------------------------------
@@ -209,53 +190,66 @@ _FROM_OPACITY = {
 }
 
 
-def _transmission_row(energy: float, report, method: str) -> dict:
-    return {
-        "E": energy,
-        "T": report.transmission,
-        "R": report.reflection,
-        "sigma_star": report.sigma_star,
-        "method": method,
-    }
+def _table(args, sections: dict):
+    """The (columns, rows) that one table command prints, built from its flags
+    and config sections; bad inputs are reported in the order read here."""
+    command = args.command
+    if command == "airy":
+        try:
+            rows = [(z, *dataclasses.astuple(special_fn.airy(z))) for z in args.z]
+        except SemiclassicError as exc:
+            raise ConfigError(f"invalid --z: {exc}") from exc
+        return ["z", "ai", "bi", "ai_prime", "bi_prime"], rows
 
+    oracle = _build_oracle(sections, args)
+    problem = _build_problem(
+        sections, args, need_energy=command in ("transmission", "wavefunction")
+    )
+    if command == "bound-states":
+        if args.n_max < 0:
+            raise ConfigError(f"--n-max must be >= 0, got {args.n_max}")
+        if args.method == "exact":
+            levels = exact_oracle.solve_bound_states_exact(problem, args.n_max, oracle)
+        else:
+            levels = wkb_core.quantize_levels(problem, args.n_max)
+        return ["n", "E", "method"], [(str(n), e, args.method) for n, e in enumerate(levels)]
 
-def _reflection_row(problem: ScatteringProblem, method: str) -> dict:
-    if method == "once-reflected":
-        amp = reflection.once_reflected_coefficient(problem)
-    elif method == "born1":
-        amp = reflection.born_first_order(problem)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown method {method!r}")
-    return {
-        "E": problem.energy,
-        "re_R": amp.real,
-        "im_R": amp.imag,
-        "R_squared": abs(amp) ** 2,
-        "method": method,
-    }
+    if command == "wavefunction":
+        amplitude = args.outgoing_amplitude
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"--outgoing-amplitude must be finite, got {amplitude}")
+        if args.method == "exact":
+            table = exact_oracle.wavefunction_exact(problem, oracle)
+        else:
+            table = connection.patched_barrier_solution(problem, outgoing_amplitude=amplitude)
+        return table.COLUMNS, table.rows()
 
-
-def _compute_rows(config: RunConfig, energies) -> list:
-    method, context = config.method, config.problem.context
-    if method in _FROM_OPACITY:
-        report = _FROM_OPACITY[method]
-        sigmas = wkb_core.opacities(config.problem, energies)
-        return [
-            _transmission_row(float(e), report(float(s), context), method)
-            for e, s in zip(energies, sigmas)
-        ]
+    # A transmission is the scan of one energy.
+    energies = np.linspace(*_build_scan(sections, args)) if command == "scan" else [problem.energy]
+    method = args.method
+    if method in REFLECTION_METHODS:
+        coefficient = (
+            reflection.once_reflected_coefficient if method == "once-reflected"
+            else reflection.born_first_order
+        )
+        rows = []
+        for e in energies:
+            amp = coefficient(dataclasses.replace(problem, energy=float(e)))
+            rows.append((float(e), amp.real, amp.imag, abs(amp) ** 2, method))
+        return ["E", "re_R", "im_R", "R_squared", "method"], rows
 
     if method == "exact":
-        reports = exact_oracle.scan_scattering_exact(config.problem, energies, config.oracle)
-        return [_transmission_row(float(e), r, method) for e, r in zip(energies, reports)]
-    return [
-        _reflection_row(dataclasses.replace(config.problem, energy=float(e)), method)
-        for e in energies
+        reports = exact_oracle.scan_scattering_exact(problem, energies, oracle)
+    else:
+        report = _FROM_OPACITY[method]
+        reports = [
+            report(float(s), problem.context) for s in wkb_core.opacities(problem, energies)
+        ]
+    rows = [
+        (float(e), r.transmission, r.reflection, r.sigma_star, method)
+        for e, r in zip(energies, reports)
     ]
-
-
-_TRANSMISSION_COLUMNS = ["E", "T", "R", "sigma_star", "method"]
-_REFLECTION_COLUMNS = ["E", "re_R", "im_R", "R_squared", "method"]
+    return ["E", "T", "R", "sigma_star", "method"], rows
 
 
 def _write(path, payload: str) -> None:
@@ -267,70 +261,6 @@ def _write(path, payload: str) -> None:
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
     else:
         sys.stdout.write(payload)
-
-
-def _emit(config: RunConfig, rows: list, columns: list) -> None:
-    cells = [
-        [row[c] if isinstance(row[c], str) else format_float(row[c]) for c in columns]
-        for row in rows
-    ]
-    if config.output_format == "csv":
-        payload = "\n".join(",".join(line) for line in [columns, *cells])
-    else:
-        payload = "\n\n".join(
-            "\n".join(f"{col} = {v}" for col, v in zip(columns, line)) for line in cells
-        )
-    _write(config.output_path, payload + "\n")
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
-    if config.command in ("transmission", "scan"):
-        # A transmission is the scan of one energy.
-        energies = np.linspace(*config.scan) if config.scan else [config.problem.energy]
-        rows = _compute_rows(config, energies)
-        reflection_method = config.method in REFLECTION_METHODS
-        _emit(config, rows, _REFLECTION_COLUMNS if reflection_method else _TRANSMISSION_COLUMNS)
-        return 0
-
-    if config.command == "bound-states":
-        if config.method == "exact":
-            levels = exact_oracle.solve_bound_states_exact(
-                config.problem, config.n_max, config.oracle
-            )
-        else:
-            levels = wkb_core.quantize_levels(config.problem, config.n_max)
-        rows = [
-            {"n": format_float(float(n)), "E": e, "method": config.method}
-            for n, e in enumerate(levels)
-        ]
-        _emit(config, rows, ["n", "E", "method"])
-        return 0
-
-    if config.command == "wavefunction":
-        if config.method == "exact":
-            table = exact_oracle.wavefunction_exact(config.problem, config.oracle)
-        else:
-            table = connection.patched_barrier_solution(
-                config.problem, outgoing_amplitude=config.outgoing_amplitude
-            )
-        _write(config.output_path, table.csv_string())
-        return 0
-
-    if config.command == "airy":
-        rows = [{"z": z, **dataclasses.asdict(special_fn.airy(z))} for z in config.z_values]
-        _emit(config, rows, ["z", "ai", "bi", "ai_prime", "bi_prime"])
-        return 0
-
-    if config.command == "verify":
-        results = verify.run_all()
-        results.append(verify.criterion_9_determinism(results))
-        sys.stdout.write(verify.format_table(results) + "\n")
-        if config.output_path:
-            _write(config.output_path, verify.emit_csv(results))
-        return 0 if all(r.passed for r in results) else 4
-
-    raise ConfigError(f"unknown command {config.command!r}")  # pragma: no cover
 
 
 # --------------------------------------------------------------------------
@@ -417,47 +347,20 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    command = args.command
-    if command == "verify":
-        return RunConfig(command=command, output_path=args.output)
-    sections = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    output_path, output_format = _output_options(sections, args)
-    if command == "airy":
-        return RunConfig(
-            command=command,
-            output_path=output_path,
-            output_format=output_format,
-            z_values=tuple(args.z),
-        )
-
-    oracle = _build_oracle(sections, args)
-    problem = _build_problem(
-        sections, args, need_energy=command in ("transmission", "wavefunction")
-    )
-    n_max = getattr(args, "n_max", 3)
-    if n_max < 0:
-        raise ConfigError(f"--n-max must be >= 0, got {n_max}")
-    outgoing_amplitude = getattr(args, "outgoing_amplitude", 1.0)
-    if not math.isfinite(outgoing_amplitude):
-        raise ConfigError(f"--outgoing-amplitude must be finite, got {outgoing_amplitude}")
-    return RunConfig(
-        command=command,
-        problem=problem,
-        method=args.method,
-        scan=_build_scan(sections, args) if command == "scan" else None,
-        output_path=output_path,
-        output_format=output_format,
-        oracle=oracle,
-        n_max=n_max,
-        outgoing_amplitude=outgoing_amplitude,
-    )
-
-
 def main(argv=None) -> int:
     try:
-        config = _config_from_args(_make_parser().parse_args(argv))
-        return run(config)
+        args = _make_parser().parse_args(argv)
+        if args.command == "verify":
+            results = verify.run_all()
+            results.append(verify.criterion_9_determinism(results))
+            sys.stdout.write(verify.format_table(results) + "\n")
+            if args.output:
+                _write(args.output, verify.emit_csv(results))
+            return 0 if all(r.passed for r in results) else 4
+        sections = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        path, fmt = _output_options(sections, args)
+        _write(path, table_text(*_table(args, sections), fmt))
+        return 0
     except SemiclassicError as exc:
         sys.stderr.write(f"{exc.code}: {exc}\n")
         return exc.exit_code

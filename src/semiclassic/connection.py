@@ -47,7 +47,7 @@ from .wkb_core import (
     assert_outside_exclusion,
     barrier_integral,
 )
-from ._format import format_float
+from ._format import table_text
 
 __all__ = [
     "Region",
@@ -107,14 +107,18 @@ class WavefunctionTable:
     def __len__(self) -> int:
         return len(self.xs)
 
+    #: The columns of :meth:`rows`.
+    COLUMNS = ("x", "re_psi", "im_psi", "region")
+
+    def rows(self) -> list:
+        """One (x, Re psi, Im psi, region) row per sample."""
+        return list(zip(
+            self.xs.tolist(), self.psi.real.tolist(), self.psi.imag.tolist(),
+            [tag.value for tag in self.region_tags],
+        ))
+
     def csv_string(self) -> str:
-        lines = ["x,re_psi,im_psi,region"]
-        for x, p, tag in zip(self.xs, self.psi, self.region_tags):
-            lines.append(
-                f"{format_float(x)},{format_float(p.real)},"
-                f"{format_float(p.imag)},{tag.value}"
-            )
-        return "\n".join(lines) + "\n"
+        return table_text(self.COLUMNS, self.rows())
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -318,18 +322,15 @@ def patched_barrier_solution(
     """
     if incident_side not in ("left", "right"):
         raise DomainError(f"incident_side must be 'left' or 'right', got {incident_side!r}")
-    tp = find_turning_points(problem)
-    if tp.count != 2:
-        raise DomainError(
-            f"patched solution needs a barrier with 2 turning points, found {tp.count}"
-        )
     b_amp = _amplitude(outgoing_amplitude)
+    # Raises NoBarrierError unless a barrier lies between two turning points.
     sigma_star = barrier_integral(problem)
     if sigma_star > _LN_FLOAT_MAX:
         raise NumericalError(
             f"opacity sigma* = {sigma_star:g} is too large for the patched wave: "
             "its growing exponential e^sigma* overflows"
         )
+    tp = find_turning_points(problem)
 
     if xs is None:
         xs = _default_grid(problem, tp, n_per_region)

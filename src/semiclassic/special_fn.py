@@ -90,60 +90,29 @@ class ContourSector(enum.Enum):
         return lo < angle < hi
 
 
-def _airy_series_float(z: float) -> tuple[float, float, float, float]:
-    """Maclaurin series in double precision; fine for |z| <= ~3.5."""
-    if z == 0.0:
-        return AI_ZERO, BI_ZERO, AIP_ZERO, BIP_ZERO
+def _airy_series(z, c1, c2, sqrt3, eps):
+    """Ai, Bi, Ai', Bi' at z != 0 by Maclaurin series, in the arithmetic of
+    its arguments (floats, or mpf inside the caller's working precision).
+
+    c1 = Ai(0) and c2 = -Ai'(0).  The sum stops once the terms of both
+    series fall below eps of their sums, or after 601 terms: for a subnormal
+    z every term underflows to 0, and the relative test never holds.
+    """
     z3 = z * z * z
-    f, g = 1.0, z
-    fp, gp = 0.0, 1.0
-    tf, tg = 1.0, z
-    k = 0
-    while True:
+    f, g = 1, z
+    fp, gp = 0, 1
+    tf, tg = 1, z
+    for k in range(601):
         tf = tf * z3 / ((3 * k + 2) * (3 * k + 3))
         tg = tg * z3 / ((3 * k + 3) * (3 * k + 4))
         f += tf
         g += tg
         fp += tf * (3 * (k + 1)) / z
         gp += tg * (3 * (k + 1) + 1) / z
-        k += 1
-        if abs(tf) < 1e-17 * abs(f) and abs(tg) < 1e-17 * abs(g):
+        if abs(tf) < eps * abs(f) and abs(tg) < eps * abs(g):
             break
-        if k > 600:  # pragma: no cover - series always converges sooner
-            break
-    c1, c2 = AI_ZERO, -AIP_ZERO
-    sqrt3 = math.sqrt(3.0)
     return (c1 * f - c2 * g, sqrt3 * (c1 * f + c2 * g),
             c1 * fp - c2 * gp, sqrt3 * (c1 * fp + c2 * gp))
-
-
-def _airy_series_mp(z: float) -> tuple[float, float, float, float]:
-    """Same series, summed with enough guard digits to absorb cancellation."""
-    zeta = (2.0 / 3.0) * abs(z) ** 1.5
-    dps = 30 + int(2.0 * zeta / math.log(10.0))
-    with mp.workdps(dps):
-        zm = mp.mpf(z)
-        c1 = mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
-        c2 = mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
-        z3 = zm**3
-        f, g = mp.mpf(1), zm
-        fp, gp = mp.mpf(0), mp.mpf(1)
-        tf, tg = mp.mpf(1), zm
-        eps = mp.mpf(10) ** (-dps)
-        k = 0
-        while True:
-            tf = tf * z3 / ((3 * k + 2) * (3 * k + 3))
-            tg = tg * z3 / ((3 * k + 3) * (3 * k + 4))
-            f += tf
-            g += tg
-            fp += tf * (3 * (k + 1)) / zm
-            gp += tg * (3 * (k + 1) + 1) / zm
-            k += 1
-            if abs(tf) < eps * abs(f) and abs(tg) < eps * abs(g):
-                break
-        sqrt3 = mp.sqrt(3)
-        return (float(c1 * f - c2 * g), float(sqrt3 * (c1 * f + c2 * g)),
-                float(-(c2 * gp - c1 * fp)), float(sqrt3 * (c1 * fp + c2 * gp)))
 
 
 def airy(z: float) -> AiryPair:
@@ -162,10 +131,23 @@ def airy(z: float) -> AiryPair:
             f"airy: |z| = {abs(z):g} exceeds {SERIES_MAX_ABS_Z:g}; "
             "use airy_asymptotic for large arguments"
         )
+    if z == 0.0:
+        return AiryPair(ai=AI_ZERO, bi=BI_ZERO, ai_prime=AIP_ZERO, bi_prime=BIP_ZERO)
     if abs(z) <= _F64_SERIES_LIMIT:
-        ai, bi, aip, bip = _airy_series_float(z)
+        values = _airy_series(z, AI_ZERO, -AIP_ZERO, math.sqrt(3.0), 1e-17)
     else:
-        ai, bi, aip, bip = _airy_series_mp(z)
+        # Enough guard digits to absorb the cancellation.
+        zeta = (2.0 / 3.0) * abs(z) ** 1.5
+        dps = 30 + int(2.0 * zeta / math.log(10.0))
+        with mp.workdps(dps):
+            values = _airy_series(
+                mp.mpf(z),
+                mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3),
+                mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3),
+                mp.sqrt(3),
+                mp.mpf(10) ** (-dps),
+            )
+    ai, bi, aip, bip = (float(v) for v in values)
     return AiryPair(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip)
 
 

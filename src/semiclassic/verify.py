@@ -22,7 +22,7 @@ from .potential import (
     ScatteringProblem,
     SquareBarrier,
 )
-from ._format import format_float
+from ._format import table_text
 
 __all__ = ["CheckRow", "CriterionResult", "CRITERIA", "run_all", "emit_csv", "format_table"]
 
@@ -296,14 +296,11 @@ def criterion_9_determinism(first_pass) -> CriterionResult:
 
 
 def emit_csv(results) -> str:
-    lines = ["criterion,check,value,bound,status"]
-    for result in results:
-        for row in result.rows:
-            lines.append(
-                f"{result.index},{row.label},{format_float(row.value)},"
-                f"{format_float(row.bound)},{'pass' if row.passed else 'FAIL'}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (str(result.index), row.label, row.value, row.bound, "pass" if row.passed else "FAIL")
+        for result in results for row in result.rows
+    ]
+    return table_text(["criterion", "check", "value", "bound", "status"], rows)
 
 
 def format_table(results) -> str:

@@ -237,9 +237,10 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
                 f"turning point at {x_c:g} lies strictly inside [{lo:g}, {hi:g}]"
             )
 
+    # No turning point inside: V - E has one sign on the span, so its
+    # midpoint decides.
     e = problem.energy
-    probe = np.linspace(lo, hi, 33)[1:-1]
-    if np.min(e - problem.v(probe)) < -_SINGULAR_EPS * max(1.0, abs(e)):
+    if e - problem.v(0.5 * (lo + hi)) < -_SINGULAR_EPS * max(1.0, abs(e)):
         raise RegionError(
             f"[{lo:g}, {hi:g}] enters the classically forbidden region"
         )

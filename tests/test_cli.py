@@ -647,3 +647,83 @@ class TestUsageErrorsExit2:
         assert captured.err == (
             f"E_CONFIG: --outgoing-amplitude must be finite, got {float(value)}\n"
         )
+
+
+class TestBadAiryArgument:
+    """A --z value that airy rejects is a config error, like any bad flag."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e6"])
+    def test_exit_2(self, capsys, value):
+        assert run_cli(["airy", "--z", "1", "--z", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_CONFIG: invalid --z: airy: ")
+        assert captured.err.count("\n") == 1
+
+
+def _csv_table(text):
+    header, *lines = text.splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+def _structured_table(text):
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    blocks = [block.split("\n") for block in text[:-1].split("\n\n")]
+    columns = [line.split(" = ", 1)[0] for line in blocks[0]]
+    rows = []
+    for block in blocks:
+        assert [line.split(" = ", 1)[0] for line in block] == columns
+        rows.append([line.split(" = ", 1)[1] for line in block])
+    return columns, rows
+
+
+#: One invocation of every table command and method family.
+TABLE_COMMANDS = {
+    "transmission": ["transmission", *BARRIER_FORMS["eckart"], "--energy=0.5"],
+    "scan": ["scan", *BARRIER_FORMS["square"], "--e-min=0.2", "--e-max=0.8", "--steps=5"],
+    "scan-once-reflected": [
+        "scan", *BARRIER_FORMS["eckart"], "--method=once-reflected",
+        "--e-min=1.5", "--e-max=2", "--steps=3",
+    ],
+    "bound-states-wkb": ["bound-states", "--form=harmonic", "--stiffness=1", "--n-max=2"],
+    "bound-states-exact": [
+        "bound-states", "--form=harmonic", "--stiffness=1", "--x-min=-6", "--x-max=6",
+        "--n-max=2", "--method=exact", "--grid-points=3001",
+    ],
+    "wavefunction-connection": [
+        "wavefunction", *BARRIER_FORMS["eckart"], "--mass=4", "--energy=0.5",
+        "--method=connection",
+    ],
+    "wavefunction-exact": [
+        "wavefunction", *BARRIER_FORMS["eckart"], "--mass=4", "--energy=0.5",
+        "--method=exact", "--grid-points=4001",
+    ],
+    "airy": ["airy", "--z=-5", "--z=0", "--z=2.5"],
+}
+
+
+class TestStructuredText:
+    """Every table command writes the same cells in either format."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_COMMANDS))
+    def test_blocks_match_csv(self, tmp_path, name):
+        texts = {}
+        for fmt in ("csv", "structured-text"):
+            out = tmp_path / f"{fmt}.txt"
+            assert run_cli([*TABLE_COMMANDS[name], f"--format={fmt}", f"--output={out}"]) == 0
+            texts[fmt] = out.read_text()
+        columns, rows = _csv_table(texts["csv"])
+        assert rows
+        assert _structured_table(texts["structured-text"]) == (columns, rows)
+
+
+class TestPatchedWaveRegime:
+    def test_above_the_top_exit_3_as_transmission(self, capsys):
+        args = [*BARRIER_FORMS["eckart"], "--mass=4", "--energy=1.5", "--method=connection"]
+        assert run_cli(["transmission", *args]) == 3
+        transmission_err = capsys.readouterr().err
+        assert run_cli(["wavefunction", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == transmission_err
+        assert captured.err.startswith("E_NO_BARRIER: ")

@@ -13,6 +13,7 @@ from semiclassic import (
     LinearRamp,
     LinearizationError,
     Method,
+    NoBarrierError,
     NumericalError,
     PhysicalContext,
     ScatteringProblem,
@@ -371,3 +372,22 @@ class TestRegionOneOverflow:
         j_inc, j_ref, j_out = barrier_currents(354.0)
         assert math.isfinite(j_inc) and j_out == 4.0
         assert all(cmath.isfinite(a) for a in region_one_amplitudes(700.0))
+
+
+class TestPatchedSolutionRegime:
+    """Without a barrier the patched wave fails as barrier_integral does."""
+
+    @pytest.mark.parametrize("potential, energy", [
+        (EckartBarrier(height=1.0, width=1.0), 1.5),  # above the top: no turning point
+        (HarmonicWell(stiffness=1.0), 0.5),  # two turning points around a well
+    ])
+    def test_no_barrier(self, potential, energy):
+        problem = ScatteringProblem(
+            potential=potential, energy=energy, domain=(-14.0, 14.0),
+            context=PhysicalContext(mass=4.0),
+        )
+        with pytest.raises(NoBarrierError) as expected:
+            barrier_integral(problem)
+        with pytest.raises(NoBarrierError) as raised:
+            patched_barrier_solution(problem)
+        assert str(raised.value) == str(expected.value)

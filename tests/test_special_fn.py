@@ -188,3 +188,14 @@ class TestContourSectors:
         assert ContourSector.C1.contains(0.0)
         assert not ContourSector.C1.contains(math.pi / 4)
         assert ContourSector.C2.contains(2.0)
+
+
+class TestSeriesEdges:
+    @pytest.mark.parametrize("z", [5e-324, -5e-324, 1e-300, -1e-300])
+    def test_tiny_arguments_are_the_values_at_zero(self, z):
+        # Every term past the first underflows; the sum stops at its term cap.
+        zero = airy(0.0)
+        tiny = airy(z)
+        assert (tiny.ai, tiny.bi, tiny.ai_prime, tiny.bi_prime) == pytest.approx(
+            (zero.ai, zero.bi, zero.ai_prime, zero.bi_prime), rel=1e-15
+        )

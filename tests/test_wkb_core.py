@@ -77,6 +77,12 @@ class TestActionIntegral:
         with pytest.raises(RegionError):
             action_integral(problem, -3.0, 0.0)
 
+    def test_span_inside_a_barrier_rejected(self):
+        # No turning point inside [-0.5, 0.5]: all of it lies under the top.
+        problem = problem_for(SquareBarrier(height=1.0, width=2.0), 0.5, (-8, 8))
+        with pytest.raises(RegionError, match="forbidden"):
+            action_integral(problem, -0.5, 0.5)
+
     def test_against_independent_quadrature(self):
         problem = problem_for(EckartBarrier(height=1.0, width=1.0), 2.0, (-14, 14))
         w = action_integral(problem, -2.0, 2.0)
