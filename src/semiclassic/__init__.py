@@ -85,6 +85,7 @@ from .reflection import (
     EffectivePerturbation,
     PhaseGrid,
     PicardAmplitudes,
+    born_amplitudes,
     born_first_order,
     differential_reflection,
     effective_perturbation,
@@ -93,6 +94,7 @@ from .reflection import (
     matrix_element,
     momentum_propagator,
     once_reflected_coefficient,
+    once_reflected_coefficients,
     phase_transform,
     picard_amplitudes,
 )

@@ -228,14 +228,14 @@ def _table(args, sections: dict):
     energies = np.linspace(*_build_scan(sections, args)) if command == "scan" else [problem.energy]
     method = args.method
     if method in REFLECTION_METHODS:
-        coefficient = (
-            reflection.once_reflected_coefficient if method == "once-reflected"
-            else reflection.born_first_order
-        )
-        rows = []
-        for e in energies:
-            amp = coefficient(dataclasses.replace(problem, energy=float(e)))
-            rows.append((float(e), amp.real, amp.imag, abs(amp) ** 2, method))
+        amplitudes = (
+            reflection.once_reflected_coefficients if method == "once-reflected"
+            else reflection.born_amplitudes
+        )(problem, energies)
+        rows = [
+            (float(e), amp.real, amp.imag, abs(amp) ** 2, method)
+            for e, amp in zip(energies, amplitudes.tolist())
+        ]
         return ["E", "re_R", "im_R", "R_squared", "method"], rows
 
     if method == "exact":

@@ -117,6 +117,11 @@ class PotentialModel:
     def __call__(self, x):
         return self.value(x)
 
+    @property
+    def jumps(self) -> tuple:
+        """The points where V jumps, which V' and V'' do not see: none."""
+        return ()
+
 
 @dataclass(frozen=True)
 class SquareBarrier(PotentialModel):
@@ -137,6 +142,11 @@ class SquareBarrier(PotentialModel):
         half = 0.5 * self.width
         out = np.where(dx < half, self.height, 0.0)
         return np.where(dx == half, 0.5 * self.height, out)
+
+    @property
+    def jumps(self) -> tuple:
+        half = 0.5 * self.width
+        return (self.center - half, self.center + half) if self.height else ()
 
     def _derivative(self, x):
         # Zero almost everywhere; the edge delta spikes are not representable.

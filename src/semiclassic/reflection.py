@@ -12,7 +12,13 @@ read at any set of points from the action accumulator of :mod:`wkb_core`, run
 from the left edge of the domain (which may be a turning point), and each
 integral (the once-reflected amplitude, the matrix element of Vtilde) is one
 complex composite 10-point Gauss-Legendre sum with the integrand evaluated
-on all nodes at once.
+on all nodes at once.  Above the barrier the nodes, the accumulator's panels
+up to them and V, V', V'' on both depend on the domain, x0 and the span only,
+so a scan lays them out once per call (once per distinct support of Vtilde
+for the matrix element) and each energy is one sum on them, in the same
+operations as one energy alone; the single-energy functions are batches of
+one.  The sums read V' and V'' only, so a potential that jumps inside the
+domain is refused.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -31,8 +37,10 @@ from .errors import DomainError, PoleError, RegimeError
 from .potential import PhysicalContext, ScatteringProblem, _knots
 from .wkb_core import (
     _GL_WEIGHTS,
-    _accumulate,
+    _accumulator_panels,
+    _cumulative,
     _panel_nodes,
+    _vtilde,
     assert_outside_exclusion,
     effective_perturbation,
 )
@@ -45,11 +53,13 @@ __all__ = [
     "phase_transform",
     "picard_amplitudes",
     "once_reflected_coefficient",
+    "once_reflected_coefficients",
     "effective_perturbation",
     "effective_perturbation_forms",
     "effective_perturbation_profile",
     "matrix_element",
     "born_first_order",
+    "born_amplitudes",
     "momentum_propagator",
 ]
 
@@ -113,12 +123,30 @@ def _v_max(problem: ScatteringProblem) -> float:
     return max(v for _, v in _knots(problem))
 
 
-def _require_over_barrier(problem: ScatteringProblem) -> None:
+def _require_over_barrier(problem: ScatteringProblem, energies) -> np.ndarray:
+    """The energies as a float array; the first (in order) that does not
+    exceed max V raises."""
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
     vmax = _v_max(problem)
-    if problem.energy <= vmax:
+    low = np.flatnonzero(e <= vmax)
+    if low.size:
         raise RegimeError(
-            f"E = {problem.energy:g} does not exceed max V = {vmax:g} on the "
+            f"E = {float(e[low[0]]):g} does not exceed max V = {vmax:g} on the "
             "domain; below-barrier problems belong to the connection module"
+        )
+    return e
+
+
+def _require_smooth(problem: ScatteringProblem) -> None:
+    """Refuse a potential that jumps inside the domain: its analytic V' and V''
+    miss the jump, so r(x) and Vtilde would vanish there and R read 0."""
+    lo, hi = problem.domain
+    jumps = [x for x in problem.potential.jumps if lo <= x <= hi]
+    if jumps:
+        where = " and ".join(f"x = {x:g}" for x in jumps)
+        raise RegimeError(
+            f"V jumps at {where}; the reflection sums need a smooth potential "
+            "(use the exact method)"
         )
 
 
@@ -140,11 +168,13 @@ def differential_reflection(problem: ScatteringProblem, x: float) -> float:
     return -m * problem.dv(x) / (2.0 * p2)
 
 
-def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
-    """w(x0, x) at ascending xs: the phase accumulator run from the left edge.
+def _phase_layout(problem: ScatteringProblem, xs, x0: float | None, turning: bool):
+    """w(x0, x) at ascending xs, as a function of the energy.
 
-    The left edge may be a turning point (E = V there), which the
-    accumulator's turning-point substitution handles; x0 defaults to it.
+    The phase accumulator runs from the left edge to xs and x0 on panels that
+    depend on the points only, so they, and V on them, are laid out here once;
+    each call with an energy is one sum.  ``turning`` says the left edge is a
+    turning point (E = V there); x0 defaults to the left edge.
     """
     lo, hi = problem.domain
     x0 = lo if x0 is None else float(x0)
@@ -153,24 +183,54 @@ def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarra
     pts = np.append(xs, x0)
     order = np.argsort(pts, kind="stable")
     inside = pts[order] > lo
-    w = np.zeros(len(pts))
-    w[order[inside]] = _accumulate(
-        problem, lo, pts[order][inside], turning=problem.v(lo) == problem.energy
-    )
-    return w[:-1] - w[-1]
+    at = order[inside]
+    panels = _accumulator_panels(problem, lo, pts[order][inside], turning)
+    if panels is not None:
+        v = problem.v(panels.x)
+        work = np.empty_like(v)
+
+    def phase(e: float) -> np.ndarray:
+        w = np.zeros(len(pts))
+        if panels is not None:
+            w[at] = _cumulative(panels, np.subtract(v, e, out=work))
+        return w[:-1] - w[-1]
+
+    return phase
 
 
-def _integrate(problem: ScatteringProblem, x_lo: float, x_hi: float, integrand) -> complex:
-    """Composite 10-point Gauss-Legendre sum of ``integrand`` over [x_lo, x_hi].
+def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
+    """w(x0, x) at ascending xs: the phase accumulator run from the left edge.
 
-    ``integrand`` maps the ascending nodes to values in one array call.  The
-    panel count is :data:`_PANELS_PER_DOMAIN` scaled by the span's share of
-    the domain.
+    The left edge may be a turning point (E = V there), which the
+    accumulator's turning-point substitution handles; x0 defaults to it.
     """
-    lo, hi = problem.domain
-    n = max(1, math.ceil(_PANELS_PER_DOMAIN * (x_hi - x_lo) / (hi - lo)))
-    nodes, half = _panel_nodes(np.linspace(x_lo, x_hi, n + 1))
-    return complex(np.sum(half * (integrand(nodes.ravel()).reshape(nodes.shape) @ _GL_WEIGHTS)))
+    turning = problem.v(problem.domain[0]) == problem.energy
+    return _phase_layout(problem, xs, x0, turning)(problem.energy)
+
+
+class _Nodes:
+    """The energy-independent work of one reflection sum over [x_lo, x_hi].
+
+    The composite 10-point Gauss-Legendre nodes (:data:`_PANELS_PER_DOMAIN`
+    panels scaled by the span's share of the domain) and their half-widths,
+    the phase from x0 at them, and V and V' (and V'' with ``curvature``)
+    there.  Above the barrier E > max V >= V(left edge), so the phase
+    accumulator never starts at a turning point.
+    """
+
+    def __init__(self, problem, x_lo, x_hi, x0, curvature=False):
+        lo, hi = problem.domain
+        n = max(1, math.ceil(_PANELS_PER_DOMAIN * (x_hi - x_lo) / (hi - lo)))
+        nodes, self.half = _panel_nodes(np.linspace(x_lo, x_hi, n + 1))
+        self.shape = nodes.shape
+        self.x = nodes.ravel()
+        self.v, self.dv = problem.v(self.x), problem.dv(self.x)
+        self.d2v = problem.d2v(self.x) if curvature else None
+        self.phase = _phase_layout(problem, self.x, x0, turning=False)
+
+    def integral(self, values) -> complex:
+        """The sum of ``values`` at the nodes against their weights."""
+        return complex(np.sum(self.half * (values.reshape(self.shape) @ _GL_WEIGHTS)))
 
 
 def phase_transform(
@@ -184,7 +244,7 @@ def phase_transform(
     rescaling phi = sqrt(p/hbar) psi; Vtilde is exposed by
     :func:`effective_perturbation`.
     """
-    _require_over_barrier(problem)
+    _require_over_barrier(problem, problem.energy)
     xs = np.linspace(*problem.domain, n_points)
     m, e = problem.context.mass, problem.energy
     ps = np.sqrt(2.0 * m * (e - problem.v(xs)))
@@ -209,6 +269,7 @@ def picard_amplitudes(
     """
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
+    _require_smooth(problem)
     grid = phase_transform(problem, n_points=n_points, x0=x0)
     hbar = problem.context.hbar
     xs = grid.xs
@@ -259,16 +320,33 @@ def once_reflected_coefficient(
     One composite Gauss-Legendre sum over the domain, with the phase w read
     from the shared action accumulator at every node.  |R|^2 estimates the
     reflection probability; it is independent of the reference point x0,
-    which only rotates the phase.
+    which only rotates the phase.  The batch of one of
+    :func:`once_reflected_coefficients`.
     """
-    _require_over_barrier(problem)
-    e, hbar = problem.energy, problem.context.hbar
+    return complex(once_reflected_coefficients(problem, problem.energy, x0)[0])
 
-    def integrand(x):
-        r = -problem.dv(x) / (4.0 * (e - problem.v(x)))
-        return r * np.exp(2.0j * _phase(problem, x, x0) / hbar)
 
-    return -_integrate(problem, *problem.domain, integrand)
+def once_reflected_coefficients(
+    problem: ScatteringProblem, energies, x0: float | None = None
+) -> np.ndarray:
+    """The once-reflected amplitude at each energy of a scan, on one node layout.
+
+    The nodes, the phase accumulator's panels up to them and V, V' there are
+    laid out once per call; each energy is then one sum, the one
+    :func:`once_reflected_coefficient` makes.  A potential with a jump, or an
+    energy not above max V, raises as the single-energy call would; the first
+    such energy in the given order is the one reported.
+    """
+    _require_smooth(problem)
+    e = _require_over_barrier(problem, energies)
+    out = np.empty(len(e), dtype=complex)
+    hbar = problem.context.hbar
+    nodes = _Nodes(problem, *problem.domain, x0)
+    neg_dv = -nodes.dv
+    for i, energy in enumerate(e.tolist()):
+        r = neg_dv / (4.0 * (energy - nodes.v))
+        out[i] = -nodes.integral(r * np.exp(2.0j * nodes.phase(energy) / hbar))
+    return out
 
 
 def effective_perturbation_forms(problem: ScatteringProblem, x: float):
@@ -331,29 +409,50 @@ def matrix_element(
     +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral,
     one composite Gauss-Legendre sum in x with dw = p dx, runs over the region
     where |Vtilde| exceeds 1e-12 times its peak; a non-decaying Vtilde cannot
-    be truncated and is rejected.
+    be truncated and is rejected.  The batch of one of :func:`_matrix_elements`.
     """
-    _require_over_barrier(problem)
-    xs = np.linspace(*problem.domain, 4097)
-    vt = np.abs(effective_perturbation(problem, xs))
-    peak = float(np.max(vt))
-    if peak == 0.0:
-        return 0.0 + 0.0j
-    inside = np.flatnonzero(vt >= _TAIL_CUT * peak)
-    if inside[0] == 0 or inside[-1] == len(xs) - 1:
-        raise DomainError(
-            "effective perturbation has not decayed below the truncation "
-            "threshold at the domain edges; widen the domain"
-        )
-    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
+    return complex(_matrix_elements(problem, problem.energy, k_i, k_f, x0)[0])
+
+
+def _matrix_elements(
+    problem: ScatteringProblem, energies, k_i: float, k_f: float, x0: float | None = None
+) -> np.ndarray:
+    """v(k_i, k_f) at each energy, on one node layout per support.
+
+    V, V' and V'' are taken once on the 4097 samples whose |Vtilde| sets each
+    energy's support, and once on the nodes of each distinct support of the
+    call.  Each energy raises as :func:`matrix_element` would, in order.
+    """
+    _require_smooth(problem)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    out = np.empty(len(e), dtype=complex)
+    m, hbar = problem.context.mass, problem.context.hbar
     dk = k_f - k_i
-
-    def integrand(x):
-        p = np.sqrt(2.0 * m * (e - problem.v(x)))
-        phase = np.exp(1j * dk * _phase(problem, x, x0) / hbar)
-        return effective_perturbation(problem, x) * phase * p
-
-    return _integrate(problem, xs[inside[0]], xs[inside[-1]], integrand)
+    xs = np.linspace(*problem.domain, 4097)
+    samples = (xs, problem.v(xs), problem.dv(xs), problem.d2v(xs))
+    layouts = {}
+    for i, energy in enumerate(e.tolist()):
+        _require_over_barrier(problem, energy)
+        vt = np.abs(_vtilde(m, energy, *samples))
+        peak = float(np.max(vt))
+        if peak == 0.0:
+            out[i] = 0.0 + 0.0j
+            continue
+        inside = np.flatnonzero(vt >= _TAIL_CUT * peak)
+        if inside[0] == 0 or inside[-1] == len(xs) - 1:
+            raise DomainError(
+                "effective perturbation has not decayed below the truncation "
+                "threshold at the domain edges; widen the domain"
+            )
+        cut = (inside[0], inside[-1])
+        if cut not in layouts:
+            layouts[cut] = _Nodes(problem, xs[cut[0]], xs[cut[1]], x0, curvature=True)
+        nodes = layouts[cut]
+        p = np.sqrt(2.0 * m * (energy - nodes.v))
+        phase = np.exp(1j * dk * nodes.phase(energy) / hbar)
+        vtilde = _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v)
+        out[i] = nodes.integral(vtilde * phase * p)
+    return out
 
 
 def born_first_order(
@@ -368,9 +467,22 @@ def born_first_order(
 
     for backscattering (k_f = -k_i on shell); the i hbar/2 factor is the
     on-shell weight of the free propagator.  |R1|^2 tracks the once-reflected
-    probability as the perturbation amplitude goes to zero.
+    probability as the perturbation amplitude goes to zero.  The batch of one
+    of :func:`born_amplitudes`.
     """
-    return 0.5j * problem.context.hbar * matrix_element(problem, k_i, k_f)
+    return complex(born_amplitudes(problem, problem.energy, k_i, k_f)[0])
+
+
+def born_amplitudes(
+    problem: ScatteringProblem, energies, k_i: float = 1.0, k_f: float = -1.0
+) -> np.ndarray:
+    """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
+    :func:`born_first_order`), from one call of the matrix-element sums."""
+    weight = 0.5j * problem.context.hbar
+    return np.array(
+        [weight * v for v in _matrix_elements(problem, energies, k_i, k_f).tolist()],
+        dtype=complex,
+    )
 
 
 def momentum_propagator(k: float, context: PhysicalContext = PhysicalContext()) -> float:

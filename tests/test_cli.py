@@ -448,6 +448,137 @@ class TestBatchedScan:
         assert capsys.readouterr().err == ""
 
 
+#: Over-barrier scans (m = 4): the weak bump of the benchmark, Eckart above
+#: its top (on +/-20, where its Vtilde decays below 1e-12 of its peak), and a
+#: Gaussian bump whose Vtilde support (the samples where |Vtilde| exceeds
+#: 1e-12 of its peak) changes across the scan.
+WEAK_FORM = ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"]
+REFLECTION_SCANS = {
+    "weak": (WEAK_FORM, "0.34", "0.94", 8),
+    "eckart-above": (
+        ["--form=eckart", "--height=1", "--width=1", "--x-min=-20", "--x-max=20"],
+        "1.21", "1.89", 8,
+    ),
+    "gaussian-support": (
+        ["--form=gaussian", "--amplitude=0.01", "--width=1", "--x-min=-12", "--x-max=12"],
+        "0.05", "2.0", 12,
+    ),
+}
+
+
+class TestReflectionScan:
+    """Over-barrier scans lay out their nodes once; each row is what one energy gives."""
+
+    def _rows(self, tmp_path, args):
+        out = tmp_path / "rows.csv"
+        assert run_cli([*args, "--mass=4", f"--output={out}"]) == 0
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    @pytest.mark.parametrize("scan", sorted(REFLECTION_SCANS))
+    def test_scan_rows_match_single_energies(self, tmp_path, scan, method):
+        form, e_min, e_max, steps = REFLECTION_SCANS[scan]
+        rows = self._rows(
+            tmp_path,
+            ["scan", *form, f"--method={method}", f"--e-min={e_min}", f"--e-max={e_max}",
+             f"--steps={steps}"],
+        )
+        assert len(rows) == steps + 1
+        for row in rows[1:]:
+            one = self._rows(
+                tmp_path,
+                ["transmission", *form, f"--method={method}", f"--energy={row.split(',')[0]}"],
+            )
+            assert one == [rows[0], row]
+
+    def test_support_changes_across_the_gaussian_scan(self):
+        from semiclassic import GaussianBump, PhysicalContext, ScatteringProblem
+        from semiclassic.wkb_core import effective_perturbation
+
+        xs = np.linspace(-12.0, 12.0, 4097)
+        supports = set()
+        for e in np.linspace(0.05, 2.0, 12):
+            problem = ScatteringProblem(
+                GaussianBump(amplitude=0.01, width=1.0), float(e), (-12.0, 12.0),
+                PhysicalContext(mass=4.0),
+            )
+            vt = np.abs(effective_perturbation(problem, xs))
+            inside = np.flatnonzero(vt >= 1e-12 * vt.max())
+            supports.add((inside[0], inside[-1]))
+        assert len(supports) > 1
+
+    @pytest.mark.parametrize(
+        "method, form, err",
+        [
+            ("once-reflected", BARRIER_FORMS["eckart"],
+             "E_REGIME: E = 0.5 does not exceed max V = 1 on the domain; "
+             "below-barrier problems belong to the connection module\n"),
+            ("born1", BARRIER_FORMS["eckart"],
+             "E_REGIME: E = 0.5 does not exceed max V = 1 on the domain; "
+             "below-barrier problems belong to the connection module\n"),
+            ("born1", ["--form=linear", "--offset=0", "--slope=0.01"],
+             "E_DOMAIN: effective perturbation has not decayed below the truncation "
+             "threshold at the domain edges; widen the domain\n"),
+        ],
+    )
+    def test_scan_over_the_top_fails_as_one_energy_would(self, capsys, method, form, err):
+        code = run_cli(
+            ["scan", *form, "--mass=4", f"--method={method}",
+             "--e-min=0.5", "--e-max=1.5", "--steps=5"]
+        )
+        scan = capsys.readouterr()
+        assert run_cli(["transmission", *form, "--mass=4", f"--method={method}", "--energy=0.5"]) == code
+        assert (scan.out, scan.err) == ("", capsys.readouterr().err) == ("", err)
+        assert code == (3 if err.startswith("E_REGIME") else 4)
+
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    def test_scan_evaluates_v_on_few_points(self, tmp_path, monkeypatch, method):
+        from semiclassic.potential import ScatteringProblem
+
+        points = []
+        v = ScatteringProblem.v
+        monkeypatch.setattr(
+            ScatteringProblem, "v", lambda p, x: points.append(np.size(x)) or v(p, x)
+        )
+        self._rows(tmp_path, ["transmission", *WEAK_FORM, f"--method={method}", "--energy=0.6"])
+        one, points[:] = sum(points), []
+        self._rows(
+            tmp_path,
+            ["scan", *WEAK_FORM, f"--method={method}", "--e-min=0.34", "--e-max=0.94", "--steps=8"],
+        )
+        assert sum(points) <= 2 * one
+
+
+class TestJumpRefused:
+    """The reflection sums see V' and V'' only, which miss a jump of V: a
+    square barrier is refused, not answered with R = 0."""
+
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["transmission", "--energy=1.5"], ["scan", "--e-min=1.2", "--e-max=1.9", "--steps=4"]],
+    )
+    def test_square_barrier_exit_3(self, capsys, method, command):
+        code = run_cli(
+            [command[0], *BARRIER_FORMS["square"], "--mass=4", f"--method={method}", *command[1:]]
+        )
+        assert code == 3
+        assert capsys.readouterr() == (
+            "",
+            "E_REGIME: V jumps at x = -1 and x = 1; the reflection sums need a smooth "
+            "potential (use the exact method)\n",
+        )
+
+    def test_exact_method_still_answers(self, capsys):
+        code = run_cli(
+            ["transmission", *BARRIER_FORMS["square"], "--mass=4", "--method=exact",
+             "--energy=1.5"]
+        )
+        assert code == 0
+        r = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        assert r == pytest.approx(0.1603, abs=1e-4)
+
+
 class TestMalformedConfigValues:
     """A config value of the wrong type is a config error, not an internal one."""
 
@@ -477,7 +608,10 @@ EXACT_SCANS = {
     "eckart-below": (BARRIER_FORMS["eckart"], "0.2", "0.8", 12),
     "gaussian-below": (BARRIER_FORMS["gaussian"], "0.2", "0.8", 12),
     "square-below": (BARRIER_FORMS["square"], "0.2", "0.8", 12),
-    "eckart-above": (BARRIER_FORMS["eckart"], "1.21", "1.89", 8),
+    "eckart-above": (
+        ["--form=eckart", "--height=1", "--width=1", "--x-min=-20", "--x-max=20"],
+        "1.21", "1.89", 8,
+    ),
     "square-above": (BARRIER_FORMS["square"], "1.21", "1.89", 8),
     "weak-above": (
         ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"],

@@ -39,11 +39,14 @@ from semiclassic import (
     SquareBarrier,
     action_integral,
     barrier_integral,
+    born_amplitudes,
+    born_first_order,
     effective_perturbation,
     effective_perturbation_profile,
     find_turning_points,
     matrix_element,
     once_reflected_coefficient,
+    once_reflected_coefficients,
     opacities,
     phase_transform,
     quantize_levels,
@@ -53,7 +56,8 @@ from semiclassic import (
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
 from semiclassic.potential import _knots, _turning_points
-from semiclassic.wkb_core import _accumulate
+from semiclassic.reflection import _matrix_elements
+from semiclassic.wkb_core import _GL_WEIGHTS, _accumulate, _panel_nodes
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -559,6 +563,78 @@ def test_born_matches_adaptive_quad(case):
     problem, x0 = case
     ref, mag = reference_matrix_element(problem, 1.0, -1.0, x0)
     assert abs(matrix_element(problem, 1.0, -1.0, x0=x0) - ref) <= 1e-11 * mag
+
+
+def per_energy_sum(problem, x_lo, x_hi, x0, integrand):
+    """A reflection sum as one energy alone makes it, step by step: the phase
+    w(x0, x) from one accumulator run from the left edge to the nodes and x0
+    together, then ``integrand(x, w)`` summed on 256 panels per domain of
+    10-point Gauss-Legendre nodes."""
+    lo, hi = problem.domain
+    n = max(1, math.ceil(256 * (x_hi - x_lo) / (hi - lo)))
+    nodes, half = _panel_nodes(np.linspace(x_lo, x_hi, n + 1))
+    x = nodes.ravel()
+    pts = np.append(x, x0)
+    order = np.argsort(pts, kind="stable")
+    inside = pts[order] > lo
+    w = np.zeros(len(pts))
+    w[order[inside]] = _accumulate(problem, lo, pts[order][inside])
+    values = integrand(x, w[:-1] - w[-1])
+    return complex(np.sum(half * (values.reshape(nodes.shape) @ _GL_WEIGHTS)))
+
+
+def per_energy_once_reflected(problem, x0):
+    e, hbar = problem.energy, problem.context.hbar
+
+    def integrand(x, w):
+        r = -problem.dv(x) / (4.0 * (e - problem.v(x)))
+        return r * np.exp(2.0j * w / hbar)
+
+    return -per_energy_sum(problem, *problem.domain, x0, integrand)
+
+
+def per_energy_backscatter_element(problem, x0):
+    """v(1, -1) over the support where |Vtilde| >= 1e-12 of its peak on 4097 samples."""
+    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
+    xs = np.linspace(*problem.domain, 4097)
+    vt = np.abs(effective_perturbation(problem, xs))
+    inside = np.flatnonzero(vt >= 1e-12 * np.max(vt))
+
+    def integrand(x, w):
+        p = np.sqrt(2.0 * m * (e - problem.v(x)))
+        return effective_perturbation(problem, x) * np.exp(1j * (-1.0 - 1.0) * w / hbar) * p
+
+    return per_energy_sum(problem, xs[inside[0]], xs[inside[-1]], x0, integrand)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(weak_bumps(), st.lists(st.floats(0.002, 0.05), min_size=1, max_size=5), st.data())
+def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
+    # Energies from 20 to 500 times max V: far enough apart that the support
+    # of Vtilde moves by a few samples across one batch.
+    problem, x0 = case
+    v_max = max(v for _, v in _knots(problem))
+    energies = np.array([problem.energy, *(v_max / f for f in fractions)])
+    order = np.array(data.draw(st.permutations(range(len(energies)))))
+    part = order[: data.draw(st.integers(1, len(order)))]
+    once = once_reflected_coefficients(problem, energies, x0)
+    elements = _matrix_elements(problem, energies, 1.0, -1.0, x0)
+    born = born_amplitudes(problem, energies)
+    for rows in (order, part):
+        assert same_bits(once_reflected_coefficients(problem, energies[rows], x0), once[rows])
+        assert same_bits(_matrix_elements(problem, energies[rows], 1.0, -1.0, x0), elements[rows])
+        assert same_bits(born_amplitudes(problem, energies[rows]), born[rows])
+    for i, e in enumerate(energies):
+        one = dataclasses.replace(problem, energy=float(e))
+        assert same_bits(once_reflected_coefficient(one, x0=x0), once[i])
+        assert same_bits(per_energy_once_reflected(one, x0), once[i])
+        assert same_bits(matrix_element(one, 1.0, -1.0, x0=x0), elements[i])
+        assert same_bits(per_energy_backscatter_element(one, x0), elements[i])
+        assert same_bits(born_first_order(one), born[i])
 
 
 @PROPERTY

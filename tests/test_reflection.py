@@ -14,8 +14,10 @@ from semiclassic import (
     PoleError,
     RegimeError,
     ScatteringProblem,
+    SquareBarrier,
     TurningPointProximityError,
     action_integral,
+    born_amplitudes,
     born_first_order,
     differential_reflection,
     effective_perturbation,
@@ -24,6 +26,7 @@ from semiclassic import (
     matrix_element,
     momentum_propagator,
     once_reflected_coefficient,
+    once_reflected_coefficients,
     phase_transform,
     picard_amplitudes,
     solve_scattering_exact,
@@ -251,6 +254,64 @@ class TestBornFirstOrder:
         )
         with pytest.raises(DomainError):
             matrix_element(problem, 1.0, -1.0)
+
+
+class TestBatches:
+    def test_first_energy_below_the_top_is_reported(self):
+        for batch in (once_reflected_coefficients, born_amplitudes):
+            with pytest.raises(RegimeError, match=r"^E = 0\.005 does not exceed"):
+                batch(WEAK_BUMP, [2.0, 0.005, 0.001])
+
+    def test_rows_are_the_single_energy_values(self):
+        energies = [0.5, 2.0, 7.0]
+        once = once_reflected_coefficients(WEAK_BUMP, energies, x0=-3.0)
+        born = born_amplitudes(WEAK_BUMP, energies)
+        for e, r, b in zip(energies, once, born):
+            problem = ScatteringProblem(WEAK_BUMP.potential, e, WEAK_BUMP.domain)
+            assert r == once_reflected_coefficient(problem, x0=-3.0)
+            assert b == born_first_order(problem)
+
+    def test_empty_batch(self):
+        assert once_reflected_coefficients(WEAK_BUMP, []).shape == (0,)
+        assert born_amplitudes(WEAK_BUMP, []).shape == (0,)
+
+
+class TestJumps:
+    """V' and V'' miss a jump of V, so r(x) and Vtilde would vanish and the
+    reflection sums read 0: a potential that jumps inside the domain is refused."""
+
+    SQUARE = ScatteringProblem(
+        potential=SquareBarrier(height=1.0, width=2.0), energy=1.5, domain=(-8.0, 8.0),
+        context=PhysicalContext(mass=4.0),
+    )
+
+    def test_models_report_their_jumps(self):
+        assert SquareBarrier(height=1.0, width=2.0, center=0.5).jumps == (-0.5, 1.5)
+        assert SquareBarrier(height=0.0, width=2.0).jumps == ()
+        assert GaussianBump(amplitude=1.0, width=1.0).jumps == ()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: once_reflected_coefficient(p),
+            lambda p: once_reflected_coefficients(p, [1.5, 2.0]),
+            lambda p: born_first_order(p),
+            lambda p: born_amplitudes(p, [1.5, 2.0]),
+            lambda p: matrix_element(p, 1.0, -1.0),
+            lambda p: picard_amplitudes(p, iterations=2, n_points=257),
+        ],
+    )
+    def test_square_barrier_refused(self, call):
+        with pytest.raises(RegimeError, match=r"^V jumps at x = -1 and x = 1;"):
+            call(self.SQUARE)
+
+    def test_jumps_outside_the_domain_allowed(self):
+        # Inside the barrier V is flat, and R = 0 is the right answer.
+        inside = ScatteringProblem(
+            potential=SquareBarrier(height=1.0, width=2.0), energy=1.5, domain=(-0.5, 0.5)
+        )
+        assert once_reflected_coefficient(inside) == 0.0
+        assert born_first_order(inside) == 0.0
 
 
 class TestMomentumPropagator:
