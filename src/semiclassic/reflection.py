@@ -14,8 +14,8 @@ integral (the once-reflected amplitude, the matrix element of Vtilde) is one
 complex composite 10-point Gauss-Legendre sum with the integrand evaluated
 on all nodes at once.  Above the barrier the nodes, the accumulator's panels
 up to them and V, V', V'' on both depend on the domain, x0 and the span only,
-so a scan lays them out once per call (once per distinct support of Vtilde
-for the matrix element) and each energy is one sum on them, in the same
+so a scan lays them out once per call (for the matrix element, once more
+whenever the support of Vtilde changes) and each energy is one sum on them, in the same
 operations as one energy alone; the single-energy functions are batches of
 one.  The sums read V' and V'' only, so a potential that jumps inside the
 domain is refused.
@@ -420,8 +420,8 @@ def _matrix_elements(
     """v(k_i, k_f) at each energy, on one node layout per support.
 
     V, V' and V'' are taken once on the 4097 samples whose |Vtilde| sets each
-    energy's support, and once on the nodes of each distinct support of the
-    call.  Each energy raises as :func:`matrix_element` would, in order.
+    energy's support, and on the nodes of a support whenever it differs from
+    the previous energy's, so only one layout is held at a time.  Each energy raises as :func:`matrix_element` would, in order.
     """
     _require_smooth(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -430,7 +430,7 @@ def _matrix_elements(
     dk = k_f - k_i
     xs = np.linspace(*problem.domain, 4097)
     samples = (xs, problem.v(xs), problem.dv(xs), problem.d2v(xs))
-    layouts = {}
+    cut = nodes = None
     for i, energy in enumerate(e.tolist()):
         _require_over_barrier(problem, energy)
         vt = np.abs(_vtilde(m, energy, *samples))
@@ -444,10 +444,9 @@ def _matrix_elements(
                 "effective perturbation has not decayed below the truncation "
                 "threshold at the domain edges; widen the domain"
             )
-        cut = (inside[0], inside[-1])
-        if cut not in layouts:
-            layouts[cut] = _Nodes(problem, xs[cut[0]], xs[cut[1]], x0, curvature=True)
-        nodes = layouts[cut]
+        if cut != (inside[0], inside[-1]):
+            cut = (inside[0], inside[-1])
+            nodes = _Nodes(problem, xs[cut[0]], xs[cut[1]], x0, curvature=True)
         p = np.sqrt(2.0 * m * (energy - nodes.v))
         phase = np.exp(1j * dk * nodes.phase(energy) / hbar)
         vtilde = _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v)
@@ -478,11 +477,7 @@ def born_amplitudes(
 ) -> np.ndarray:
     """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
     :func:`born_first_order`), from one call of the matrix-element sums."""
-    weight = 0.5j * problem.context.hbar
-    return np.array(
-        [weight * v for v in _matrix_elements(problem, energies, k_i, k_f).tolist()],
-        dtype=complex,
-    )
+    return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
 
 
 def momentum_propagator(k: float, context: PhysicalContext = PhysicalContext()) -> float:

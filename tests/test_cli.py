@@ -608,10 +608,7 @@ EXACT_SCANS = {
     "eckart-below": (BARRIER_FORMS["eckart"], "0.2", "0.8", 12),
     "gaussian-below": (BARRIER_FORMS["gaussian"], "0.2", "0.8", 12),
     "square-below": (BARRIER_FORMS["square"], "0.2", "0.8", 12),
-    "eckart-above": (
-        ["--form=eckart", "--height=1", "--width=1", "--x-min=-20", "--x-max=20"],
-        "1.21", "1.89", 8,
-    ),
+    "eckart-above": (BARRIER_FORMS["eckart"], "1.21", "1.89", 8),
     "square-above": (BARRIER_FORMS["square"], "1.21", "1.89", 8),
     "weak-above": (
         ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"],

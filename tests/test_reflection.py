@@ -262,15 +262,6 @@ class TestBatches:
             with pytest.raises(RegimeError, match=r"^E = 0\.005 does not exceed"):
                 batch(WEAK_BUMP, [2.0, 0.005, 0.001])
 
-    def test_rows_are_the_single_energy_values(self):
-        energies = [0.5, 2.0, 7.0]
-        once = once_reflected_coefficients(WEAK_BUMP, energies, x0=-3.0)
-        born = born_amplitudes(WEAK_BUMP, energies)
-        for e, r, b in zip(energies, once, born):
-            problem = ScatteringProblem(WEAK_BUMP.potential, e, WEAK_BUMP.domain)
-            assert r == once_reflected_coefficient(problem, x0=-3.0)
-            assert b == born_first_order(problem)
-
     def test_empty_batch(self):
         assert once_reflected_coefficients(WEAK_BUMP, []).shape == (0,)
         assert born_amplitudes(WEAK_BUMP, []).shape == (0,)
