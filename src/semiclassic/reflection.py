@@ -7,18 +7,22 @@ reflection coefficient r(x) = p'(x)/(2 p(x)); its once-integrated effect is
 the first term of the multiple-reflection series, and Picard iteration of
 the coupled amplitude equations resums the rest.
 
-Quadrature policy: everything is computed on arrays.  The phase w(x0, x) is
-read at any set of points from the action accumulator of :mod:`wkb_core`, run
-from the left edge of the domain (which may be a turning point), and each
-integral (the once-reflected amplitude, the matrix element of Vtilde) is one
-complex composite 10-point Gauss-Legendre sum with the integrand evaluated
-on all nodes at once.  Above the barrier the nodes, the accumulator's panels
-up to them and V, V', V'' on both depend on the domain, x0 and the span only,
-so a scan lays them out once per call (for the matrix element, once more
-whenever the support of Vtilde changes) and each energy is one sum on them, in the same
+Quadrature policy: everything is computed on arrays.  Each reflection sum
+(the once-reflected amplitude, the matrix element of Vtilde) is one complex
+composite 10-point Gauss-Legendre sum, 256 equal panels over the domain, with
+the integrand evaluated on all nodes at once.  Above the barrier p(x) is
+smooth on the whole domain, so the phase w(x0, x) at the nodes comes from p at
+the same nodes: the running sum of the whole-panel sums, plus, inside each
+panel, one product with the spectral integration matrix S_ij = int_{-1}^{t_i}
+l_j(t) dt of the Lagrange basis on the nodes (L. Greengard, SIAM J. Numer.
+Anal. 28, 1071 (1991)); w(x0) is one row of S, at x0's place in its panel.
+The nodes and V, V', V'' on them depend on the domain and x0 only, so a scan
+lays them out once per call and each energy is one sum on them, in the same
 operations as one energy alone; the single-energy functions are batches of
-one.  The sums read V' and V'' only, so a potential that jumps inside the
-domain is refused.
+one.  An amplitude that does not clear the rounding floor of its sum,
+eps (2 W / hbar) int |integrand| dx with W the phase across the domain, is
+refused rather than returned.  The sums read V' and V'' only, so a potential
+that jumps inside the domain is refused.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -32,13 +36,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legval, legvander
 
-from .errors import DomainError, PoleError, RegimeError
+from .errors import DomainError, NumericalError, PoleError, RegimeError
 from .potential import PhysicalContext, ScatteringProblem, _knots
 from .wkb_core import (
+    _GL_NODES,
     _GL_WEIGHTS,
-    _accumulator_panels,
-    _cumulative,
+    _accumulate,
     _panel_nodes,
     _vtilde,
     assert_outside_exclusion,
@@ -63,12 +68,24 @@ __all__ = [
     "momentum_propagator",
 ]
 
-#: Panels of the reflection sums over the whole domain; a span gets its share.
-#: On the weak bumps of the property tests 256 and 1024 panels agree with
-#: adaptive quadrature to the phase's rounding floor; 64 panels do not.
+#: Panels of the reflection sums over the domain.  On the weak bumps of the
+#: property tests 256 and 1024 panels agree with adaptive quadrature to the
+#: phase's rounding floor; 64 panels do not.
 _PANELS_PER_DOMAIN = 256
-#: Matrix elements integrate where |Vtilde| exceeds this times its peak.
+#: Matrix elements integrate over the panels where |Vtilde| reaches this
+#: times its peak.
 _TAIL_CUT = 1e-12
+#: Integrals from -1 of the Lagrange basis l_j on the Gauss-Legendre nodes, as
+#: Legendre series: l_j = sum_k w_j P_k(t_j) (2k + 1)/2 P_k, which the rule
+#: integrates exactly.  legval at t gives int_{-1}^{t} l_j dt for every j.
+_LAGRANGE_INTEGRALS = legint(
+    legvander(_GL_NODES, 9).T * _GL_WEIGHTS * (np.arange(10) + 0.5)[:, None], lbnd=-1
+)
+#: The spectral integration matrix, transposed: (p @ _SPECTRAL)[i] is the
+#: integral of p's interpolant from -1 to node t_i.
+_SPECTRAL = legval(_GL_NODES, _LAGRANGE_INTEGRALS)
+#: The relative rounding of one double-precision operation.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -123,18 +140,14 @@ def _v_max(problem: ScatteringProblem) -> float:
     return max(v for _, v in _knots(problem))
 
 
-def _require_over_barrier(problem: ScatteringProblem, energies) -> np.ndarray:
-    """The energies as a float array; the first (in order) that does not
-    exceed max V raises."""
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
+def _require_over_barrier(problem: ScatteringProblem, energy: float) -> None:
+    """Refuse an energy that does not exceed max V on the domain."""
     vmax = _v_max(problem)
-    low = np.flatnonzero(e <= vmax)
-    if low.size:
+    if energy <= vmax:
         raise RegimeError(
-            f"E = {float(e[low[0]]):g} does not exceed max V = {vmax:g} on the "
+            f"E = {energy:g} does not exceed max V = {vmax:g} on the "
             "domain; below-barrier problems belong to the connection module"
         )
-    return e
 
 
 def _require_smooth(problem: ScatteringProblem) -> None:
@@ -168,69 +181,80 @@ def differential_reflection(problem: ScatteringProblem, x: float) -> float:
     return -m * problem.dv(x) / (2.0 * p2)
 
 
-def _phase_layout(problem: ScatteringProblem, xs, x0: float | None, turning: bool):
-    """w(x0, x) at ascending xs, as a function of the energy.
-
-    The phase accumulator runs from the left edge to xs and x0 on panels that
-    depend on the points only, so they, and V on them, are laid out here once;
-    each call with an energy is one sum.  ``turning`` says the left edge is a
-    turning point (E = V there); x0 defaults to the left edge.
-    """
-    lo, hi = problem.domain
-    x0 = lo if x0 is None else float(x0)
-    if not lo <= x0 <= hi:
-        raise DomainError(f"reference point x0 = {x0:g} lies outside the domain [{lo:g}, {hi:g}]")
-    pts = np.append(xs, x0)
-    order = np.argsort(pts, kind="stable")
-    inside = pts[order] > lo
-    at = order[inside]
-    panels = _accumulator_panels(problem, lo, pts[order][inside], turning)
-    if panels is not None:
-        v = problem.v(panels.x)
-        work = np.empty_like(v)
-
-    def phase(e: float) -> np.ndarray:
-        w = np.zeros(len(pts))
-        if panels is not None:
-            w[at] = _cumulative(panels, np.subtract(v, e, out=work))
-        return w[:-1] - w[-1]
-
-    return phase
-
-
 def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
     """w(x0, x) at ascending xs: the phase accumulator run from the left edge.
 
     The left edge may be a turning point (E = V there), which the
     accumulator's turning-point substitution handles; x0 defaults to it.
     """
-    turning = problem.v(problem.domain[0]) == problem.energy
-    return _phase_layout(problem, xs, x0, turning)(problem.energy)
+    x0 = _reference_point(problem, x0)
+    lo = problem.domain[0]
+    pts = np.append(xs, x0)
+    order = np.argsort(pts, kind="stable")
+    inside = pts[order] > lo
+    w = np.zeros(len(pts))
+    turning = problem.v(lo) == problem.energy
+    w[order[inside]] = _accumulate(problem, lo, pts[order][inside], turning)
+    return w[:-1] - w[-1]
+
+
+def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
+    """x0 as a float, the left edge by default; outside the domain it raises."""
+    lo, hi = problem.domain
+    x0 = lo if x0 is None else float(x0)
+    if not lo <= x0 <= hi:
+        raise DomainError(f"reference point x0 = {x0:g} lies outside the domain [{lo:g}, {hi:g}]")
+    return x0
+
+
+def _refuse_unresolved(amplitude, scale: float, energy: float) -> None:
+    """Raise unless ``amplitude`` clears the rounding floor eps * scale of its
+    sum, where ``scale`` is the phase span over hbar times the sum of the
+    integrand's modulus."""
+    floor = _EPS * scale
+    if abs(amplitude) < floor:
+        raise NumericalError(
+            f"E = {energy:g}: |R| is {abs(amplitude) / floor:.2g} of the rounding floor of "
+            "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
+            "double precision cannot resolve it"
+        )
 
 
 class _Nodes:
-    """The energy-independent work of one reflection sum over [x_lo, x_hi].
+    """The energy-independent work of the reflection sums over the domain.
 
-    The composite 10-point Gauss-Legendre nodes (:data:`_PANELS_PER_DOMAIN`
-    panels scaled by the span's share of the domain) and their half-widths,
-    the phase from x0 at them, and V and V' (and V'' with ``curvature``)
-    there.  Above the barrier E > max V >= V(left edge), so the phase
-    accumulator never starts at a turning point.
+    The composite 10-point Gauss-Legendre nodes of :data:`_PANELS_PER_DOMAIN`
+    equal panels, shaped (panel, node), the panel half-widths, and V and V'
+    (and V'' with ``curvature``) at the nodes.  Above the barrier p(x) is
+    smooth on the whole domain, so the phase needs no other points:
+    :meth:`phase` integrates the interpolant of p on each panel with the
+    spectral integration matrix, and takes w at x0 from the row of that
+    matrix at x0's place in its panel, laid out here.
     """
 
-    def __init__(self, problem, x_lo, x_hi, x0, curvature=False):
-        lo, hi = problem.domain
-        n = max(1, math.ceil(_PANELS_PER_DOMAIN * (x_hi - x_lo) / (hi - lo)))
-        nodes, self.half = _panel_nodes(np.linspace(x_lo, x_hi, n + 1))
-        self.shape = nodes.shape
-        self.x = nodes.ravel()
+    def __init__(self, problem, x0, curvature=False):
+        x0 = _reference_point(problem, x0)
+        edges = np.linspace(*problem.domain, _PANELS_PER_DOMAIN + 1)
+        self.x, self.half = _panel_nodes(edges)
         self.v, self.dv = problem.v(self.x), problem.dv(self.x)
         self.d2v = problem.d2v(self.x) if curvature else None
-        self.phase = _phase_layout(problem, self.x, x0, turning=False)
+        # w at x0: p's interpolant on x0's panel k0, integrated up to x0.
+        k = min(int(np.searchsorted(edges, x0, side="right")) - 1, _PANELS_PER_DOMAIN - 1)
+        local = (x0 - edges[k]) / self.half[k] - 1.0
+        self.k0, self.row0 = k, self.half[k] * legval(local, _LAGRANGE_INTEGRALS)
 
-    def integral(self, values) -> complex:
-        """The sum of ``values`` at the nodes against their weights."""
-        return complex(np.sum(self.half * (values.reshape(self.shape) @ _GL_WEIGHTS)))
+    def phase(self, p):
+        """w(x0, x) at the nodes, and w across the whole domain, from p there."""
+        sums = self.half * (p @ _GL_WEIGHTS)
+        ends = np.cumsum(sums)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        w = self.half[:, None] * (p @ _SPECTRAL)
+        w += (starts - (starts[self.k0] + self.row0 @ p[self.k0]))[:, None]
+        return w, float(ends[-1])
+
+    def integral(self, values, panels=slice(None)):
+        """The sum of ``values`` at the nodes of ``panels`` against their weights."""
+        return np.sum(self.half[panels] * (values @ _GL_WEIGHTS))
 
 
 def phase_transform(
@@ -317,8 +341,8 @@ def once_reflected_coefficient(
 ) -> complex:
     """Single-reflection amplitude R = -int r(x) e^{2 i w(x0, x)/hbar} dx.
 
-    One composite Gauss-Legendre sum over the domain, with the phase w read
-    from the shared action accumulator at every node.  |R|^2 estimates the
+    One composite Gauss-Legendre sum over the domain, with the phase w
+    integrated spectrally from p at the same nodes.  |R|^2 estimates the
     reflection probability; it is independent of the reference point x0,
     which only rotates the phase.  The batch of one of
     :func:`once_reflected_coefficients`.
@@ -327,25 +351,31 @@ def once_reflected_coefficient(
 
 
 def once_reflected_coefficients(
-    problem: ScatteringProblem, energies, x0: float | None = None
+    problem: ScatteringProblem, energies, x0: float | None = None, refuse_unresolved: bool = False
 ) -> np.ndarray:
     """The once-reflected amplitude at each energy of a scan, on one node layout.
 
-    The nodes, the phase accumulator's panels up to them and V, V' there are
-    laid out once per call; each energy is then one sum, the one
-    :func:`once_reflected_coefficient` makes.  A potential with a jump, or an
-    energy not above max V, raises as the single-energy call would; the first
-    such energy in the given order is the one reported.
+    The nodes and V, V' there are laid out once per call; each energy is then
+    one sum, the one :func:`once_reflected_coefficient` makes.  A potential
+    with a jump raises, and so does an energy not above max V.  With
+    ``refuse_unresolved``, so does an R that does not clear the rounding
+    floor eps (2 W / hbar) int |r| dx of its sum, W being the phase across
+    the domain; the first failing energy in the given order is reported.
     """
     _require_smooth(problem)
-    e = _require_over_barrier(problem, energies)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(len(e), dtype=complex)
-    hbar = problem.context.hbar
-    nodes = _Nodes(problem, *problem.domain, x0)
+    m, hbar = problem.context.mass, problem.context.hbar
+    nodes = _Nodes(problem, x0)
     neg_dv = -nodes.dv
     for i, energy in enumerate(e.tolist()):
-        r = neg_dv / (4.0 * (energy - nodes.v))
-        out[i] = -nodes.integral(r * np.exp(2.0j * nodes.phase(energy) / hbar))
+        _require_over_barrier(problem, energy)
+        gap = energy - nodes.v
+        w, span = nodes.phase(np.sqrt(2.0 * m * gap))
+        r = neg_dv / (4.0 * gap)
+        out[i] = -nodes.integral(r * np.exp(2.0j * w / hbar))
+        if refuse_unresolved:
+            _refuse_unresolved(out[i], 2.0 * span / hbar * nodes.integral(np.abs(r)), energy)
     return out
 
 
@@ -407,50 +437,59 @@ def matrix_element(
 
     k_i, k_f are dimensionless direction labels whose on-shell values are
     +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral,
-    one composite Gauss-Legendre sum in x with dw = p dx, runs over the region
-    where |Vtilde| exceeds 1e-12 times its peak; a non-decaying Vtilde cannot
-    be truncated and is rejected.  The batch of one of :func:`_matrix_elements`.
+    one composite Gauss-Legendre sum in x with dw = p dx, runs over the panels
+    where |Vtilde| reaches 1e-12 times its peak; a Vtilde that has not decayed
+    below that by the first or last panel cannot be truncated and is rejected.
+    The batch of one of :func:`_matrix_elements`.
     """
     return complex(_matrix_elements(problem, problem.energy, k_i, k_f, x0)[0])
 
 
 def _matrix_elements(
-    problem: ScatteringProblem, energies, k_i: float, k_f: float, x0: float | None = None
+    problem: ScatteringProblem,
+    energies,
+    k_i: float,
+    k_f: float,
+    x0: float | None = None,
+    refuse_unresolved: bool = False,
 ) -> np.ndarray:
-    """v(k_i, k_f) at each energy, on one node layout per support.
+    """v(k_i, k_f) at each energy, on one node layout.
 
-    V, V' and V'' are taken once on the 4097 samples whose |Vtilde| sets each
-    energy's support, and on the nodes of a support whenever it differs from
-    the previous energy's, so only one layout is held at a time.  Each energy raises as :func:`matrix_element` would, in order.
+    V, V' and V'' are taken once on the nodes; each energy's Vtilde there
+    sets its support, and its sum runs over those panels of the layout.  With
+    ``refuse_unresolved``, a v that does not clear the rounding floor
+    eps (|k_f - k_i| W / hbar) int |Vtilde| p dx of its sum raises
+    :class:`NumericalError`.  Each energy raises as :func:`matrix_element`
+    would, in order.
     """
     _require_smooth(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(len(e), dtype=complex)
     m, hbar = problem.context.mass, problem.context.hbar
     dk = k_f - k_i
-    xs = np.linspace(*problem.domain, 4097)
-    samples = (xs, problem.v(xs), problem.dv(xs), problem.d2v(xs))
-    cut = nodes = None
+    nodes = _Nodes(problem, x0, curvature=True)
     for i, energy in enumerate(e.tolist()):
         _require_over_barrier(problem, energy)
-        vt = np.abs(_vtilde(m, energy, *samples))
-        peak = float(np.max(vt))
+        vtilde = _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v)
+        size = np.abs(vtilde)
+        peak = float(np.max(size))
         if peak == 0.0:
             out[i] = 0.0 + 0.0j
             continue
-        inside = np.flatnonzero(vt >= _TAIL_CUT * peak)
-        if inside[0] == 0 or inside[-1] == len(xs) - 1:
+        inside = np.flatnonzero(np.max(size, axis=1) >= _TAIL_CUT * peak)
+        if inside[0] == 0 or inside[-1] == _PANELS_PER_DOMAIN - 1:
             raise DomainError(
                 "effective perturbation has not decayed below the truncation "
                 "threshold at the domain edges; widen the domain"
             )
-        if cut != (inside[0], inside[-1]):
-            cut = (inside[0], inside[-1])
-            nodes = _Nodes(problem, xs[cut[0]], xs[cut[1]], x0, curvature=True)
+        cut = slice(inside[0], inside[-1] + 1)
         p = np.sqrt(2.0 * m * (energy - nodes.v))
-        phase = np.exp(1j * dk * nodes.phase(energy) / hbar)
-        vtilde = _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v)
-        out[i] = nodes.integral(vtilde * phase * p)
+        w, span = nodes.phase(p)
+        dw = vtilde[cut] * p[cut]
+        out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
+        if refuse_unresolved:
+            scale = abs(dk) * span / hbar * nodes.integral(np.abs(dw), cut)
+            _refuse_unresolved(out[i], scale, energy)
     return out
 
 
@@ -473,11 +512,19 @@ def born_first_order(
 
 
 def born_amplitudes(
-    problem: ScatteringProblem, energies, k_i: float = 1.0, k_f: float = -1.0
+    problem: ScatteringProblem,
+    energies,
+    k_i: float = 1.0,
+    k_f: float = -1.0,
+    refuse_unresolved: bool = False,
 ) -> np.ndarray:
     """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
-    :func:`born_first_order`), from one call of the matrix-element sums."""
-    return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
+    :func:`born_first_order`), from one call of the matrix-element sums.  With
+    ``refuse_unresolved``, an R1 that does not clear the rounding floor
+    eps (|k_f - k_i| W / hbar) (hbar / 2) int |Vtilde| p dx of its sum raises
+    :class:`NumericalError`."""
+    elements = _matrix_elements(problem, energies, k_i, k_f, refuse_unresolved=refuse_unresolved)
+    return 0.5j * problem.context.hbar * elements
 
 
 def momentum_propagator(k: float, context: PhysicalContext = PhysicalContext()) -> float:

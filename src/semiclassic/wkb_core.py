@@ -14,7 +14,6 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,24 +137,22 @@ def _panel_nodes(edges: np.ndarray):
     return nodes, half
 
 
-class _Panels(NamedTuple):
-    """The panels of one :func:`_accumulate` call: the nodes in x, the factor
-    2s of the turning-point substitution (None without it), the weights of
-    each panel's Gauss-Legendre sum, and the panel that ends at each x."""
+def _accumulate(
+    problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
+) -> np.ndarray:
+    """Cumulative integral of sqrt(2m|E - V|) from ``start`` to each x in ``xs``.
 
-    x: np.ndarray
-    scale: np.ndarray | None
-    weights: np.ndarray
-    at: np.ndarray
-
-
-def _accumulator_panels(problem: ScatteringProblem, start: float, xs, turning=False):
-    """The panels :func:`_accumulate` sums over from ``start`` to ``xs``, or
-    None when ``xs`` ends at ``start``.  They depend on the domain and the
-    points only, not on the energy."""
+    ``xs`` runs monotonically away from ``start`` inside one region: allowed
+    (the integrand is p) or, with ``forbidden``, forbidden (hbar beta).  Each
+    gap between successive xs is cut into equal panels no wider than the
+    span's share of the accumulator grid, each with a 10-point Gauss-Legendre
+    rule.  When ``start`` is a turning point the variable is
+    s = sqrt(|x - start|), and extra panels are graded toward s = 0.
+    """
+    xs = np.asarray(xs, dtype=float)
     dist = np.abs(xs - start)
     if len(xs) == 0 or dist[-1] == 0.0:
-        return None
+        return np.zeros(len(xs))
     lo, hi = problem.domain
     n = max(_MIN_PANELS, math.ceil(dist[-1] / ((hi - lo) * _PANEL_FRACTION)))
     u = np.sqrt(dist) if turning else dist
@@ -172,39 +169,12 @@ def _accumulator_panels(problem: ScatteringProblem, start: float, xs, turning=Fa
         ends = ends + _GRADED_PANELS
     nodes, half = _panel_nodes(edges)
     x = start + (1.0 if xs[-1] > start else -1.0) * (nodes * nodes if turning else nodes)
+    excess = problem.v(x) - problem.energy
+    vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0))
+    if turning:
+        vals *= 2.0 * nodes
     weights = math.sqrt(2.0 * problem.context.mass) * half
-    return _Panels(x, 2.0 * nodes if turning else None, weights, ends - 1)
-
-
-def _cumulative(panels: _Panels, excess, forbidden=False) -> np.ndarray:
-    """The integral of sqrt(2m|E - V|) up to each x of ``panels``, from
-    ``excess`` = V - E at their nodes, which it overwrites: the work stays in
-    that one array, which a scan can reuse (a fresh array of this size may be
-    mapped, and faulted in, anew by every allocation)."""
-    vals = excess if forbidden else np.negative(excess, out=excess)
-    np.sqrt(np.maximum(vals, 0.0, out=vals), out=vals)
-    if panels.scale is not None:
-        vals *= panels.scale
-    return np.cumsum(panels.weights * (vals @ _GL_WEIGHTS))[panels.at]
-
-
-def _accumulate(
-    problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
-) -> np.ndarray:
-    """Cumulative integral of sqrt(2m|E - V|) from ``start`` to each x in ``xs``.
-
-    ``xs`` runs monotonically away from ``start`` inside one region: allowed
-    (the integrand is p) or, with ``forbidden``, forbidden (hbar beta).  Each
-    gap between successive xs is cut into equal panels no wider than the
-    span's share of the accumulator grid, each with a 10-point Gauss-Legendre
-    rule.  When ``start`` is a turning point the variable is
-    s = sqrt(|x - start|), and extra panels are graded toward s = 0.
-    """
-    xs = np.asarray(xs, dtype=float)
-    panels = _accumulator_panels(problem, start, xs, turning)
-    if panels is None:
-        return np.zeros(len(xs))
-    return _cumulative(panels, problem.v(panels.x) - problem.energy, forbidden)
+    return np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
 
 
 def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.ndarray:

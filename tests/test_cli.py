@@ -548,6 +548,66 @@ class TestReflectionScan:
         )
         assert sum(points) <= 2 * one
 
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    def test_row_evaluates_v_on_its_nodes_only(self, tmp_path, monkeypatch, method):
+        # The phase comes from p on the 2560 integrand nodes: V is taken there
+        # and by the geometry scan.  The phase accumulator's own panels, up to
+        # every node, took 37,890 points for once-reflected and 25,517 for born1.
+        from semiclassic.potential import ScatteringProblem
+
+        points = []
+        v = ScatteringProblem.v
+        monkeypatch.setattr(
+            ScatteringProblem, "v", lambda p, x: points.append(np.size(x)) or v(p, x)
+        )
+        self._rows(tmp_path, ["transmission", *WEAK_FORM, f"--method={method}", "--energy=0.6"])
+        assert sum(points) < 6000
+
+
+class TestUnresolvedReflection:
+    """A reflection amplitude that does not clear the rounding floor of its
+    oscillatory sum is refused with exit 4, not printed."""
+
+    ECKART = ["--form=eckart", "--height=1", "--width=1", "--x-min=-14", "--x-max=14"]
+
+    @pytest.mark.parametrize(
+        "mass, energy, ratio",
+        # |R|^2 printed 1.68e-28 (closed form 6.09e-46) and 2.14e-26 (1.73e-28).
+        [("256", "3", "0.11"), ("1024", "1.5", "0.4")],
+    )
+    def test_exit_4(self, capsys, mass, energy, ratio):
+        code = run_cli(
+            ["transmission", *self.ECKART, f"--mass={mass}", f"--energy={energy}",
+             "--method=once-reflected"]
+        )
+        assert code == 4
+        assert capsys.readouterr() == (
+            "",
+            f"E_NUMERIC: E = {energy}: |R| is {ratio} of the rounding floor of its oscillatory "
+            "sum (eps x phase span / hbar x the sum of |integrand|); double precision cannot "
+            "resolve it\n",
+        )
+
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    @pytest.mark.parametrize("mass", ["256", "512"])
+    def test_resolved_rows_pass(self, tmp_path, method, mass):
+        out = tmp_path / "rows.csv"
+        code = run_cli(
+            ["transmission", *self.ECKART, f"--mass={mass}", "--energy=1.5",
+             f"--method={method}", f"--output={out}"]
+        )
+        assert code == 0
+        assert float(out.read_text().splitlines()[1].split(",")[3]) > 0.0
+
+    def test_scan_fails_at_its_first_unresolved_energy(self, capsys):
+        # E = 1.5 is resolved; E = 2.25 is the first energy that is not.
+        args = [*self.ECKART, "--mass=256", "--method=once-reflected"]
+        code = run_cli(["scan", *args, "--e-min=1.5", "--e-max=3", "--steps=3"])
+        scan = capsys.readouterr()
+        assert run_cli(["transmission", *args, "--energy=2.25"]) == code == 4
+        assert (scan.out, scan.err) == ("", capsys.readouterr().err)
+        assert scan.err.startswith("E_NUMERIC: E = 2.25: ")
+
 
 class TestJumpRefused:
     """The reflection sums see V' and V'' only, which miss a jump of V: a

@@ -2,7 +2,8 @@
 batched scans and levels against the per-energy route (brentq per monotone
 piece, each half span accumulated alone), the banded Numerov oracle against
 the point-by-point recurrence, its bound states against node-count
-bisection, and the over-barrier reflection sums against adaptive quadrature.
+bisection, the over-barrier reflection sums against adaptive quadrature, and
+their spectral phase against the accumulator.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
@@ -11,7 +12,9 @@ are drawn from the bulk of the barrier and from within 1e-8 of its top.  The
 oracle properties draw Eckart,
 Gaussian and square barriers with energies below and above the top, and
 harmonic and Gaussian wells on domains off centre.  The reflection
-properties draw weak Gaussian and Eckart bumps far below E.
+properties draw weak Gaussian and Eckart bumps far below E; the spectral
+phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
+their top.
 """
 
 import cmath
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legval
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -56,7 +60,13 @@ from semiclassic import (
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
 from semiclassic.potential import _knots, _turning_points
-from semiclassic.reflection import _matrix_elements
+from semiclassic.reflection import (
+    _LAGRANGE_INTEGRALS,
+    _SPECTRAL,
+    _Nodes,
+    _matrix_elements,
+    _phase,
+)
 from semiclassic.wkb_core import _GL_WEIGHTS, _accumulate, _panel_nodes
 
 #: The reference quadratures below ask for more than rounding allows near the top.
@@ -565,46 +575,51 @@ def test_born_matches_adaptive_quad(case):
     assert abs(matrix_element(problem, 1.0, -1.0, x0=x0) - ref) <= 1e-11 * mag
 
 
-def per_energy_sum(problem, x_lo, x_hi, x0, integrand):
-    """A reflection sum as one energy alone makes it, step by step: the phase
-    w(x0, x) from one accumulator run from the left edge to the nodes and x0
-    together, then ``integrand(x, w)`` summed on 256 panels per domain of
-    10-point Gauss-Legendre nodes."""
+def per_energy_sum(problem, x0, integrand):
+    """A reflection sum as one energy alone makes it, step by step: on 256
+    equal panels of 10-point Gauss-Legendre nodes over the domain, the phase
+    w(x0, x) from p at the nodes (the running sum of the panel sums, plus the
+    spectral integration matrix inside each panel, less w at x0 from that
+    matrix's row there), then ``integrand(x, p, w)``, which gives the values
+    and the panels they lie on, summed."""
     lo, hi = problem.domain
-    n = max(1, math.ceil(256 * (x_hi - x_lo) / (hi - lo)))
-    nodes, half = _panel_nodes(np.linspace(x_lo, x_hi, n + 1))
-    x = nodes.ravel()
-    pts = np.append(x, x0)
-    order = np.argsort(pts, kind="stable")
-    inside = pts[order] > lo
-    w = np.zeros(len(pts))
-    w[order[inside]] = _accumulate(problem, lo, pts[order][inside])
-    values = integrand(x, w[:-1] - w[-1])
-    return complex(np.sum(half * (values.reshape(nodes.shape) @ _GL_WEIGHTS)))
+    m, e = problem.context.mass, problem.energy
+    edges = np.linspace(lo, hi, 257)
+    x, half = _panel_nodes(edges)
+    p = np.sqrt(2.0 * m * (e - problem.v(x)))
+    sums = half * (p @ _GL_WEIGHTS)
+    ends = np.cumsum(sums)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    k = min(int(np.searchsorted(edges, x0, side="right")) - 1, 255)
+    row = half[k] * legval((x0 - edges[k]) / half[k] - 1.0, _LAGRANGE_INTEGRALS)
+    w = half[:, None] * (p @ _SPECTRAL)
+    w += (starts - (starts[k] + row @ p[k]))[:, None]
+    values, panels = integrand(x, p, w)
+    return complex(np.sum(half[panels] * (values @ _GL_WEIGHTS)))
 
 
 def per_energy_once_reflected(problem, x0):
     e, hbar = problem.energy, problem.context.hbar
 
-    def integrand(x, w):
+    def integrand(x, p, w):
         r = -problem.dv(x) / (4.0 * (e - problem.v(x)))
-        return r * np.exp(2.0j * w / hbar)
+        return r * np.exp(2.0j * w / hbar), slice(None)
 
-    return -per_energy_sum(problem, *problem.domain, x0, integrand)
+    return -per_energy_sum(problem, x0, integrand)
 
 
 def per_energy_backscatter_element(problem, x0):
-    """v(1, -1) over the support where |Vtilde| >= 1e-12 of its peak on 4097 samples."""
-    m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
-    xs = np.linspace(*problem.domain, 4097)
-    vt = np.abs(effective_perturbation(problem, xs))
-    inside = np.flatnonzero(vt >= 1e-12 * np.max(vt))
+    """v(1, -1) over the panels where |Vtilde| reaches 1e-12 of its peak on the nodes."""
+    hbar = problem.context.hbar
 
-    def integrand(x, w):
-        p = np.sqrt(2.0 * m * (e - problem.v(x)))
-        return effective_perturbation(problem, x) * np.exp(1j * (-1.0 - 1.0) * w / hbar) * p
+    def integrand(x, p, w):
+        vt = effective_perturbation(problem, x)
+        size = np.max(np.abs(vt), axis=1)
+        inside = np.flatnonzero(size >= 1e-12 * np.max(size))
+        cut = slice(inside[0], inside[-1] + 1)
+        return vt[cut] * p[cut] * np.exp(1j * (-1.0 - 1.0) * w[cut] / hbar), cut
 
-    return per_energy_sum(problem, xs[inside[0]], xs[inside[-1]], x0, integrand)
+    return per_energy_sum(problem, x0, integrand)
 
 
 def same_bits(a, b):
@@ -635,6 +650,37 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
         assert same_bits(matrix_element(one, 1.0, -1.0, x0=x0), elements[i])
         assert same_bits(per_energy_backscatter_element(one, x0), elements[i])
         assert same_bits(born_first_order(one), born[i])
+
+
+@st.composite
+def over_barriers(draw):
+    """(problem, x0): an Eckart or Gaussian barrier with E from 1.1 to 3 times
+    its top, random m and hbar, and a reference point anywhere in the domain."""
+    form = draw(st.sampled_from(["eckart", "gaussian"]))
+    height, width = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    center = draw(st.floats(-2.0, 2.0))
+    context = PhysicalContext(mass=draw(st.floats(0.5, 8.0)), hbar=draw(st.floats(0.3, 1.5)))
+    e = height * draw(st.floats(1.1, 3.0))
+    if form == "eckart":
+        potential, reach = EckartBarrier(height=height, width=width, center=center), 14.0 * width
+    else:
+        potential, reach = GaussianBump(amplitude=height, width=width, center=center), 10.0 * width
+    domain = (center - reach, center + reach)
+    x0 = domain[0] + draw(st.floats(0.0, 1.0)) * 2.0 * reach
+    return ScatteringProblem(potential=potential, energy=e, domain=domain, context=context), x0
+
+
+@PROPERTY
+@given(over_barriers())
+def test_spectral_phase_matches_the_accumulator(case):
+    # The reflection sums integrate p's interpolant on each of their panels;
+    # the accumulator integrates p on its own, finer panels.
+    problem, x0 = case
+    nodes = _Nodes(problem, x0)
+    w, span = nodes.phase(np.sqrt(2.0 * problem.context.mass * (problem.energy - nodes.v)))
+    ref = _phase(problem, nodes.x.ravel(), x0)
+    assert np.max(np.abs(w.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert span == pytest.approx(float(_phase(problem, [problem.domain[1]])[0]), rel=1e-12)
 
 
 @PROPERTY
