@@ -231,7 +231,7 @@ def _table(args, sections: dict):
         amplitudes = (
             reflection.once_reflected_coefficients if method == "once-reflected"
             else reflection.born_amplitudes
-        )(problem, energies, refuse_unresolved=True)
+        )(problem, energies)
         rows = [
             (float(e), amp.real, amp.imag, abs(amp) ** 2, method)
             for e, amp in zip(energies, amplitudes.tolist())

@@ -84,8 +84,6 @@ _LAGRANGE_INTEGRALS = legint(
 #: The spectral integration matrix, transposed: (p @ _SPECTRAL)[i] is the
 #: integral of p's interpolant from -1 to node t_i.
 _SPECTRAL = legval(_GL_NODES, _LAGRANGE_INTEGRALS)
-#: The relative rounding of one double-precision operation.
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def _refuse_unresolved(amplitude, scale: float, energy: float) -> None:
     """Raise unless ``amplitude`` clears the rounding floor eps * scale of its
     sum, where ``scale`` is the phase span over hbar times the sum of the
     integrand's modulus."""
-    floor = _EPS * scale
+    floor = float(np.finfo(float).eps) * scale
     if abs(amplitude) < floor:
         raise NumericalError(
             f"E = {energy:g}: |R| is {abs(amplitude) / floor:.2g} of the rounding floor of "
@@ -351,16 +349,16 @@ def once_reflected_coefficient(
 
 
 def once_reflected_coefficients(
-    problem: ScatteringProblem, energies, x0: float | None = None, refuse_unresolved: bool = False
+    problem: ScatteringProblem, energies, x0: float | None = None
 ) -> np.ndarray:
     """The once-reflected amplitude at each energy of a scan, on one node layout.
 
     The nodes and V, V' there are laid out once per call; each energy is then
     one sum, the one :func:`once_reflected_coefficient` makes.  A potential
-    with a jump raises, and so does an energy not above max V.  With
-    ``refuse_unresolved``, so does an R that does not clear the rounding
-    floor eps (2 W / hbar) int |r| dx of its sum, W being the phase across
-    the domain; the first failing energy in the given order is reported.
+    with a jump raises, as does an energy not above max V; an R that does not
+    clear the rounding floor eps (2 W / hbar) int |r| dx of its sum, W being
+    the phase across the domain, raises :class:`NumericalError`.  The first
+    failing energy in the given order is reported.
     """
     _require_smooth(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -374,8 +372,7 @@ def once_reflected_coefficients(
         w, span = nodes.phase(np.sqrt(2.0 * m * gap))
         r = neg_dv / (4.0 * gap)
         out[i] = -nodes.integral(r * np.exp(2.0j * w / hbar))
-        if refuse_unresolved:
-            _refuse_unresolved(out[i], 2.0 * span / hbar * nodes.integral(np.abs(r)), energy)
+        _refuse_unresolved(out[i], 2.0 * span / hbar * nodes.integral(np.abs(r)), energy)
     return out
 
 
@@ -439,28 +436,22 @@ def matrix_element(
     +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral,
     one composite Gauss-Legendre sum in x with dw = p dx, runs over the panels
     where |Vtilde| reaches 1e-12 times its peak; a Vtilde that has not decayed
-    below that by the first or last panel cannot be truncated and is rejected.
+    below that at the outermost nodes cannot be truncated and is rejected.
     The batch of one of :func:`_matrix_elements`.
     """
     return complex(_matrix_elements(problem, problem.energy, k_i, k_f, x0)[0])
 
 
 def _matrix_elements(
-    problem: ScatteringProblem,
-    energies,
-    k_i: float,
-    k_f: float,
-    x0: float | None = None,
-    refuse_unresolved: bool = False,
+    problem: ScatteringProblem, energies, k_i: float, k_f: float, x0: float | None = None
 ) -> np.ndarray:
     """v(k_i, k_f) at each energy, on one node layout.
 
     V, V' and V'' are taken once on the nodes; each energy's Vtilde there
-    sets its support, and its sum runs over those panels of the layout.  With
-    ``refuse_unresolved``, a v that does not clear the rounding floor
-    eps (|k_f - k_i| W / hbar) int |Vtilde| p dx of its sum raises
-    :class:`NumericalError`.  Each energy raises as :func:`matrix_element`
-    would, in order.
+    sets its support, and its sum runs over those panels of the layout.  A v
+    that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
+    int |Vtilde| p dx of its sum raises :class:`NumericalError`.  Each energy
+    raises as :func:`matrix_element` would, in order.
     """
     _require_smooth(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -476,20 +467,19 @@ def _matrix_elements(
         if peak == 0.0:
             out[i] = 0.0 + 0.0j
             continue
-        inside = np.flatnonzero(np.max(size, axis=1) >= _TAIL_CUT * peak)
-        if inside[0] == 0 or inside[-1] == _PANELS_PER_DOMAIN - 1:
+        if max(size[0, 0], size[-1, -1]) >= _TAIL_CUT * peak:
             raise DomainError(
                 "effective perturbation has not decayed below the truncation "
                 "threshold at the domain edges; widen the domain"
             )
+        inside = np.flatnonzero(np.max(size, axis=1) >= _TAIL_CUT * peak)
         cut = slice(inside[0], inside[-1] + 1)
         p = np.sqrt(2.0 * m * (energy - nodes.v))
         w, span = nodes.phase(p)
         dw = vtilde[cut] * p[cut]
         out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
-        if refuse_unresolved:
-            scale = abs(dk) * span / hbar * nodes.integral(np.abs(dw), cut)
-            _refuse_unresolved(out[i], scale, energy)
+        scale = abs(dk) * span / hbar * nodes.integral(np.abs(dw), cut)
+        _refuse_unresolved(out[i], scale, energy)
     return out
 
 
@@ -512,19 +502,12 @@ def born_first_order(
 
 
 def born_amplitudes(
-    problem: ScatteringProblem,
-    energies,
-    k_i: float = 1.0,
-    k_f: float = -1.0,
-    refuse_unresolved: bool = False,
+    problem: ScatteringProblem, energies, k_i: float = 1.0, k_f: float = -1.0
 ) -> np.ndarray:
     """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
-    :func:`born_first_order`), from one call of the matrix-element sums.  With
-    ``refuse_unresolved``, an R1 that does not clear the rounding floor
-    eps (|k_f - k_i| W / hbar) (hbar / 2) int |Vtilde| p dx of its sum raises
-    :class:`NumericalError`."""
-    elements = _matrix_elements(problem, energies, k_i, k_f, refuse_unresolved=refuse_unresolved)
-    return 0.5j * problem.context.hbar * elements
+    :func:`born_first_order`), from one call of the matrix-element sums, which
+    refuse a v below the rounding floor of its sum."""
+    return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
 
 
 def momentum_propagator(k: float, context: PhysicalContext = PhysicalContext()) -> float:

@@ -3,7 +3,7 @@ batched scans and levels against the per-energy route (brentq per monotone
 piece, each half span accumulated alone), the banded Numerov oracle against
 the point-by-point recurrence, its bound states against node-count
 bisection, the over-barrier reflection sums against adaptive quadrature, and
-their spectral phase against the accumulator.
+their spectral phase against the accumulator and exact arithmetic.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
@@ -12,7 +12,8 @@ are drawn from the bulk of the barrier and from within 1e-8 of its top.  The
 oracle properties draw Eckart,
 Gaussian and square barriers with energies below and above the top, and
 harmonic and Gaussian wells on domains off centre.  The reflection
-properties draw weak Gaussian and Eckart bumps far below E; the spectral
+properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
+where |R| is resolved (and from 15 to 20 where it must be refused); the spectral
 phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
 their top.
 """
@@ -21,6 +22,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from semiclassic import (
     GaussianBump,
     HarmonicWell,
     LinearRamp,
+    NumericalError,
     OracleConfig,
     ParabolicBarrier,
     PhysicalContext,
@@ -67,7 +70,7 @@ from semiclassic.reflection import (
     _matrix_elements,
     _phase,
 )
-from semiclassic.wkb_core import _GL_WEIGHTS, _accumulate, _panel_nodes
+from semiclassic.wkb_core import _GL_NODES, _GL_WEIGHTS, _accumulate, _panel_nodes
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -492,15 +495,20 @@ def test_node_count_steps_at_each_level(problem):
 
 
 @st.composite
-def weak_bumps(draw):
+def weak_bumps(draw, kd=(0.25, 5.0)):
     """(problem, x0): a weak Gaussian or Eckart bump far below E, whose
     effective perturbation decays below 1e-12 of its peak inside the domain,
-    and a reference point anywhere in the domain."""
+    and a reference point anywhere in the domain.  hbar follows from k d, the
+    wavenumber at E times the width, drawn from ``kd``: up to 5, |R| at E
+    clears the rounding floor of its sum by 1e6 or more; from 15 on it is
+    below that floor."""
     form = draw(st.sampled_from(["gaussian", "eckart"]))
     e = draw(st.floats(0.5, 3.0))
     height, width = e * draw(st.floats(0.002, 0.05)), draw(st.floats(0.5, 2.0))
     center = draw(st.floats(-2.0, 2.0))
-    context = PhysicalContext(mass=draw(st.floats(0.5, 4.0)), hbar=draw(st.floats(0.5, 1.5)))
+    mass = draw(st.floats(0.5, 4.0))
+    hbar = math.sqrt(2.0 * mass * e) * width / draw(st.floats(*kd))
+    context = PhysicalContext(mass=mass, hbar=hbar)
     if form == "gaussian":
         potential, reach = GaussianBump(amplitude=height, width=width, center=center), 12.0 * width
     else:
@@ -650,6 +658,66 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
         assert same_bits(matrix_element(one, 1.0, -1.0, x0=x0), elements[i])
         assert same_bits(per_energy_backscatter_element(one, x0), elements[i])
         assert same_bits(born_first_order(one), born[i])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(weak_bumps())
+def test_born_support_is_the_panels_that_reach_the_cut(case):
+    # The sum runs from the first to the last panel where |Vtilde| reaches
+    # 1e-12 of its peak at some node.  Every such panel adds to the sum, so
+    # one panel more or fewer at either end changes its bits.
+    problem, x0 = case
+    hbar = problem.context.hbar
+    x, _ = _panel_nodes(np.linspace(*problem.domain, 257))
+    vt = effective_perturbation(problem, x)
+    reach = [k for k in range(256) if np.any(np.abs(vt[k]) >= 1e-12 * np.max(np.abs(vt)))]
+
+    def element(first, last):
+        def integrand(x, p, w):
+            cut = slice(first, last + 1)
+            return vt[cut] * p[cut] * np.exp(1j * (-1.0 - 1.0) * w[cut] / hbar), cut
+
+        return per_energy_sum(problem, x0, integrand)
+
+    first, last = reach[0], reach[-1]
+    assert 0 < first and last < 255
+    v = matrix_element(problem, 1.0, -1.0, x0=x0)
+    assert same_bits(element(first, last), v)
+    for other in ((first - 1, last), (first + 1, last), (first, last - 1), (first, last + 1)):
+        assert not same_bits(element(*other), v)
+
+
+@PROPERTY
+@given(weak_bumps(kd=(15.0, 20.0)))
+def test_unresolvable_weak_bumps_are_refused(case):
+    # At k d >= 15 the true |R| of a weak bump is far below eps times the
+    # phase span times int |r| dx, the rounding floor of the sums.
+    problem, x0 = case
+    with pytest.raises(NumericalError, match=r"of the rounding floor of its oscillatory sum"):
+        once_reflected_coefficient(problem, x0=x0)
+    with pytest.raises(NumericalError, match=r"of the rounding floor of its oscillatory sum"):
+        born_first_order(problem)
+
+
+def test_spectral_matrix_matches_exact_arithmetic():
+    # S_ij = int_{-1}^{t_i} l_j dt in 50 digits: the Lagrange basis l_j from
+    # the inverse of the monomial Vandermonde matrix on the nodes, integrated
+    # term by term.  The reflection sums take it from Legendre series.
+    with mpmath.workdps(50):
+        t = [mpmath.mpf(float(node)) for node in _GL_NODES]
+        basis = mpmath.matrix([[node**k for k in range(10)] for node in t]) ** -1
+
+        def integrals(s):
+            s = mpmath.mpf(s)
+            powers = [(s ** (k + 1) - (-1) ** (k + 1)) / (k + 1) for k in range(10)]
+            sums = (mpmath.fsum(p * basis[k, j] for k, p in enumerate(powers)) for j in range(10))
+            return [float(v) for v in sums]
+
+        exact = np.array([integrals(node) for node in t])
+        rows = {s: integrals(s) for s in (-1.0, -0.3, 0.0, 0.77, 1.0)}
+    assert np.max(np.abs(_SPECTRAL.T - exact)) <= 1e-14
+    for s, row in rows.items():
+        assert np.max(np.abs(legval(s, _LAGRANGE_INTEGRALS) - row)) <= 1e-14
 
 
 @st.composite

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from semiclassic import (
     DomainError,
     EckartBarrier,
     GaussianBump,
     LinearRamp,
+    NumericalError,
     PhysicalContext,
     PoleError,
     RegimeError,
@@ -254,6 +256,60 @@ class TestBornFirstOrder:
         )
         with pytest.raises(DomainError):
             matrix_element(problem, 1.0, -1.0)
+
+    @pytest.mark.parametrize("level", [0.7, 1.4])
+    def test_truncation_reads_the_outermost_nodes(self, level):
+        # The domain ends where |Vtilde| is `level` times 1e-12 of its peak.
+        # At 0.7 nodes of the first panel reach 1e-12 but the outermost one
+        # does not: the edge has decayed, and |R1| is that of a wider domain.
+        peak = abs(effective_perturbation(WEAK_BUMP, 0.0))
+        edge = brentq(
+            lambda x: math.log(abs(effective_perturbation(WEAK_BUMP, x)) / (level * 1e-12 * peak)),
+            1.0,
+            7.0,
+        )
+        problem = ScatteringProblem(
+            potential=WEAK_BUMP.potential, energy=WEAK_BUMP.energy, domain=(-edge, edge)
+        )
+        first_panel = np.linspace(-edge, -edge + 2.0 * edge / 256, 65)
+        assert np.max(np.abs(effective_perturbation(problem, first_panel))) >= 1e-12 * peak
+        if level > 1.0:
+            with pytest.raises(DomainError, match="has not decayed"):
+                born_first_order(problem)
+        else:
+            assert abs(born_first_order(problem)) == pytest.approx(
+                abs(born_first_order(WEAK_BUMP)), rel=1e-9
+            )
+
+
+class TestUnresolved:
+    """An amplitude that does not clear the rounding floor of its oscillatory
+    sum, eps x the phase span / hbar x the sum of |integrand|, raises."""
+
+    # k d = 20: the true |R| is below 1e-40.
+    SHARP = ScatteringProblem(
+        potential=GaussianBump(amplitude=0.01, width=1.0),
+        energy=2.0,
+        domain=(-12.0, 12.0),
+        context=PhysicalContext(hbar=0.1),
+    )
+
+    @pytest.mark.parametrize("call", [once_reflected_coefficient, born_first_order])
+    def test_refused(self, call):
+        with pytest.raises(NumericalError, match=r"^E = 2: \|R\| is 0\.0\d+ of the rounding"):
+            call(self.SHARP)
+
+    def test_scan_reports_its_first_unresolved_energy(self):
+        # m 256 on an Eckart barrier: E 1.5 is resolved, 3 and 2.25 are not.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0),
+            energy=1.5,
+            domain=(-14.0, 14.0),
+            context=PhysicalContext(mass=256.0),
+        )
+        assert abs(once_reflected_coefficients(problem, [1.5])[0]) > 0.0
+        with pytest.raises(NumericalError, match=r"^E = 3: \|R\| is 0\.11 of the rounding floor"):
+            once_reflected_coefficients(problem, [1.5, 3.0, 2.25])
 
 
 class TestBatches:
