@@ -29,7 +29,7 @@ base = ScatteringProblem(
 )
 
 print("bump amplitude sweep at E = 2 (|R|^2 from each method):")
-print("  A        once-reflected  picard(conv)    born1           exact")
+print("  A        once-reflected  picard(conv)    born1           exact           picard steps")
 for amp in (0.002, 0.005, 0.01, 0.02, 0.05):
     problem = dataclasses.replace(
         base, potential=GaussianBump(amplitude=float(amp), width=1.0)
@@ -41,6 +41,7 @@ for amp in (0.002, 0.005, 0.01, 0.02, 0.05):
     r_exact = 1.0 - solve_scattering_exact(problem).transmission
     print(
         f"  {amp:5.3f}    {r_once:.6e}    {r_picard:.6e}    {r_born:.6e}    {r_exact:.6e}"
+        f"    {picard.iterations_used} (converged: {picard.converged})"
     )
 
 print("\nfirst-order character: |R| should scale linearly with A as A -> 0.")

@@ -8,11 +8,12 @@ the first term of the multiple-reflection series, and Picard iteration of
 the coupled amplitude equations resums the rest.
 
 Quadrature policy: everything is computed on arrays.  Each reflection sum
-(the once-reflected amplitude, the matrix element of Vtilde) is one complex
-composite 10-point Gauss-Legendre sum, 256 equal panels over the domain, with
-the integrand evaluated on all nodes at once.  Above the barrier p(x) is
-smooth on the whole domain, so the phase w(x0, x) at the nodes comes from p at
-the same nodes: the running sum of the whole-panel sums, plus, inside each
+(the once-reflected amplitude, the matrix element of Vtilde, each half-step of
+Picard iteration) is one complex composite 10-point Gauss-Legendre sum, 256
+equal panels over the domain, with the integrand evaluated on all nodes at
+once.  Above the barrier p(x) is smooth on the whole domain, so every running
+integral at the nodes, the phase w(x0, x) among them, comes from the integrand
+at the same nodes: the running sum of the whole-panel sums, plus, inside each
 panel, one product with the spectral integration matrix S_ij = int_{-1}^{t_i}
 l_j(t) dt of the Lagrange basis on the nodes (L. Greengard, SIAM J. Numer.
 Anal. 28, 1071 (1991)); w(x0) is one row of S, at x0's place in its panel.
@@ -21,8 +22,9 @@ lays them out once per call and each energy is one sum on them, in the same
 operations as one energy alone; the single-energy functions are batches of
 one.  An amplitude that does not clear the rounding floor of its sum,
 eps (2 W / hbar) int |integrand| dx with W the phase across the domain, is
-refused rather than returned.  The sums read V' and V'' only, so a potential
-that jumps inside the domain is refused.
+refused rather than returned, and so is one whose phase winds more than 3 pi
+across a panel, which the 10-point rule does not resolve.  The sums read V'
+and V'' only, so a potential that jumps inside the domain is refused.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -72,6 +74,11 @@ __all__ = [
 #: property tests 256 and 1024 panels agree with adaptive quadrature to the
 #: phase's rounding floor; 64 panels do not.
 _PANELS_PER_DOMAIN = 256
+#: Largest phase, in radians, that a reflection sum may wind across one panel.
+#: Sized on Eckart barriers where |R| is far below int |r| dx: rows below it
+#: agree with 2048 panels to 2e-5 or better, rows from 10 rad on are off by
+#: 2e-3 to 50 %.
+_MAX_WINDING = 3.0 * math.pi
 #: Matrix elements integrate over the panels where |Vtilde| reaches this
 #: times its peak.
 _TAIL_CUT = 1e-12
@@ -119,18 +126,15 @@ class EffectivePerturbation:
 
 @dataclass(frozen=True)
 class PicardAmplitudes:
-    """Iterated amplitude functions sampled on a phase grid."""
+    """Iterated amplitudes at the reflection sums' nodes ``grid`` (ascending),
+    and C_minus at the left edge: the resummed reflection amplitude."""
 
-    grid: PhaseGrid
+    grid: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
+    reflection_amplitude: complex
     iterations_used: int
     converged: bool
-
-    @property
-    def reflection_amplitude(self) -> complex:
-        """C_minus at the far left: the resummed reflection amplitude."""
-        return complex(self.c_minus[0])
 
 
 def _v_max(problem: ScatteringProblem) -> float:
@@ -205,16 +209,23 @@ def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
     return x0
 
 
-def _refuse_unresolved(amplitude, scale: float, energy: float) -> None:
-    """Raise unless ``amplitude`` clears the rounding floor eps * scale of its
-    sum, where ``scale`` is the phase span over hbar times the sum of the
-    integrand's modulus."""
-    floor = float(np.finfo(float).eps) * scale
+def _refuse_unresolved(amplitude, size, w, span, dk, hbar, energy) -> None:
+    """Raise unless ``amplitude`` clears the rounding floor eps x |dk| span / hbar
+    x ``size`` (the sum of the integrand's modulus) of its sum, and unless its
+    phase |dk| w / hbar winds at most :data:`_MAX_WINDING` between the first
+    nodes of neighbouring panels, one panel width apart."""
+    floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * size)
     if abs(amplitude) < floor:
         raise NumericalError(
             f"E = {energy:g}: |R| is {abs(amplitude) / floor:.2g} of the rounding floor of "
             "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
             "double precision cannot resolve it"
+        )
+    winding = abs(dk) * (w[1:, 0] - w[:-1, 0]).max() / hbar
+    if winding > _MAX_WINDING:
+        raise NumericalError(
+            f"E = {energy:g}: the phase of the oscillatory sum winds {winding:.3g} rad across "
+            "one panel, more than 3 pi; the 10-point rule cannot resolve it"
         )
 
 
@@ -224,10 +235,10 @@ class _Nodes:
     The composite 10-point Gauss-Legendre nodes of :data:`_PANELS_PER_DOMAIN`
     equal panels, shaped (panel, node), the panel half-widths, and V and V'
     (and V'' with ``curvature``) at the nodes.  Above the barrier p(x) is
-    smooth on the whole domain, so the phase needs no other points:
-    :meth:`phase` integrates the interpolant of p on each panel with the
-    spectral integration matrix, and takes w at x0 from the row of that
-    matrix at x0's place in its panel, laid out here.
+    smooth on the whole domain, so a running integral needs no other points:
+    :meth:`cumulative` integrates the interpolant of the integrand on each
+    panel with the spectral integration matrix, and takes its value at x0
+    from the row of that matrix at x0's place in its panel, laid out here.
     """
 
     def __init__(self, problem, x0, curvature=False):
@@ -236,19 +247,25 @@ class _Nodes:
         self.x, self.half = _panel_nodes(edges)
         self.v, self.dv = problem.v(self.x), problem.dv(self.x)
         self.d2v = problem.d2v(self.x) if curvature else None
-        # w at x0: p's interpolant on x0's panel k0, integrated up to x0.
+        # The integral to x0: the interpolant on x0's panel k0, up to x0.
         k = min(int(np.searchsorted(edges, x0, side="right")) - 1, _PANELS_PER_DOMAIN - 1)
         local = (x0 - edges[k]) / self.half[k] - 1.0
         self.k0, self.row0 = k, self.half[k] * legval(local, _LAGRANGE_INTEGRALS)
 
+    def cumulative(self, f, from_x0=False):
+        """int f dx from the left edge (from x0 with ``from_x0``) to each node,
+        and over the whole domain, from f at the nodes."""
+        ends = np.cumsum(self.half * (f @ _GL_WEIGHTS))
+        starts = np.concatenate(([0.0], ends[:-1]))
+        if from_x0:
+            starts -= starts[self.k0] + self.row0 @ f[self.k0]
+        out = self.half[:, None] * (f @ _SPECTRAL)
+        out += starts[:, None]
+        return out, ends[-1]
+
     def phase(self, p):
         """w(x0, x) at the nodes, and w across the whole domain, from p there."""
-        sums = self.half * (p @ _GL_WEIGHTS)
-        ends = np.cumsum(sums)
-        starts = np.concatenate(([0.0], ends[:-1]))
-        w = self.half[:, None] * (p @ _SPECTRAL)
-        w += (starts - (starts[self.k0] + self.row0 @ p[self.k0]))[:, None]
-        return w, float(ends[-1])
+        return self.cumulative(p, from_x0=True)
 
     def integral(self, values, panels=slice(None)):
         """The sum of ``values`` at the nodes of ``panels`` against their weights."""
@@ -274,11 +291,7 @@ def phase_transform(
 
 
 def picard_amplitudes(
-    problem: ScatteringProblem,
-    iterations: int,
-    n_points: int = 4097,
-    tol: float = 1e-10,
-    x0: float | None = None,
+    problem: ScatteringProblem, iterations: int, tol: float = 1e-10, x0: float | None = None
 ) -> PicardAmplitudes:
     """Iterate the coupled amplitude integral equations from C+ = 1, C- = 0.
 
@@ -286,52 +299,50 @@ def picard_amplitudes(
         C-(x) =   - int_{x}^{+inf} r C+ e^{+2iw/hbar} dx'
 
     The domain edges stand in for +/- infinity, so the domain must contain
-    the support of r.  Trapezoid quadrature on the grid; iteration stops at
-    ``iterations`` or when the largest relative change drops below ``tol``.
+    the support of r.  The integrals are running sums on the once-reflected
+    sum's nodes; its first half-step is that sum, so whatever the sum refuses
+    is refused.  Iteration stops at ``iterations`` or when the largest
+    relative change drops below ``tol``.
     """
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     _require_smooth(problem)
-    grid = phase_transform(problem, n_points=n_points, x0=x0)
-    hbar = problem.context.hbar
-    xs = grid.xs
-    r = -problem.context.mass * problem.dv(xs) / (2.0 * grid.ps**2)
-    phase_plus = np.exp(+2.0j * grid.ws / hbar)
-    phase_minus = np.exp(-2.0j * grid.ws / hbar)
-
-    def cumtrapz(vals):
-        seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(xs)
-        out = np.empty(len(xs), dtype=complex)
-        out[0] = 0.0
-        np.cumsum(seg, out=out[1:])
-        return out
-
-    c_plus = np.ones(len(xs), dtype=complex)
-    c_minus = np.zeros(len(xs), dtype=complex)
-    used = 0
-    converged = False
-    for _ in range(iterations):
-        used += 1
-        forward = cumtrapz(r * c_minus * phase_minus)
-        new_plus = 1.0 + forward
-        back = cumtrapz(r * new_plus * phase_plus)
-        new_minus = -(back[-1] - back)
-        delta = max(
-            float(np.max(np.abs(new_plus - c_plus))),
-            float(np.max(np.abs(new_minus - c_minus))),
-        )
-        norm = max(1.0, float(np.max(np.abs(new_plus))))
+    nodes = _Nodes(problem, x0)
+    coupling, _ = _once_reflected(problem, nodes, problem.energy)
+    c_plus = np.ones(nodes.x.shape, dtype=complex)
+    c_minus = np.zeros(nodes.x.shape, dtype=complex)
+    for used in range(1, iterations + 1):
+        new_plus = 1.0 + nodes.cumulative(np.conj(coupling) * c_minus)[0]
+        back, total = nodes.cumulative(coupling * new_plus)
+        new_minus = back - total
+        delta = max(np.max(np.abs(new_plus - c_plus)), np.max(np.abs(new_minus - c_minus)))
+        converged = delta / max(1.0, float(np.max(np.abs(new_plus)))) < tol
         c_plus, c_minus = new_plus, new_minus
-        if delta / norm < tol:
-            converged = True
+        if converged:
             break
     return PicardAmplitudes(
-        grid=grid,
-        c_plus=c_plus,
-        c_minus=c_minus,
+        grid=nodes.x.ravel(),
+        c_plus=c_plus.ravel(),
+        c_minus=c_minus.ravel(),
+        reflection_amplitude=complex(-nodes.integral(coupling * c_plus)),
         iterations_used=used,
         converged=converged,
     )
+
+
+def _once_reflected(problem: ScatteringProblem, nodes: _Nodes, energy: float):
+    """r e^{2iw/hbar} at the nodes, and R = -int r e^{2iw/hbar} dx: C-(left
+    edge) after one half-step from C+ = 1.  Raises as
+    :func:`once_reflected_coefficients` describes."""
+    _require_over_barrier(problem, energy)
+    hbar = problem.context.hbar
+    gap = energy - nodes.v
+    w, span = nodes.phase(np.sqrt(2.0 * problem.context.mass * gap))
+    r = nodes.dv / (-4.0 * gap)
+    coupling = r * np.exp(2.0j * w / hbar)
+    amplitude = -nodes.integral(coupling)
+    _refuse_unresolved(amplitude, nodes.integral(np.abs(r)), w, span, 2.0, hbar, energy)
+    return coupling, amplitude
 
 
 def once_reflected_coefficient(
@@ -357,23 +368,14 @@ def once_reflected_coefficients(
     one sum, the one :func:`once_reflected_coefficient` makes.  A potential
     with a jump raises, as does an energy not above max V; an R that does not
     clear the rounding floor eps (2 W / hbar) int |r| dx of its sum, W being
-    the phase across the domain, raises :class:`NumericalError`.  The first
-    failing energy in the given order is reported.
+    the phase across the domain, or whose phase 2 w / hbar winds more than
+    3 pi across a panel, raises :class:`NumericalError`.  The first failing
+    energy in the given order is reported.
     """
     _require_smooth(problem)
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
-    out = np.empty(len(e), dtype=complex)
-    m, hbar = problem.context.mass, problem.context.hbar
     nodes = _Nodes(problem, x0)
-    neg_dv = -nodes.dv
-    for i, energy in enumerate(e.tolist()):
-        _require_over_barrier(problem, energy)
-        gap = energy - nodes.v
-        w, span = nodes.phase(np.sqrt(2.0 * m * gap))
-        r = neg_dv / (4.0 * gap)
-        out[i] = -nodes.integral(r * np.exp(2.0j * w / hbar))
-        _refuse_unresolved(out[i], 2.0 * span / hbar * nodes.integral(np.abs(r)), energy)
-    return out
+    energies = np.atleast_1d(np.asarray(energies, dtype=float)).tolist()
+    return np.array([_once_reflected(problem, nodes, e)[1] for e in energies], dtype=complex)
 
 
 def effective_perturbation_forms(problem: ScatteringProblem, x: float):
@@ -450,7 +452,8 @@ def _matrix_elements(
     V, V' and V'' are taken once on the nodes; each energy's Vtilde there
     sets its support, and its sum runs over those panels of the layout.  A v
     that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
-    int |Vtilde| p dx of its sum raises :class:`NumericalError`.  Each energy
+    int |Vtilde| p dx of its sum, or whose phase |k_f - k_i| w / hbar winds
+    more than 3 pi across a panel, raises :class:`NumericalError`.  Each energy
     raises as :func:`matrix_element` would, in order.
     """
     _require_smooth(problem)
@@ -478,8 +481,7 @@ def _matrix_elements(
         w, span = nodes.phase(p)
         dw = vtilde[cut] * p[cut]
         out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
-        scale = abs(dk) * span / hbar * nodes.integral(np.abs(dw), cut)
-        _refuse_unresolved(out[i], scale, energy)
+        _refuse_unresolved(out[i], nodes.integral(np.abs(dw), cut), w, span, dk, hbar, energy)
     return out
 
 

@@ -19,6 +19,7 @@ from .potential import (
     HarmonicWell,
     LinearRamp,
     ParabolicBarrier,
+    PhysicalContext,
     ScatteringProblem,
     SquareBarrier,
 )
@@ -246,9 +247,21 @@ def criterion_7_reflection_regime() -> CriterionResult:
     slope = np.polyfit(np.log(amps), logs, 1)[0]
     res.check("amplitude_scaling_slope_error", abs(slope - 1.0), 0.05)
 
-    picard = reflection.picard_amplitudes(bump, iterations=1, n_points=8193)
+    picard = reflection.picard_amplitudes(bump, iterations=1)
     diff = abs(picard.reflection_amplitude - reflection.once_reflected_coefficient(bump))
     res.check("picard_one_step_vs_once_reflected", diff, 1e-10)
+
+    eckart = ScatteringProblem(
+        potential=EckartBarrier(height=1.0, width=1.0),
+        energy=1.5,
+        domain=(-14.0, 14.0),
+        context=PhysicalContext(mass=4.0),
+    )
+    picard = reflection.picard_amplitudes(eckart, iterations=50, tol=1e-14)
+    r_picard = abs(picard.reflection_amplitude) ** 2
+    r_closed = 1.0 - exact_oracle.analytic_eckart_transmission(1.0, 1.0, 1.5, mass=4.0)
+    error = abs(r_picard - r_closed) / r_closed
+    res.check("picard_converged_vs_closed_form_rel_error", error, 1e-9)
     return res
 
 

@@ -589,6 +589,20 @@ class TestUnresolvedReflection:
         )
 
     @pytest.mark.parametrize("method", ["once-reflected", "born1"])
+    def test_unresolved_phase_exit_4(self, capsys, method):
+        # 24.5 rad per panel: |R|^2 printed 4.08e-15 and 2.0e-19; the closed form is ~1e-90.
+        code = run_cli(
+            ["transmission", "--form=eckart", "--height=1", "--width=1", "--x-min=-20",
+             "--x-max=20", "--mass=1024", "--energy=3", f"--method={method}"]
+        )
+        assert code == 4
+        assert capsys.readouterr() == (
+            "",
+            "E_NUMERIC: E = 3: the phase of the oscillatory sum winds 24.5 rad across one "
+            "panel, more than 3 pi; the 10-point rule cannot resolve it\n",
+        )
+
+    @pytest.mark.parametrize("method", ["once-reflected", "born1"])
     @pytest.mark.parametrize("mass", ["256", "512"])
     def test_resolved_rows_pass(self, tmp_path, method, mass):
         out = tmp_path / "rows.csv"

@@ -15,7 +15,8 @@ harmonic and Gaussian wells on domains off centre.  The reflection
 properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
 where |R| is resolved (and from 15 to 20 where it must be refused); the spectral
 phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
-their top.
+their top, and converged Picard iteration full Eckart barriers there, checked
+against the closed form in 40 digits.
 """
 
 import cmath
@@ -56,6 +57,7 @@ from semiclassic import (
     once_reflected_coefficients,
     opacities,
     phase_transform,
+    picard_amplitudes,
     quantize_levels,
     scan_scattering_exact,
     solve_bound_states_exact,
@@ -635,13 +637,18 @@ def same_bits(a, b):
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(weak_bumps(), st.lists(st.floats(0.002, 0.05), min_size=1, max_size=5), st.data())
-def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
-    # Energies from 20 to 500 times max V: far enough apart that the support
-    # of Vtilde moves by a few samples across one batch.
+@given(weak_bumps(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.data())
+def test_reflection_rows_do_not_depend_on_their_batch(case, spreads, data):
+    # Energies v_max / f, f from 0.05 down to 0.002 or to where k d reaches 5,
+    # whichever comes first: far enough apart that the support of Vtilde moves
+    # by a few samples across one batch, and inside the k d where weak_bumps
+    # promises an |R| clear of its rounding floor.
     problem, x0 = case
     v_max = max(v for _, v in _knots(problem))
-    energies = np.array([problem.energy, *(v_max / f for f in fractions)])
+    m, hbar = problem.context.mass, problem.context.hbar
+    e_kd5 = (5.0 * hbar / problem.potential.width) ** 2 / (2.0 * m)
+    low = max(0.002, v_max / e_kd5)
+    energies = np.array([problem.energy, *(v_max / (low + s * (0.05 - low)) for s in spreads)])
     order = np.array(data.draw(st.permutations(range(len(energies)))))
     part = order[: data.draw(st.integers(1, len(order)))]
     once = once_reflected_coefficients(problem, energies, x0)
@@ -654,6 +661,7 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
     for i, e in enumerate(energies):
         one = dataclasses.replace(problem, energy=float(e))
         assert same_bits(once_reflected_coefficient(one, x0=x0), once[i])
+        assert same_bits(picard_amplitudes(one, iterations=1, x0=x0).reflection_amplitude, once[i])
         assert same_bits(per_energy_once_reflected(one, x0), once[i])
         assert same_bits(matrix_element(one, 1.0, -1.0, x0=x0), elements[i])
         assert same_bits(per_energy_backscatter_element(one, x0), elements[i])
@@ -697,6 +705,48 @@ def test_unresolvable_weak_bumps_are_refused(case):
         once_reflected_coefficient(problem, x0=x0)
     with pytest.raises(NumericalError, match=r"of the rounding floor of its oscillatory sum"):
         born_first_order(problem)
+
+
+def eckart_reflection(height, width, mass, hbar, energy):
+    """R = D^2 / (sinh^2(pi k d) + D^2) above an Eckart barrier, in 40 digits,
+    with D = cosh(pi sqrt(g - 1) / 2) (cos(pi sqrt(1 - g) / 2) for g < 1) and
+    g = 8 m V0 d^2 / hbar^2."""
+    with mpmath.workdps(40):
+        k = mpmath.sqrt(2 * mass * mpmath.mpf(energy)) / hbar
+        g = 8 * mass * mpmath.mpf(height) * width**2 / mpmath.mpf(hbar) ** 2
+        if g >= 1:
+            d2 = mpmath.cosh(mpmath.pi * mpmath.sqrt(g - 1) / 2) ** 2
+        else:
+            d2 = mpmath.cos(mpmath.pi * mpmath.sqrt(1 - g) / 2) ** 2
+        return float(d2 / (mpmath.sinh(mpmath.pi * k * width) ** 2 + d2))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-2.0, 2.0), st.floats(0.5, 8.0),
+    st.floats(1.1, 3.0), st.floats(0.3, 8.0),
+)
+def test_converged_picard_matches_the_eckart_closed_form(height, width, center, mass, ratio, kd):
+    # hbar follows from k d, the wavenumber at E times the width.  Up to k d 8
+    # |R| clears the rounding floor of its sums by 7e8 or more, and the phase
+    # winds at most 2.5 rad across a panel; nearer the floor rounding costs up
+    # to 2e-8 relative.  At +/-20 widths the cut tail of V is below 1e-17 of
+    # the top (at +/-14 it costs up to 2.3e-9 relative).
+    e = height * ratio
+    hbar = math.sqrt(2.0 * mass * e) * width / kd
+    problem = ScatteringProblem(
+        potential=EckartBarrier(height=height, width=width, center=center),
+        energy=e,
+        domain=(center - 20.0 * width, center + 20.0 * width),
+        context=PhysicalContext(mass=mass, hbar=hbar),
+    )
+    r2 = eckart_reflection(height, width, mass, hbar, e)
+    # eps x the phase across the domain / hbar (at most 2 k L) x int |r| dx.
+    floor = np.finfo(float).eps * 80.0 * kd * 0.5 * math.log(ratio / (ratio - 1.0))
+    assert math.sqrt(r2) >= 1e6 * floor
+    sol = picard_amplitudes(problem, iterations=100, tol=1e-14)
+    assert sol.converged
+    assert abs(abs(sol.reflection_amplitude) ** 2 - r2) <= 1e-9 * r2
 
 
 def test_spectral_matrix_matches_exact_arithmetic():

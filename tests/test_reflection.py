@@ -118,18 +118,19 @@ class TestPhaseTransform:
 
 class TestPicard:
     def test_free_particle_identity(self):
-        sol = picard_amplitudes(FREE, iterations=3, n_points=257)
-        np.testing.assert_array_equal(sol.c_plus, np.ones(257, dtype=complex))
-        np.testing.assert_array_equal(sol.c_minus, np.zeros(257, dtype=complex))
+        # The amplitudes sit at the 2560 nodes of the reflection sums, ascending.
+        sol = picard_amplitudes(FREE, iterations=3)
+        assert np.all(np.diff(sol.grid) > 0) and sol.grid.shape == (2560,)
+        np.testing.assert_array_equal(sol.c_plus, np.ones(2560, dtype=complex))
+        np.testing.assert_array_equal(sol.c_minus, np.zeros(2560, dtype=complex))
 
     def test_one_step_equals_once_reflected(self):
-        sol = picard_amplitudes(WEAK_BUMP, iterations=1, n_points=8193)
-        ref = once_reflected_coefficient(WEAK_BUMP)
-        assert abs(sol.reflection_amplitude - ref) < 1e-10
+        sol = picard_amplitudes(WEAK_BUMP, iterations=1)
+        assert sol.reflection_amplitude == once_reflected_coefficient(WEAK_BUMP)
 
     def test_contraction(self):
-        five = picard_amplitudes(WEAK_BUMP, iterations=5, n_points=2049)
-        six = picard_amplitudes(WEAK_BUMP, iterations=6, n_points=2049)
+        five = picard_amplitudes(WEAK_BUMP, iterations=5)
+        six = picard_amplitudes(WEAK_BUMP, iterations=6)
         diff = max(
             np.max(np.abs(five.c_plus - six.c_plus)),
             np.max(np.abs(five.c_minus - six.c_minus)),
@@ -137,7 +138,7 @@ class TestPicard:
         assert diff < 1e-10
 
     def test_convergence_flag(self):
-        sol = picard_amplitudes(WEAK_BUMP, iterations=20, n_points=1025)
+        sol = picard_amplitudes(WEAK_BUMP, iterations=20)
         assert sol.converged
         assert sol.iterations_used < 20
 
@@ -284,7 +285,8 @@ class TestBornFirstOrder:
 
 class TestUnresolved:
     """An amplitude that does not clear the rounding floor of its oscillatory
-    sum, eps x the phase span / hbar x the sum of |integrand|, raises."""
+    sum, eps x the phase span / hbar x the sum of |integrand|, raises, and so
+    does one whose phase winds more than 3 pi across a panel of the sum."""
 
     # k d = 20: the true |R| is below 1e-40.
     SHARP = ScatteringProblem(
@@ -294,10 +296,30 @@ class TestUnresolved:
         context=PhysicalContext(hbar=0.1),
     )
 
-    @pytest.mark.parametrize("call", [once_reflected_coefficient, born_first_order])
+    @pytest.mark.parametrize(
+        "call",
+        [once_reflected_coefficient, born_first_order, lambda p: picard_amplitudes(p, 5)],
+    )
     def test_refused(self, call):
         with pytest.raises(NumericalError, match=r"^E = 2: \|R\| is 0\.0\d+ of the rounding"):
             call(self.SHARP)
+
+    # 24.5 rad per panel: 256 panels gave |R|^2 4.1e-15 (once-reflected) and
+    # 2.0e-19 (born1), 1024 panels 7.7e-31; the closed form is ~1e-90.
+    WOUND = ScatteringProblem(
+        potential=EckartBarrier(height=1.0, width=1.0),
+        energy=3.0,
+        domain=(-20.0, 20.0),
+        context=PhysicalContext(mass=1024.0),
+    )
+
+    @pytest.mark.parametrize(
+        "call",
+        [once_reflected_coefficient, born_first_order, lambda p: picard_amplitudes(p, 1)],
+    )
+    def test_unresolved_phase_refused(self, call):
+        with pytest.raises(NumericalError, match=r"^E = 3: the phase .* winds 24\.5 rad across"):
+            call(self.WOUND)
 
     def test_scan_reports_its_first_unresolved_energy(self):
         # m 256 on an Eckart barrier: E 1.5 is resolved, 3 and 2.25 are not.
@@ -345,7 +367,7 @@ class TestJumps:
             lambda p: born_first_order(p),
             lambda p: born_amplitudes(p, [1.5, 2.0]),
             lambda p: matrix_element(p, 1.0, -1.0),
-            lambda p: picard_amplitudes(p, iterations=2, n_points=257),
+            lambda p: picard_amplitudes(p, iterations=2),
         ],
     )
     def test_square_barrier_refused(self, call):
