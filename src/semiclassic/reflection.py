@@ -22,9 +22,11 @@ lays them out once per call and each energy is one sum on them, in the same
 operations as one energy alone; the single-energy functions are batches of
 one.  An amplitude that does not clear the rounding floor of its sum,
 eps (2 W / hbar) int |integrand| dx with W the phase across the domain, is
-refused rather than returned, and so is one whose phase winds more than 3 pi
-across a panel, which the 10-point rule does not resolve.  The sums read V'
-and V'' only, so a potential that jumps inside the domain is refused.
+refused rather than returned, and so is one that the 10-point rule may miss
+by more than 1 %: the rule's remainder on a panel grows as the 20th power of
+the phase wound across it, weighted by the panel's share of int |integrand|.
+The sums read V' and V'' only, so a potential that jumps inside the domain is
+refused.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -74,11 +76,14 @@ __all__ = [
 #: property tests 256 and 1024 panels agree with adaptive quadrature to the
 #: phase's rounding floor; 64 panels do not.
 _PANELS_PER_DOMAIN = 256
-#: Largest phase, in radians, that a reflection sum may wind across one panel.
-#: Sized on Eckart barriers where |R| is far below int |r| dx: rows below it
-#: agree with 2048 panels to 2e-5 or better, rows from 10 rad on are off by
-#: 2e-3 to 50 %.
-_MAX_WINDING = 3.0 * math.pi
+#: The 10-point Gauss-Legendre remainder: the rule misses at most this times
+#: max |f^(20)| of int_{-1}^{1} f dt (2^21 (10!)^4 / (21 (20!)^3)).  Where the
+#: phase of f winds phi across the panel, f^(20) is about |f| (phi / 2)^20.
+_GL_REMAINDER = 2.0**21 * math.factorial(10) ** 4 / (21.0 * math.factorial(20) ** 3)
+#: Largest share of |R| that the remainder, summed over the panels, may reach.
+#: Sized on Eckart barriers against 2048 panels: rows under it agree to 2.5e-4
+#: or better, rows over it are off by 1.3e-4 to 1e11.
+_MAX_REMAINDER = 1e-2
 #: Matrix elements integrate over the panels where |Vtilde| reaches this
 #: times its peak.
 _TAIL_CUT = 1e-12
@@ -209,23 +214,27 @@ def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
     return x0
 
 
-def _refuse_unresolved(amplitude, size, w, span, dk, hbar, energy) -> None:
-    """Raise unless ``amplitude`` clears the rounding floor eps x |dk| span / hbar
-    x ``size`` (the sum of the integrand's modulus) of its sum, and unless its
-    phase |dk| w / hbar winds at most :data:`_MAX_WINDING` between the first
-    nodes of neighbouring panels, one panel width apart."""
-    floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * size)
+def _refuse_unresolved(nodes, panels, amplitude, size, p, span, dk, hbar, energy) -> None:
+    """Raise if ``amplitude`` is below its sum's rounding floor, eps |dk| span / hbar
+    x int |integrand|, or if the 10-point rule may miss more than
+    :data:`_MAX_REMAINDER` of it; ``size`` and ``p`` are |integrand| and p on the
+    nodes of ``panels``."""
+    half = nodes.half[panels]
+    mass = half * (size @ _GL_WEIGHTS)
+    floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * np.sum(mass))
     if abs(amplitude) < floor:
         raise NumericalError(
             f"E = {energy:g}: |R| is {abs(amplitude) / floor:.2g} of the rounding floor of "
             "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
             "double precision cannot resolve it"
         )
-    winding = abs(dk) * (w[1:, 0] - w[:-1, 0]).max() / hbar
-    if winding > _MAX_WINDING:
+    winding = abs(dk) / hbar * half * (p @ _GL_WEIGHTS)
+    missed = 0.5 * _GL_REMAINDER * (mass @ (0.5 * winding) ** 20)
+    if missed > _MAX_REMAINDER * abs(amplitude):
         raise NumericalError(
-            f"E = {energy:g}: the phase of the oscillatory sum winds {winding:.3g} rad across "
-            "one panel, more than 3 pi; the 10-point rule cannot resolve it"
+            f"E = {energy:g}: the phase of the oscillatory sum winds up to {winding.max():.3g} "
+            f"rad across one panel, where the 10-point rule may miss {missed / abs(amplitude):.2g}"
+            f" of |R|, more than {_MAX_REMAINDER:.0%}; it cannot resolve it"
         )
 
 
@@ -331,17 +340,17 @@ def picard_amplitudes(
 
 
 def _once_reflected(problem: ScatteringProblem, nodes: _Nodes, energy: float):
-    """r e^{2iw/hbar} at the nodes, and R = -int r e^{2iw/hbar} dx: C-(left
-    edge) after one half-step from C+ = 1.  Raises as
-    :func:`once_reflected_coefficients` describes."""
+    """r e^{2iw/hbar} at the nodes, and R = -int r e^{2iw/hbar} dx, C-(left edge)
+    after one half-step from C+ = 1; raises as :func:`once_reflected_coefficients` says."""
     _require_over_barrier(problem, energy)
     hbar = problem.context.hbar
     gap = energy - nodes.v
-    w, span = nodes.phase(np.sqrt(2.0 * problem.context.mass * gap))
+    p = np.sqrt(2.0 * problem.context.mass * gap)
+    w, span = nodes.phase(p)
     r = nodes.dv / (-4.0 * gap)
     coupling = r * np.exp(2.0j * w / hbar)
     amplitude = -nodes.integral(coupling)
-    _refuse_unresolved(amplitude, nodes.integral(np.abs(r)), w, span, 2.0, hbar, energy)
+    _refuse_unresolved(nodes, slice(None), amplitude, np.abs(r), p, span, 2.0, hbar, energy)
     return coupling, amplitude
 
 
@@ -368,8 +377,8 @@ def once_reflected_coefficients(
     one sum, the one :func:`once_reflected_coefficient` makes.  A potential
     with a jump raises, as does an energy not above max V; an R that does not
     clear the rounding floor eps (2 W / hbar) int |r| dx of its sum, W being
-    the phase across the domain, or whose phase 2 w / hbar winds more than
-    3 pi across a panel, raises :class:`NumericalError`.  The first failing
+    the phase across the domain, or that the 10-point rule's remainder may
+    miss by more than 1 %, raises :class:`NumericalError`.  The first failing
     energy in the given order is reported.
     """
     _require_smooth(problem)
@@ -452,9 +461,9 @@ def _matrix_elements(
     V, V' and V'' are taken once on the nodes; each energy's Vtilde there
     sets its support, and its sum runs over those panels of the layout.  A v
     that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
-    int |Vtilde| p dx of its sum, or whose phase |k_f - k_i| w / hbar winds
-    more than 3 pi across a panel, raises :class:`NumericalError`.  Each energy
-    raises as :func:`matrix_element` would, in order.
+    int |Vtilde| p dx of its sum, or that the 10-point rule's remainder on
+    those panels may miss by more than 1 %, raises :class:`NumericalError`.
+    Each energy raises as :func:`matrix_element` would, in order.
     """
     _require_smooth(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -481,7 +490,7 @@ def _matrix_elements(
         w, span = nodes.phase(p)
         dw = vtilde[cut] * p[cut]
         out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
-        _refuse_unresolved(out[i], nodes.integral(np.abs(dw), cut), w, span, dk, hbar, energy)
+        _refuse_unresolved(nodes, cut, out[i], np.abs(dw), p[cut], span, dk, hbar, energy)
     return out
 
 

@@ -591,6 +591,7 @@ class TestUnresolvedReflection:
     @pytest.mark.parametrize("method", ["once-reflected", "born1"])
     def test_unresolved_phase_exit_4(self, capsys, method):
         # 24.5 rad per panel: |R|^2 printed 4.08e-15 and 2.0e-19; the closed form is ~1e-90.
+        missed = {"once-reflected": "2.7e+03", "born1": "4.1e+03"}[method]
         code = run_cli(
             ["transmission", "--form=eckart", "--height=1", "--width=1", "--x-min=-20",
              "--x-max=20", "--mass=1024", "--energy=3", f"--method={method}"]
@@ -598,8 +599,9 @@ class TestUnresolvedReflection:
         assert code == 4
         assert capsys.readouterr() == (
             "",
-            "E_NUMERIC: E = 3: the phase of the oscillatory sum winds 24.5 rad across one "
-            "panel, more than 3 pi; the 10-point rule cannot resolve it\n",
+            "E_NUMERIC: E = 3: the phase of the oscillatory sum winds up to 24.5 rad across one "
+            f"panel, where the 10-point rule may miss {missed} of |R|, more than 1%; it cannot "
+            "resolve it\n",
         )
 
     @pytest.mark.parametrize("method", ["once-reflected", "born1"])
@@ -612,6 +614,24 @@ class TestUnresolvedReflection:
         )
         assert code == 0
         assert float(out.read_text().splitlines()[1].split(",")[3]) > 0.0
+
+    @pytest.mark.parametrize(
+        "method, r_squared",
+        [("once-reflected", 9.449552762284891e-07), ("born1", 7.225898120360513e-07)],
+    )
+    def test_wound_but_resolved_rows_pass(self, tmp_path, method, r_squared):
+        # The phase winds 10.4 rad across the outer panels, but they carry
+        # little of int |r| dx and |R| is 1e-3 of it: 2048 panels give these
+        # |R|^2, 7.8e-12 and 7.1e-12 from 256 panels' values.
+        out = tmp_path / "rows.csv"
+        code = run_cli(
+            ["transmission", *self.ECKART, "--mass=1024", "--energy=1.1",
+             f"--method={method}", f"--output={out}"]
+        )
+        assert code == 0
+        assert float(out.read_text().splitlines()[1].split(",")[3]) == pytest.approx(
+            r_squared, rel=1e-10
+        )
 
     def test_scan_fails_at_its_first_unresolved_energy(self, capsys):
         # E = 1.5 is resolved; E = 2.25 is the first energy that is not.

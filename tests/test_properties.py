@@ -636,36 +636,58 @@ def same_bits(a, b):
     return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
 
 
+def outcome(call, *args):
+    """call(*args), or the message of the NumericalError it raises."""
+    try:
+        return call(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def same_outcome(a, b):
+    """The same message, or amplitudes with the same bits."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return same_bits(a, b)
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(weak_bumps(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.data())
-def test_reflection_rows_do_not_depend_on_their_batch(case, spreads, data):
-    # Energies v_max / f, f from 0.05 down to 0.002 or to where k d reaches 5,
-    # whichever comes first: far enough apart that the support of Vtilde moves
-    # by a few samples across one batch, and inside the k d where weak_bumps
-    # promises an |R| clear of its rounding floor.
+@given(weak_bumps(), st.lists(st.floats(0.002, 0.05), min_size=1, max_size=5), st.data())
+def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
+    # Energies from 20 to 500 times max V: far enough apart that the support
+    # of Vtilde moves by a few samples across one batch.  Up there k d reaches
+    # ~25, where |R| may sink below the rounding floor of its sum: a batch
+    # raises the message of its first energy that raises alone, and otherwise
+    # has the bits of its energies alone.
     problem, x0 = case
     v_max = max(v for _, v in _knots(problem))
-    m, hbar = problem.context.mass, problem.context.hbar
-    e_kd5 = (5.0 * hbar / problem.potential.width) ** 2 / (2.0 * m)
-    low = max(0.002, v_max / e_kd5)
-    energies = np.array([problem.energy, *(v_max / (low + s * (0.05 - low)) for s in spreads)])
+    energies = np.array([problem.energy, *(v_max / f for f in fractions)])
     order = np.array(data.draw(st.permutations(range(len(energies)))))
     part = order[: data.draw(st.integers(1, len(order)))]
-    once = once_reflected_coefficients(problem, energies, x0)
-    elements = _matrix_elements(problem, energies, 1.0, -1.0, x0)
-    born = born_amplitudes(problem, energies)
-    for rows in (order, part):
-        assert same_bits(once_reflected_coefficients(problem, energies[rows], x0), once[rows])
-        assert same_bits(_matrix_elements(problem, energies[rows], 1.0, -1.0, x0), elements[rows])
-        assert same_bits(born_amplitudes(problem, energies[rows]), born[rows])
+    batches = (
+        lambda e: once_reflected_coefficients(problem, e, x0),
+        lambda e: _matrix_elements(problem, e, 1.0, -1.0, x0),
+        lambda e: born_amplitudes(problem, e),
+    )
+    alone = [[outcome(batch, energies[[i]]) for i in range(len(energies))] for batch in batches]
+    for batch, rows_alone in zip(batches, alone):
+        for rows in (range(len(energies)), order, part):
+            got = [rows_alone[i] for i in rows]
+            refused = [a for a in got if isinstance(a, str)]
+            expected = refused[0] if refused else np.concatenate(got)
+            assert same_outcome(outcome(batch, energies[list(rows)]), expected)
     for i, e in enumerate(energies):
         one = dataclasses.replace(problem, energy=float(e))
-        assert same_bits(once_reflected_coefficient(one, x0=x0), once[i])
-        assert same_bits(picard_amplitudes(one, iterations=1, x0=x0).reflection_amplitude, once[i])
-        assert same_bits(per_energy_once_reflected(one, x0), once[i])
-        assert same_bits(matrix_element(one, 1.0, -1.0, x0=x0), elements[i])
-        assert same_bits(per_energy_backscatter_element(one, x0), elements[i])
-        assert same_bits(born_first_order(one), born[i])
+        once, element, born = (rows_alone[i] for rows_alone in alone)
+        assert same_outcome(outcome(once_reflected_coefficient, one, x0), once)
+        picard = outcome(picard_amplitudes, one, 1, 1e-10, x0)
+        assert same_outcome(getattr(picard, "reflection_amplitude", picard), once)
+        assert same_outcome(outcome(matrix_element, one, 1.0, -1.0, x0), element)
+        assert same_outcome(outcome(born_first_order, one), born)
+        if not isinstance(once, str):
+            assert same_bits(per_energy_once_reflected(one, x0), once)
+        if not isinstance(element, str):
+            assert same_bits(per_energy_backscatter_element(one, x0), element)
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
