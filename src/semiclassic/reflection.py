@@ -214,11 +214,11 @@ def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
     return x0
 
 
-def _refuse_unresolved(nodes, panels, amplitude, size, p, span, dk, hbar, energy) -> None:
+def _refuse_unresolved(nodes, panels, amplitude, size, action, span, dk, hbar, energy) -> None:
     """Raise if ``amplitude`` is below its sum's rounding floor, eps |dk| span / hbar
     x int |integrand|, or if the 10-point rule may miss more than
-    :data:`_MAX_REMAINDER` of it; ``size`` and ``p`` are |integrand| and p on the
-    nodes of ``panels``."""
+    :data:`_MAX_REMAINDER` of it; ``size`` is |integrand| on the nodes of
+    ``panels`` and ``action`` the integral of p over each of them."""
     half = nodes.half[panels]
     mass = half * (size @ _GL_WEIGHTS)
     floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * np.sum(mass))
@@ -228,7 +228,7 @@ def _refuse_unresolved(nodes, panels, amplitude, size, p, span, dk, hbar, energy
             "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
             "double precision cannot resolve it"
         )
-    winding = abs(dk) / hbar * half * (p @ _GL_WEIGHTS)
+    winding = abs(dk) / hbar * action
     missed = 0.5 * _GL_REMAINDER * (mass @ (0.5 * winding) ** 20)
     if missed > _MAX_REMAINDER * abs(amplitude):
         raise NumericalError(
@@ -263,17 +263,18 @@ class _Nodes:
 
     def cumulative(self, f, from_x0=False):
         """int f dx from the left edge (from x0 with ``from_x0``) to each node,
-        and over the whole domain, from f at the nodes."""
-        ends = np.cumsum(self.half * (f @ _GL_WEIGHTS))
+        over the whole domain, and over each panel, from f at the nodes."""
+        sums = self.half * (f @ _GL_WEIGHTS)
+        ends = np.cumsum(sums)
         starts = np.concatenate(([0.0], ends[:-1]))
         if from_x0:
             starts -= starts[self.k0] + self.row0 @ f[self.k0]
         out = self.half[:, None] * (f @ _SPECTRAL)
         out += starts[:, None]
-        return out, ends[-1]
+        return out, ends[-1], sums
 
     def phase(self, p):
-        """w(x0, x) at the nodes, and w across the whole domain, from p there."""
+        """w(x0, x) at the nodes, across the domain and across each panel, from p."""
         return self.cumulative(p, from_x0=True)
 
     def integral(self, values, panels=slice(None)):
@@ -322,7 +323,7 @@ def picard_amplitudes(
     c_minus = np.zeros(nodes.x.shape, dtype=complex)
     for used in range(1, iterations + 1):
         new_plus = 1.0 + nodes.cumulative(np.conj(coupling) * c_minus)[0]
-        back, total = nodes.cumulative(coupling * new_plus)
+        back, total, _ = nodes.cumulative(coupling * new_plus)
         new_minus = back - total
         delta = max(np.max(np.abs(new_plus - c_plus)), np.max(np.abs(new_minus - c_minus)))
         converged = delta / max(1.0, float(np.max(np.abs(new_plus)))) < tol
@@ -346,11 +347,11 @@ def _once_reflected(problem: ScatteringProblem, nodes: _Nodes, energy: float):
     hbar = problem.context.hbar
     gap = energy - nodes.v
     p = np.sqrt(2.0 * problem.context.mass * gap)
-    w, span = nodes.phase(p)
+    w, span, action = nodes.phase(p)
     r = nodes.dv / (-4.0 * gap)
     coupling = r * np.exp(2.0j * w / hbar)
     amplitude = -nodes.integral(coupling)
-    _refuse_unresolved(nodes, slice(None), amplitude, np.abs(r), p, span, 2.0, hbar, energy)
+    _refuse_unresolved(nodes, slice(None), amplitude, np.abs(r), action, span, 2.0, hbar, energy)
     return coupling, amplitude
 
 
@@ -487,10 +488,10 @@ def _matrix_elements(
         inside = np.flatnonzero(np.max(size, axis=1) >= _TAIL_CUT * peak)
         cut = slice(inside[0], inside[-1] + 1)
         p = np.sqrt(2.0 * m * (energy - nodes.v))
-        w, span = nodes.phase(p)
+        w, span, action = nodes.phase(p)
         dw = vtilde[cut] * p[cut]
         out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
-        _refuse_unresolved(nodes, cut, out[i], np.abs(dw), p[cut], span, dk, hbar, energy)
+        _refuse_unresolved(nodes, cut, out[i], np.abs(dw), action[cut], span, dk, hbar, energy)
     return out
 
 

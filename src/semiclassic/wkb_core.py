@@ -1,11 +1,11 @@
 """Action integrals, WKB expansion terms, leading transmission, quantization.
 
 Quadrature policy: every action and decay integral is a 10-point
-Gauss-Legendre sum on the same panels, cumulative along one span
-(:func:`_accumulate`) or, between two turning points, one row per energy of a
-2-D sum (:func:`_between`).  On a span that starts at a classical turning
-point the substitution x = a + s^2 removes the square-root branch point, so
-the transformed integrand is smooth and the fixed rule keeps its full order.
+Gauss-Legendre sum: cumulative along one span on panels sized by the domain
+(:func:`_accumulate`), or between two turning points one row per energy of a
+2-D sum on a fixed count of panels (:func:`_between`).  From a turning point
+x = a + s^2 removes the square-root branch point; between two, the integrand
+in s is analytic and does not wind, so the count need not follow the span.
 """
 
 from __future__ import annotations
@@ -58,15 +58,36 @@ __all__ = [
 _SINGULAR_EPS = 1e-8
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-#: Accumulator panels: one per 1/2048 of the domain along a span (the
-#: resolution of the turning-point scan), at least 16, plus 12 graded
-#: geometrically toward a turning point a span starts at.
+
+
+def _panel_nodes(edges: np.ndarray):
+    """10-point Gauss-Legendre nodes on each panel between ``edges`` (along the
+    last axis; one more axis for the nodes), and the panel half-widths that
+    scale :data:`_GL_WEIGHTS`."""
+    half = 0.5 * np.diff(edges)
+    nodes = np.multiply.outer(half, _GL_NODES)
+    nodes += (edges[..., :-1] + half)[..., None]
+    return nodes, half
+
+
+#: :func:`_accumulate`'s panels: one per 1/2048 of the domain along a span
+#: (the resolution of the turning-point scan), at least 16; from a turning
+#: point both it and :func:`_between` add 12 graded geometrically toward s = 0.
 _PANEL_FRACTION = 1.0 / _SCAN_PANELS
 _MIN_PANELS = 16
 _GRADED_PANELS = 12
+#: :func:`_between`'s even panels in s per half-span (8 reach rounding on the
+#: smooth barriers; a tabulated V's third derivative jumps at every knot).
+_BETWEEN_PANELS = 64
+#: Nodes and half-widths of :func:`_between`'s panels on s in [0, 1], the
+#: graded ones halving down to 2^-12 of the first even edge.
+_BETWEEN_NODES, _BETWEEN_HALF = _panel_nodes(np.concatenate([
+    [0.0], 0.5 ** np.arange(_GRADED_PANELS, 0, -1), np.arange(1, _BETWEEN_PANELS + 1)
+]) / _BETWEEN_PANELS)
 #: Nodes in one block of the 2-D sum of :func:`_between`: rows are cut into
-#: blocks of at most this many, so that a long scan never holds more at once.
+#: blocks of ``_BLOCK_ROWS``, so that a long scan never holds more at once.
 _BLOCK_NODES = 1 << 17
+_BLOCK_ROWS = _BLOCK_NODES // _BETWEEN_NODES.size
 
 
 class Method(enum.Enum):
@@ -127,16 +148,6 @@ def assert_outside_exclusion(problem: ScatteringProblem, xs) -> TurningPoints:
     return tp
 
 
-def _panel_nodes(edges: np.ndarray):
-    """10-point Gauss-Legendre nodes on each panel between ``edges`` (along the
-    last axis; one more axis for the nodes), and the panel half-widths that
-    scale :data:`_GL_WEIGHTS`."""
-    half = 0.5 * np.diff(edges)
-    nodes = np.multiply.outer(half, _GL_NODES)
-    nodes += (edges[..., :-1] + half)[..., None]
-    return nodes, half
-
-
 def _accumulate(
     problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
 ) -> np.ndarray:
@@ -181,40 +192,28 @@ def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.
     """Integral of sqrt(2m|E - V|) from turning point a to turning point b, per energy.
 
     Each half of [a, b] is summed from its own turning point in
-    s = sqrt(|x - a|), on the panels :func:`_accumulate` would use (12 graded
-    toward s = 0, then max(16, ceil(half-span / (L/2048))) even ones), all
-    halves of all energies in one 2-D Gauss-Legendre sum, cut into blocks of
-    at most ``_BLOCK_NODES`` nodes.  A row with fewer panels than its block
-    is padded with panels of zero width, and the panels of a row are added in
-    order, so its value does not depend on the other rows of the call.
+    s = sqrt(|x - a|), on 12 panels graded toward s = 0, then
+    ``_BETWEEN_PANELS`` even ones whatever the half's length, all halves of
+    all energies in one 2-D Gauss-Legendre sum cut into blocks of
+    ``_BLOCK_ROWS`` rows.  Each row is summed on its own, so its value does
+    not depend on the other rows of the call.
     """
     e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
     start, energy = np.concatenate([a, b]), np.tile(e, 2)
-    dist = np.abs(np.tile(0.5 * (a + b), 2) - start)
-    lo, hi = problem.domain
-    n = np.maximum(_MIN_PANELS, np.ceil(dist / ((hi - lo) * _PANEL_FRACTION)))
-    u = np.sqrt(dist)
-    even = np.ceil(u * (n / u)).astype(int)
+    u = np.sqrt(np.abs(np.tile(0.5 * (a + b), 2) - start))
     sign = np.repeat([1.0, -1.0], len(e))[:, None, None]  # from a rightward, from b leftward
-    rows = max(1, _BLOCK_NODES // (len(_GL_NODES) * (_GRADED_PANELS + int(even.max()))))
     out = np.empty(len(start))
-    for r in range(0, len(start), rows):
-        blk = slice(r, r + rows)
-        k = np.arange(1, even[blk].max() + 1)
-        p, ub = even[blk, None], u[blk, None]
-        # Edge k of the even panels, as _accumulate places it; u from the
-        # row's last edge on, so that its padding panels have zero width.
-        uniform = np.where(k < p, ub - (p - k) * (ub / p), ub)
-        graded = uniform[:, :1] * 0.5 ** np.arange(_GRADED_PANELS, 0, -1)
-        nodes, half = _panel_nodes(np.concatenate([np.zeros_like(ub), graded, uniform], axis=1))
+    for r in range(0, len(start), _BLOCK_ROWS):
+        blk = slice(r, r + _BLOCK_ROWS)
+        nodes = u[blk, None, None] * _BETWEEN_NODES
         excess = problem.v(start[blk, None, None] + sign[blk] * (nodes * nodes))
         excess -= energy[blk, None, None]
         vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0)) * (2.0 * nodes)
         # einsum sums each panel's 10 nodes on its own (a BLAS matmul would
         # round a panel differently by its place in the block).
         panels = np.einsum("rpk,k->rp", vals, _GL_WEIGHTS)
-        out[blk] = np.cumsum(math.sqrt(2.0 * problem.context.mass) * half * panels, axis=1)[:, -1]
-    return out[: len(e)] + out[len(e) :]
+        out[blk] = u[blk] * np.sum(_BETWEEN_HALF * panels, axis=1)
+    return math.sqrt(2.0 * problem.context.mass) * (out[: len(e)] + out[len(e) :])
 
 
 def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:

@@ -379,8 +379,14 @@ class TestBatchedScan:
             assert one == [scan[0], row]
 
     def test_scan_longer_than_a_block(self, tmp_path, monkeypatch):
+        from semiclassic import wkb_core
         from semiclassic.potential import ScatteringProblem
 
+        # Each energy is two rows of the opacity sum, one per half-span; one
+        # block holds this many rows, so the scan fills two blocks.
+        steps = wkb_core._BLOCK_NODES // (
+            len(wkb_core._GL_NODES) * (wkb_core._GRADED_PANELS + wkb_core._BETWEEN_PANELS)
+        )
         blocks = []
         v = ScatteringProblem.v
         monkeypatch.setattr(
@@ -389,7 +395,7 @@ class TestBatchedScan:
         scan = self._rows(
             tmp_path,
             ["scan", *BARRIER_FORMS["eckart"], "--method=wkb-corrected",
-             "--e-min=0.05", "--e-max=0.95", "--steps=100"],
+             "--e-min=0.05", "--e-max=0.95", f"--steps={steps}"],
         )
         assert sum(blocks) >= 2  # the opacity sum took more than one block
         monkeypatch.setattr(ScatteringProblem, "v", v)

@@ -8,8 +8,10 @@ their spectral phase against the accumulator and exact arithmetic.
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
 square, for scans) with random height, width, centre, m and hbar; energies
-are drawn from the bulk of the barrier and from within 1e-8 of its top.  The
-oracle properties draw Eckart,
+are drawn from the bulk of the barrier and from within 1e-8 of its top.
+Tabulated sech^2, Gaussian and kinked profiles (20 to 2000 knots), as
+barriers and as wells, check the opacity and well action on their fixed
+panels against the accumulator.  The oracle properties draw Eckart,
 Gaussian and square barriers with energies below and above the top, and
 harmonic and Gaussian wells on domains off centre.  The reflection
 properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
@@ -45,6 +47,7 @@ from semiclassic import (
     PhysicalContext,
     ScatteringProblem,
     SquareBarrier,
+    TabulatedPotential,
     action_integral,
     barrier_integral,
     born_amplitudes,
@@ -72,7 +75,7 @@ from semiclassic.reflection import (
     _matrix_elements,
     _phase,
 )
-from semiclassic.wkb_core import _GL_NODES, _GL_WEIGHTS, _accumulate, _panel_nodes
+from semiclassic.wkb_core import _GL_NODES, _GL_WEIGHTS, _accumulate, _panel_nodes, _well_actions
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -300,6 +303,47 @@ def test_rows_do_not_depend_on_their_batch(case, data):
         tp = find_turning_points(dataclasses.replace(problem, energy=float(e)))
         assert (tp.a, tp.b) == (a[i], b[i])
         assert barrier_integral(dataclasses.replace(problem, energy=float(e))) == whole[i]
+
+
+#: Profiles of height 1 for tables: smooth (sech^2, Gaussian) and with a kink.
+PROFILES = {
+    "sech2": lambda x: 1.0 / np.cosh(x) ** 2,
+    "gaussian": lambda x: np.exp(-x * x),
+    "kink": lambda x: np.maximum(1.0 - x * x / 50.0, 0.0),
+}
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(PROFILES)),
+    st.integers(20, 2000),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6),
+)
+def test_tabulated_actions_match_the_accumulator(form, knots, center, well, fractions):
+    # A table is a cubic spline: between its knots V is a polynomial, and at
+    # each knot its third derivative jumps.  The opacity (of the profile) and
+    # the well action (of its negative) on _between's fixed panels must still
+    # agree with each half accumulated on the accumulator's domain-sized panels.
+    xs = np.linspace(-14.0, 14.0, knots)
+    sign = -1.0 if well else 1.0
+    problem = ScatteringProblem(
+        potential=TabulatedPotential(xs, sign * PROFILES[form](xs - center)),
+        energy=0.0,
+        domain=(-14.0, 14.0),
+        context=PhysicalContext(mass=2.0, hbar=0.7),
+    )
+    energies = sign * np.array(fractions)
+    a, b, count = _turning_points(problem, energies)
+    assert (count == 2).all()
+    if well:
+        got = _well_actions(problem, energies)
+    else:
+        got = opacities(problem, energies) * problem.context.hbar
+    for i, e in enumerate(energies):
+        one = dataclasses.replace(problem, energy=float(e))
+        assert got[i] == pytest.approx(reference_between(one, a[i], b[i], not well), rel=2e-11)
 
 
 def numerov_loop_transmission(problem, grid_points=20001):
@@ -652,16 +696,24 @@ def same_outcome(a, b):
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(weak_bumps(), st.lists(st.floats(0.002, 0.05), min_size=1, max_size=5), st.data())
-def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, data):
+@given(
+    weak_bumps(),
+    st.lists(st.floats(0.002, 0.05), min_size=1, max_size=5),
+    st.floats(5.0, 15.0),
+    st.data(),
+)
+def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, kd, data):
     # Energies from 20 to 500 times max V: far enough apart that the support
     # of Vtilde moves by a few samples across one batch.  Up there k d reaches
     # ~25, where |R| may sink below the rounding floor of its sum: a batch
     # raises the message of its first energy that raises alone, and otherwise
-    # has the bits of its energies alone.
+    # has the bits of its energies alone.  One more energy sits at k d 5-15,
+    # between the bulk of the weak bumps and where the sums must refuse.
     problem, x0 = case
     v_max = max(v for _, v in _knots(problem))
-    energies = np.array([problem.energy, *(v_max / f for f in fractions)])
+    hbar_k = problem.context.hbar * kd / problem.potential.width
+    e_kd = hbar_k * hbar_k / (2.0 * problem.context.mass)
+    energies = np.array([problem.energy, *(v_max / f for f in fractions), e_kd])
     order = np.array(data.draw(st.permutations(range(len(energies)))))
     part = order[: data.draw(st.integers(1, len(order)))]
     batches = (
@@ -817,7 +869,7 @@ def test_spectral_phase_matches_the_accumulator(case):
     # the accumulator integrates p on its own, finer panels.
     problem, x0 = case
     nodes = _Nodes(problem, x0)
-    w, span = nodes.phase(np.sqrt(2.0 * problem.context.mass * (problem.energy - nodes.v)))
+    w, span, _ = nodes.phase(np.sqrt(2.0 * problem.context.mass * (problem.energy - nodes.v)))
     ref = _phase(problem, nodes.x.ravel(), x0)
     assert np.max(np.abs(w.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert span == pytest.approx(float(_phase(problem, [problem.domain[1]])[0]), rel=1e-12)
