@@ -7,7 +7,6 @@ oracle.
 """
 
 from .errors import (
-    AccuracyError,
     BracketError,
     ChannelClosedError,
     ConfigError,
@@ -25,7 +24,6 @@ from .errors import (
     SemiclassicError,
     SpectrumError,
     TurningPointProximityError,
-    ValidationRangeError,
 )
 from .potential import (
     EckartBarrier,
@@ -48,7 +46,6 @@ from .potential import (
 )
 from .special_fn import (
     AiryPair,
-    ContourSector,
     airy,
     airy_asymptotic,
     airy_bessel_form,

@@ -62,7 +62,7 @@ _SHAPE_FLAGS = tuple(
 
 
 def _load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -147,10 +147,8 @@ def _build_problem(sections: dict, args, need_energy: bool = True):
 
 def _build_oracle(sections: dict, args) -> exact_oracle.OracleConfig:
     grid = _setting(sections, "oracle", "grid_points", args.grid_points, 20001, int)
-    margin = _setting(sections, "oracle", "match_margin", default=None)
-    v_eps = _setting(sections, "oracle", "v_eps", default=1e-10)
     try:
-        return exact_oracle.OracleConfig(grid_points=grid, match_margin=margin, v_eps=v_eps)
+        return exact_oracle.OracleConfig(grid_points=grid)
     except SemiclassicError as exc:
         raise ConfigError(f"invalid oracle config: {exc}") from exc
 
@@ -272,12 +270,7 @@ def _add_problem_flags(sub) -> None:
     sub.add_argument("--mass", type=float, default=None)
     sub.add_argument("--hbar", type=float, default=None)
     sub.add_argument(
-        "--form",
-        "--potential",
-        dest="form",
-        choices=sorted(_FORMS) + ["tabulated"],
-        default=None,
-        help="potential model",
+        "--form", choices=sorted(_FORMS) + ["tabulated"], default=None, help="potential model"
     )
     for name in _SHAPE_FLAGS:
         sub.add_argument(f"--{name}", type=float, default=None)

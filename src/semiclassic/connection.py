@@ -362,31 +362,22 @@ def patched_barrier_solution(
     total = from_a[-1] + from_b[-1]
     u = np.concatenate([from_a[:-1], total - from_b[-2::-1]]) / hbar
 
+    # The right-incident wave is the mirrored assembly, its decay integral
+    # int_x^b beta dx' being sigma* - u.
+    k_in, phase_in, decay, k_out, phase_out = (
+        (k_left, phi, u, k_right, theta) if incident_side == "left"
+        else (k_right, theta, sigma_star - u, k_left, phi)
+    )
     e_grow, e_decay = math.exp(sigma_star), math.exp(-sigma_star)
-    if incident_side == "left":
-        psi_left = -(b_amp / np.sqrt(k_left)) * (
-            e_decay * np.sin(phi - 0.25 * math.pi)
-            + 4.0j * e_grow * np.cos(phi - 0.25 * math.pi)
-        )
-        psi_mid = (b_amp / np.sqrt(beta_mid)) * (
-            e_decay * np.exp(u) - 2.0j * e_grow * np.exp(-u)
-        )
-        psi_right = (2.0 * b_amp / np.sqrt(k_right)) * np.exp(
-            1j * (theta - 0.25 * math.pi)
-        )
-    else:
-        psi_left = (2.0 * b_amp / np.sqrt(k_left)) * np.exp(
-            1j * (phi - 0.25 * math.pi)
-        )
-        # v = integral of beta from x to b equals sigma* - u.
-        v = sigma_star - u
-        psi_mid = (b_amp / np.sqrt(beta_mid)) * (
-            e_decay * np.exp(v) - 2.0j * e_grow * np.exp(-v)
-        )
-        psi_right = -(b_amp / np.sqrt(k_right)) * (
-            e_decay * np.sin(theta - 0.25 * math.pi)
-            + 4.0j * e_grow * np.cos(theta - 0.25 * math.pi)
-        )
+    psi_in = -(b_amp / np.sqrt(k_in)) * (
+        e_decay * np.sin(phase_in - 0.25 * math.pi)
+        + 4.0j * e_grow * np.cos(phase_in - 0.25 * math.pi)
+    )
+    psi_mid = (b_amp / np.sqrt(beta_mid)) * (
+        e_decay * np.exp(decay) - 2.0j * e_grow * np.exp(-decay)
+    )
+    psi_out = (2.0 * b_amp / np.sqrt(k_out)) * np.exp(1j * (phase_out - 0.25 * math.pi))
+    psi_left, psi_right = (psi_in, psi_out) if incident_side == "left" else (psi_out, psi_in)
 
     psi = np.concatenate([psi_left, psi_mid, psi_right])
     order = np.concatenate([left, mid, right])

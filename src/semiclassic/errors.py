@@ -96,10 +96,6 @@ class RangeError(SemiclassicError):
     code = "E_RANGE"
 
 
-#: Former names of :class:`RangeError`, kept for the callers that import them.
-AccuracyError = ValidationRangeError = RangeError
-
-
 class PoleError(SemiclassicError):
     """Evaluation too close to a propagator pole."""
 

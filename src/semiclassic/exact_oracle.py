@@ -78,33 +78,25 @@ _SEGMENT_GROWTH = math.log(1e150)
 _LOG10_2 = math.log10(2.0)
 _LN2 = math.log(2.0)
 _LOG10_MAX = math.log10(sys.float_info.max)
+#: Plane-wave matching needs V flat to _V_EPS max(1, |E|) on a strip of
+#: _MATCH_MARGIN of the domain at each edge.
+_MATCH_MARGIN = 0.05
+_V_EPS = 1e-10
 #: First two rows of a bound-state shot: a node at the edge row.
 _EDGE_SEEDS = np.array([[0.0], [1e-8]])
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid resolution and asymptotic-matching thresholds.
-
-    match_margin is the edge strip over which V must be flat to v_eps
-    before plane-wave matching is trusted; None picks 5% of the domain.
-    """
+    """Grid resolution: an odd number of points, at least 1001."""
 
     grid_points: int = 20001
-    match_margin: float | None = None
-    v_eps: float = 1e-10
 
     def __post_init__(self) -> None:
         # A bool is an int, but never one >= 1001.
         grid = self.grid_points
         if not isinstance(grid, (int, np.integer)) or grid < 1001 or grid % 2 == 0:
             raise DomainError(f"grid_points must be an odd integer >= 1001, got {grid!r}")
-        if self.match_margin is not None and not 0.0 < self.match_margin < math.inf:
-            raise DomainError(
-                f"match_margin must be finite and positive, got {self.match_margin}"
-            )
-        if not 0.0 < self.v_eps < math.inf:
-            raise DomainError(f"v_eps must be finite and positive, got {self.v_eps}")
 
 
 def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
@@ -202,7 +194,7 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
     """
     xs, v = _grid_and_potential(problem, config)
     lo, hi = problem.domain
-    margin = config.match_margin if config.match_margin is not None else 0.05 * (hi - lo)
+    margin = _MATCH_MARGIN * (hi - lo)
     left, right = v[xs <= lo + margin], v[xs >= hi - margin]
     deviation = max(np.max(np.abs(left - v[0])), np.max(np.abs(right - v[-1])))
     m, hbar = problem.context.mass, problem.context.hbar
@@ -211,10 +203,11 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
     k2, coefficients, work = np.empty(len(xs)), np.empty((2, len(xs))), np.empty(5 * len(xs))
     for e in energies:
         e = float(e)
-        if deviation > config.v_eps * max(1.0, abs(e)):
+        if deviation > _V_EPS * max(1.0, abs(e)):
             raise MatchingError(
-                "potential is not flat at the domain edges to v_eps; widen the "
-                "domain before asking for plane-wave matching"
+                f"potential is not flat to {_V_EPS:g} max(1, |E|) on the outer "
+                f"{_MATCH_MARGIN:.0%} of the domain; widen the domain before asking for "
+                "plane-wave matching"
             )
         guard = 1e-6 * max(1.0, abs(e))
         if e - v[0] <= guard or e - v[-1] <= guard:

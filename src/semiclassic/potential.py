@@ -351,13 +351,6 @@ class ScatteringProblem:
     def d2v(self, x):
         return self.potential.second_derivative(x)
 
-    def momentum(self, x):
-        """p(x) = sqrt(2m(E - V)); nan where classically forbidden."""
-        with np.errstate(invalid="ignore"):
-            return _elementwise(
-                lambda xa: np.sqrt(2.0 * self.context.mass * (self.energy - self.v(xa))), x
-            )
-
     def beta(self, x):
         """Decay rate sqrt(2m(V - E))/hbar; nan where classically allowed."""
         with np.errstate(invalid="ignore"):

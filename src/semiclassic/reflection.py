@@ -25,6 +25,10 @@ eps (2 W / hbar) int |integrand| dx with W the phase across the domain, is
 refused rather than returned, and so is one that the 10-point rule may miss
 by more than 1 %: the rule's remainder on a panel grows as the 20th power of
 the phase wound across it, weighted by the panel's share of int |integrand|.
+The domain edges stand in for +/- infinity, so a sum whose integrand has not
+decayed there is refused too: the once-reflected sum where its leading-order
+continuation past an edge, r hbar / (2 p) at the outermost node, reaches 1 %
+of |R|, the matrix element where |Vtilde| there reaches 1e-12 of its peak.
 The sums read V' and V'' only, so a potential that jumps inside the domain is
 refused.
 
@@ -84,8 +88,8 @@ _GL_REMAINDER = 2.0**21 * math.factorial(10) ** 4 / (21.0 * math.factorial(20) *
 #: Sized on Eckart barriers against 2048 panels: rows under it agree to 2.5e-4
 #: or better, rows over it are off by 1.3e-4 to 1e11.
 _MAX_REMAINDER = 1e-2
-#: Matrix elements integrate over the panels where |Vtilde| reaches this
-#: times its peak.
+#: A matrix element is refused where |Vtilde| at the outermost node of either
+#: edge reaches this times its peak.
 _TAIL_CUT = 1e-12
 #: Integrals from -1 of the Lagrange basis l_j on the Gauss-Legendre nodes, as
 #: Legendre series: l_j = sum_k w_j P_k(t_j) (2k + 1)/2 P_k, which the rule
@@ -214,13 +218,12 @@ def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
     return x0
 
 
-def _refuse_unresolved(nodes, panels, amplitude, size, action, span, dk, hbar, energy) -> None:
+def _refuse_unresolved(nodes, amplitude, size, action, span, dk, hbar, energy) -> None:
     """Raise if ``amplitude`` is below its sum's rounding floor, eps |dk| span / hbar
     x int |integrand|, or if the 10-point rule may miss more than
-    :data:`_MAX_REMAINDER` of it; ``size`` is |integrand| on the nodes of
-    ``panels`` and ``action`` the integral of p over each of them."""
-    half = nodes.half[panels]
-    mass = half * (size @ _GL_WEIGHTS)
+    :data:`_MAX_REMAINDER` of it; ``size`` is |integrand| on the nodes and
+    ``action`` the integral of p over each panel."""
+    mass = nodes.half * (size @ _GL_WEIGHTS)
     floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * np.sum(mass))
     if abs(amplitude) < floor:
         raise NumericalError(
@@ -277,9 +280,9 @@ class _Nodes:
         """w(x0, x) at the nodes, across the domain and across each panel, from p."""
         return self.cumulative(p, from_x0=True)
 
-    def integral(self, values, panels=slice(None)):
-        """The sum of ``values`` at the nodes of ``panels`` against their weights."""
-        return np.sum(self.half[panels] * (values @ _GL_WEIGHTS))
+    def integral(self, values):
+        """The sum of ``values`` at the nodes against their weights."""
+        return np.sum(self.half * (values @ _GL_WEIGHTS))
 
 
 def phase_transform(
@@ -308,11 +311,11 @@ def picard_amplitudes(
         C+(x) = 1 + int_{-inf}^{x} r C- e^{-2iw/hbar} dx'
         C-(x) =   - int_{x}^{+inf} r C+ e^{+2iw/hbar} dx'
 
-    The domain edges stand in for +/- infinity, so the domain must contain
-    the support of r.  The integrals are running sums on the once-reflected
-    sum's nodes; its first half-step is that sum, so whatever the sum refuses
-    is refused.  Iteration stops at ``iterations`` or when the largest
-    relative change drops below ``tol``.
+    The domain edges stand in for +/- infinity.  The integrals are running
+    sums on the once-reflected sum's nodes; its first half-step is that sum,
+    so whatever the sum refuses is refused, a domain that cuts r among them.
+    Iteration stops at ``iterations`` or when the largest relative change
+    drops below ``tol``.
     """
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
@@ -351,7 +354,15 @@ def _once_reflected(problem: ScatteringProblem, nodes: _Nodes, energy: float):
     r = nodes.dv / (-4.0 * gap)
     coupling = r * np.exp(2.0j * w / hbar)
     amplitude = -nodes.integral(coupling)
-    _refuse_unresolved(nodes, slice(None), amplitude, np.abs(r), action, span, 2.0, hbar, energy)
+    _refuse_unresolved(nodes, amplitude, np.abs(r), action, span, 2.0, hbar, energy)
+    # Past an edge the sum goes on, to leading order, as r hbar / (2i p) at its outermost node.
+    tail = 0.5 * hbar * max(abs(r[0, 0]) / p[0, 0], abs(r[-1, -1]) / p[-1, -1])
+    if tail > _MAX_REMAINDER * abs(amplitude):
+        raise DomainError(
+            f"E = {energy:g}: r has not decayed at the domain edges, where the sum beyond them "
+            f"may reach {tail / abs(amplitude):.2g} of |R|, more than {_MAX_REMAINDER:.0%}; "
+            "widen the domain"
+        )
     return coupling, amplitude
 
 
@@ -379,8 +390,11 @@ def once_reflected_coefficients(
     with a jump raises, as does an energy not above max V; an R that does not
     clear the rounding floor eps (2 W / hbar) int |r| dx of its sum, W being
     the phase across the domain, or that the 10-point rule's remainder may
-    miss by more than 1 %, raises :class:`NumericalError`.  The first failing
-    energy in the given order is reported.
+    miss by more than 1 %, raises :class:`NumericalError`; one whose r has not
+    decayed at the domain edges, so that the sum beyond them, to leading order
+    r hbar / (2 p) at the outermost node, may reach 1 % of |R|, raises
+    :class:`DomainError`.  The first failing energy in the given order is
+    reported.
     """
     _require_smooth(problem)
     nodes = _Nodes(problem, x0)
@@ -445,10 +459,10 @@ def matrix_element(
         v(k_i, k_f) = int e^{i (k_f - k_i) w(x)/hbar} Vtilde(w(x)) dw
 
     k_i, k_f are dimensionless direction labels whose on-shell values are
-    +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral,
-    one composite Gauss-Legendre sum in x with dw = p dx, runs over the panels
-    where |Vtilde| reaches 1e-12 times its peak; a Vtilde that has not decayed
-    below that at the outermost nodes cannot be truncated and is rejected.
+    +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral is
+    one composite Gauss-Legendre sum in x over the domain, with dw = p dx; a
+    Vtilde that has not decayed below 1e-12 times its peak at the outermost
+    nodes cannot be truncated and is rejected.
     The batch of one of :func:`_matrix_elements`.
     """
     return complex(_matrix_elements(problem, problem.energy, k_i, k_f, x0)[0])
@@ -459,11 +473,10 @@ def _matrix_elements(
 ) -> np.ndarray:
     """v(k_i, k_f) at each energy, on one node layout.
 
-    V, V' and V'' are taken once on the nodes; each energy's Vtilde there
-    sets its support, and its sum runs over those panels of the layout.  A v
-    that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
-    int |Vtilde| p dx of its sum, or that the 10-point rule's remainder on
-    those panels may miss by more than 1 %, raises :class:`NumericalError`.
+    V, V' and V'' are taken once on the nodes; each energy is one sum on
+    them.  A v that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
+    int |Vtilde| p dx of its sum, or that the 10-point rule's remainder may
+    miss by more than 1 %, raises :class:`NumericalError`.
     Each energy raises as :func:`matrix_element` would, in order.
     """
     _require_smooth(problem)
@@ -485,13 +498,11 @@ def _matrix_elements(
                 "effective perturbation has not decayed below the truncation "
                 "threshold at the domain edges; widen the domain"
             )
-        inside = np.flatnonzero(np.max(size, axis=1) >= _TAIL_CUT * peak)
-        cut = slice(inside[0], inside[-1] + 1)
         p = np.sqrt(2.0 * m * (energy - nodes.v))
         w, span, action = nodes.phase(p)
-        dw = vtilde[cut] * p[cut]
-        out[i] = nodes.integral(dw * np.exp(1j * dk * w[cut] / hbar), cut)
-        _refuse_unresolved(nodes, cut, out[i], np.abs(dw), action[cut], span, dk, hbar, energy)
+        dw = vtilde * p
+        out[i] = nodes.integral(dw * np.exp(1j * dk * w / hbar))
+        _refuse_unresolved(nodes, out[i], np.abs(dw), action, span, dk, hbar, energy)
     return out
 
 

@@ -12,7 +12,6 @@ consistent with the Bessel representation Ai = (sqrt(z)/3)(I_{-1/3} - I_{1/3}).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ integrate = lazy("scipy.integrate")
 
 __all__ = [
     "AiryPair",
-    "ContourSector",
     "airy",
     "airy_asymptotic",
     "airy_bessel_form",
@@ -64,30 +62,6 @@ class AiryPair:
     def wronskian(self) -> float:
         """Ai Bi' - Ai' Bi; identically 1/pi for the standard normalization."""
         return self.ai * self.bi_prime - self.ai_prime * self.bi
-
-
-class ContourSector(enum.Enum):
-    """Descent sectors of the Laplace-contour representation.
-
-    exp(zt - t^3/3) decays for |arg t| < pi/6 and in the two complementary
-    wedges; one independent solution comes from each pair of sectors.
-    """
-
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-
-    @property
-    def arg_range(self) -> tuple[float, float]:
-        return {
-            ContourSector.C1: (-math.pi / 6.0, math.pi / 6.0),
-            ContourSector.C2: (math.pi / 2.0, 5.0 * math.pi / 6.0),
-            ContourSector.C3: (7.0 * math.pi / 6.0, 3.0 * math.pi / 2.0),
-        }[self]
-
-    def contains(self, angle: float) -> bool:
-        lo, hi = self.arg_range
-        return lo < angle < hi
 
 
 def _airy_series(z, c1, c2, sqrt3, eps):

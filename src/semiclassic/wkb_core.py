@@ -96,7 +96,6 @@ class Method(enum.Enum):
     WKB_LEADING = "wkb"
     WKB_CORRECTED = "wkb-corrected"
     CONNECTION_PATCHED = "connection"
-    BORN_FIRST_ORDER = "born1"
     EXACT_NUMEROV = "exact"
 
 

@@ -456,8 +456,7 @@ class TestBatchedScan:
 
 #: Over-barrier scans (m = 4): the weak bump of the benchmark, Eckart above
 #: its top (on +/-20, where its Vtilde decays below 1e-12 of its peak), and a
-#: Gaussian bump whose Vtilde support (the samples where |Vtilde| exceeds
-#: 1e-12 of its peak) changes across the scan.
+#: Gaussian bump from 5 to 200 times its top.
 WEAK_FORM = ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"]
 REFLECTION_SCANS = {
     "weak": (WEAK_FORM, "0.34", "0.94", 8),
@@ -497,22 +496,6 @@ class TestReflectionScan:
             )
             assert one == [rows[0], row]
 
-    def test_support_changes_across_the_gaussian_scan(self):
-        from semiclassic import GaussianBump, PhysicalContext, ScatteringProblem
-        from semiclassic.wkb_core import effective_perturbation
-
-        xs = np.linspace(-12.0, 12.0, 4097)
-        supports = set()
-        for e in np.linspace(0.05, 2.0, 12):
-            problem = ScatteringProblem(
-                GaussianBump(amplitude=0.01, width=1.0), float(e), (-12.0, 12.0),
-                PhysicalContext(mass=4.0),
-            )
-            vt = np.abs(effective_perturbation(problem, xs))
-            inside = np.flatnonzero(vt >= 1e-12 * vt.max())
-            supports.add((inside[0], inside[-1]))
-        assert len(supports) > 1
-
     @pytest.mark.parametrize(
         "method, form, err",
         [
@@ -525,6 +508,9 @@ class TestReflectionScan:
             ("born1", ["--form=linear", "--offset=0", "--slope=0.01"],
              "E_DOMAIN: effective perturbation has not decayed below the truncation "
              "threshold at the domain edges; widen the domain\n"),
+            ("once-reflected", ["--form=linear", "--offset=0", "--slope=0.01"],
+             "E_DOMAIN: E = 0.5: r has not decayed at the domain edges, where the sum beyond "
+             "them may reach 0.8 of |R|, more than 1%; widen the domain\n"),
         ],
     )
     def test_scan_over_the_top_fails_as_one_energy_would(self, capsys, method, form, err):
@@ -649,6 +635,43 @@ class TestUnresolvedReflection:
         assert scan.err.startswith("E_NUMERIC: E = 2.25: ")
 
 
+class TestTruncatedDomain:
+    """The sums take the domain edges for +/- infinity: once-reflected refuses,
+    with exit 4, a domain that cuts r, as born1 refuses one that cuts Vtilde."""
+
+    GAUSSIAN = ["--form=gaussian", "--amplitude=0.01", "--width=1", "--energy=2"]
+
+    @pytest.mark.parametrize(
+        "problem, ratio",
+        [
+            # |R|^2 printed 2.155e-08, 23 % below the +/-12 row.
+            ([*GAUSSIAN, "--x-min=-2", "--x-max=2"], "0.16"),
+            # r never decays: |R|^2 printed 2.21e-07 on +/-10 and 3.97e-07 on +/-20.
+            (["--form=linear", "--offset=0", "--slope=0.01", "--energy=2"], "0.72"),
+        ],
+        ids=["gaussian-2", "ramp"],
+    )
+    def test_exit_4(self, capsys, problem, ratio):
+        assert run_cli(["transmission", *problem, "--method=once-reflected"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            f"E_DOMAIN: E = 2: r has not decayed at the domain edges, where the sum beyond them "
+            f"may reach {ratio} of |R|, more than 1%; widen the domain\n",
+        )
+
+    def test_wide_domain_row_is_kept(self, capsys):
+        code = run_cli(
+            ["transmission", *self.GAUSSIAN, "--x-min=-12", "--x-max=12",
+             "--method=once-reflected"]
+        )
+        assert code == 0
+        assert capsys.readouterr() == (
+            "E,re_R,im_R,R_squared,method\n2,-0.00012794423334564918,0.00010854608351660455,"
+            "2.8151979093199614e-08,once-reflected\n",
+            "",
+        )
+
+
 class TestJumpRefused:
     """The reflection sums see V' and V'' only, which miss a jump of V: a
     square barrier is refused, not answered with R = 0."""
@@ -686,7 +709,7 @@ class TestMalformedConfigValues:
         "section, key, value, flags",
         [
             ("oracle", "grid_points", "abc", ["--steps=3", "--method=exact"]),
-            ("oracle", "v_eps", "tiny", ["--steps=3", "--method=exact"]),
+            ("problem", "energy", "tiny", []),
             ("scan", "steps", "ten", []),
         ],
     )
@@ -781,32 +804,62 @@ class TestExactScan:
 
 
 class TestInvalidOracleConfig:
-    """A value that would crash the oracle or switch its flat-edge check off
-    is a config error."""
+    """A grid that would crash the oracle is a config error, reported before
+    the problem is solved."""
+
+    # V is not flat at the edges of +/-4: a valid grid raises E_MATCHING.
+    UNFLAT = ["scan", "--form=gaussian", "--amplitude=1", "--width=3", "--x-min=-4",
+              "--x-max=4", "--method=exact", "--e-min=0.2", "--e-max=0.5", "--steps=4"]
 
     @pytest.mark.parametrize(
         "key, value",
-        [
-            ("match_margin", "-1"),
-            ("match_margin", "nan"),
-            ("match_margin", "0"),
-            ("match_margin", "inf"),
-            ("v_eps", "nan"),
-            ("v_eps", "inf"),
-            ("v_eps", "0"),
-        ],
+        [("grid_points", "1000"), ("grid_points", "20000"), ("grid_points", "999"),
+         ("grid_points", "0"), ("grid_points", "-1")],
     )
     def test_exit_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text(f"[oracle]\n{key} = {value}\n")
-        # V is not flat at the edges of +/-4: the default config raises E_MATCHING.
-        code = run_cli(
-            ["scan", f"--config={cfg}", "--form=gaussian", "--amplitude=1", "--width=3",
-             "--x-min=-4", "--x-max=4", "--method=exact", "--e-min=0.2", "--e-max=0.5",
-             "--steps=4"]
-        )
+        code = run_cli([*self.UNFLAT, f"--config={cfg}"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"E_CONFIG: invalid oracle config: {key} ")
+
+    def test_unflat_edges_exit_4(self, capsys):
+        assert run_cli(self.UNFLAT) == 4
+        assert capsys.readouterr() == (
+            "",
+            "E_MATCHING: potential is not flat to 1e-10 max(1, |E|) on the outer 5% of the "
+            "domain; widen the domain before asking for plane-wave matching\n",
+        )
+
+
+class TestReadmeConfig:
+    """The README's config block drives a run, and documents no key that the
+    CLI never reads."""
+
+    def test_every_key_is_read(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        documented = {
+            (section, key) for section, keys in cli._load_config_file(str(cfg)).items()
+            for key in keys
+        }
+        read = set()
+        setting = cli._setting
+
+        def recording(sections, section, key, *args, **kwargs):
+            read.add((section, key))
+            return setting(sections, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_setting", recording)
+        monkeypatch.chdir(tmp_path)  # the block writes [output] path = out.csv
+        assert run_cli(["scan", f"--config={cfg}", "--method=exact"]) == 0
+        assert (tmp_path / "out.csv").read_text().startswith("E,T,R,sigma_star,method\n")
+        assert documented
+        assert documented - read == set()
 
 
 class TestUsageErrorsExit2:

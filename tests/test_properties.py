@@ -634,8 +634,7 @@ def per_energy_sum(problem, x0, integrand):
     equal panels of 10-point Gauss-Legendre nodes over the domain, the phase
     w(x0, x) from p at the nodes (the running sum of the panel sums, plus the
     spectral integration matrix inside each panel, less w at x0 from that
-    matrix's row there), then ``integrand(x, p, w)``, which gives the values
-    and the panels they lie on, summed."""
+    matrix's row there), then ``integrand(x, p, w)`` at the nodes, summed."""
     lo, hi = problem.domain
     m, e = problem.context.mass, problem.energy
     edges = np.linspace(lo, hi, 257)
@@ -648,8 +647,7 @@ def per_energy_sum(problem, x0, integrand):
     row = half[k] * legval((x0 - edges[k]) / half[k] - 1.0, _LAGRANGE_INTEGRALS)
     w = half[:, None] * (p @ _SPECTRAL)
     w += (starts - (starts[k] + row @ p[k]))[:, None]
-    values, panels = integrand(x, p, w)
-    return complex(np.sum(half[panels] * (values @ _GL_WEIGHTS)))
+    return complex(np.sum(half * (integrand(x, p, w) @ _GL_WEIGHTS)))
 
 
 def per_energy_once_reflected(problem, x0):
@@ -657,21 +655,18 @@ def per_energy_once_reflected(problem, x0):
 
     def integrand(x, p, w):
         r = -problem.dv(x) / (4.0 * (e - problem.v(x)))
-        return r * np.exp(2.0j * w / hbar), slice(None)
+        return r * np.exp(2.0j * w / hbar)
 
     return -per_energy_sum(problem, x0, integrand)
 
 
 def per_energy_backscatter_element(problem, x0):
-    """v(1, -1) over the panels where |Vtilde| reaches 1e-12 of its peak on the nodes."""
+    """v(1, -1) over every panel."""
     hbar = problem.context.hbar
 
     def integrand(x, p, w):
         vt = effective_perturbation(problem, x)
-        size = np.max(np.abs(vt), axis=1)
-        inside = np.flatnonzero(size >= 1e-12 * np.max(size))
-        cut = slice(inside[0], inside[-1] + 1)
-        return vt[cut] * p[cut] * np.exp(1j * (-1.0 - 1.0) * w[cut] / hbar), cut
+        return vt * p * np.exp(1j * (-1.0 - 1.0) * w / hbar)
 
     return per_energy_sum(problem, x0, integrand)
 
@@ -703,12 +698,11 @@ def same_outcome(a, b):
     st.data(),
 )
 def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, kd, data):
-    # Energies from 20 to 500 times max V: far enough apart that the support
-    # of Vtilde moves by a few samples across one batch.  Up there k d reaches
-    # ~25, where |R| may sink below the rounding floor of its sum: a batch
-    # raises the message of its first energy that raises alone, and otherwise
-    # has the bits of its energies alone.  One more energy sits at k d 5-15,
-    # between the bulk of the weak bumps and where the sums must refuse.
+    # Energies from 20 to 500 times max V.  Up there k d reaches ~25, where |R|
+    # may sink below the rounding floor of its sum: a batch raises the message
+    # of its first energy that raises alone, and otherwise has the bits of its
+    # energies alone.  One more energy sits at k d 5-15, between the bulk of
+    # the weak bumps and where the sums must refuse.
     problem, x0 = case
     v_max = max(v for _, v in _knots(problem))
     hbar_k = problem.context.hbar * kd / problem.potential.width
@@ -740,33 +734,6 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, kd, data)
             assert same_bits(per_energy_once_reflected(one, x0), once)
         if not isinstance(element, str):
             assert same_bits(per_energy_backscatter_element(one, x0), element)
-
-
-@settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(weak_bumps())
-def test_born_support_is_the_panels_that_reach_the_cut(case):
-    # The sum runs from the first to the last panel where |Vtilde| reaches
-    # 1e-12 of its peak at some node.  Every such panel adds to the sum, so
-    # one panel more or fewer at either end changes its bits.
-    problem, x0 = case
-    hbar = problem.context.hbar
-    x, _ = _panel_nodes(np.linspace(*problem.domain, 257))
-    vt = effective_perturbation(problem, x)
-    reach = [k for k in range(256) if np.any(np.abs(vt[k]) >= 1e-12 * np.max(np.abs(vt)))]
-
-    def element(first, last):
-        def integrand(x, p, w):
-            cut = slice(first, last + 1)
-            return vt[cut] * p[cut] * np.exp(1j * (-1.0 - 1.0) * w[cut] / hbar), cut
-
-        return per_energy_sum(problem, x0, integrand)
-
-    first, last = reach[0], reach[-1]
-    assert 0 < first and last < 255
-    v = matrix_element(problem, 1.0, -1.0, x0=x0)
-    assert same_bits(element(first, last), v)
-    for other in ((first - 1, last), (first + 1, last), (first, last - 1), (first, last + 1)):
-        assert not same_bits(element(*other), v)
 
 
 @PROPERTY

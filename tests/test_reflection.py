@@ -194,6 +194,25 @@ class TestOnceReflected:
         with pytest.raises(RegimeError):
             once_reflected_coefficient(problem)
 
+    @pytest.mark.parametrize(
+        "call",
+        [once_reflected_coefficient, lambda problem: picard_amplitudes(problem, iterations=3)],
+        ids=["once-reflected", "picard"],
+    )
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # r is 0.16 of |R| past the edges of +/-2; the sum there is 12.5 % below +/-12's.
+            ScatteringProblem(WEAK_BUMP.potential, WEAK_BUMP.energy, (-2.0, 2.0)),
+            # r never decays: the sum on +/-10 and on +/-20 differs by 34 %.
+            ScatteringProblem(LinearRamp(offset=0.0, slope=0.01), 2.0, (-10.0, 10.0)),
+        ],
+        ids=["gaussian-2", "ramp"],
+    )
+    def test_domain_that_cuts_r_rejected(self, problem, call):
+        with pytest.raises(DomainError, match="r has not decayed at the domain edges"):
+            call(problem)
+
     def test_below_unsampled_peak_rejected(self):
         # The peak at x = 0.005 falls between samples of any fixed grid; E is
         # 1e-8 below it, which only the refined maximum of V reveals.

@@ -7,11 +7,8 @@ import pytest
 from scipy import optimize, special
 
 from semiclassic import (
-    AccuracyError,
-    ContourSector,
     DomainError,
     RangeError,
-    ValidationRangeError,
     airy,
     airy_asymptotic,
     airy_bessel_form,
@@ -106,7 +103,7 @@ class TestAsymptotic:
         assert abs(math.log(pair.bi / pair.ai) - expected) < 0.05 * expected
 
     def test_accuracy_guard(self):
-        with pytest.raises(AccuracyError):
+        with pytest.raises(RangeError):
             airy_asymptotic(2.0)
 
 
@@ -144,7 +141,7 @@ class TestLaplaceContour:
         assert abs(airy_laplace_contour(z) - airy(z).ai) < 1e-6
 
     def test_validation_range(self):
-        with pytest.raises(ValidationRangeError):
+        with pytest.raises(RangeError):
             airy_laplace_contour(2.5)
 
 
@@ -176,18 +173,6 @@ class TestBesselTransform:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             bessel_transform_check(-0.2)
-
-
-class TestContourSectors:
-    def test_ranges(self):
-        assert ContourSector.C1.arg_range == (-math.pi / 6, math.pi / 6)
-        assert ContourSector.C2.arg_range == (math.pi / 2, 5 * math.pi / 6)
-        assert ContourSector.C3.arg_range == (7 * math.pi / 6, 3 * math.pi / 2)
-
-    def test_contains(self):
-        assert ContourSector.C1.contains(0.0)
-        assert not ContourSector.C1.contains(math.pi / 4)
-        assert ContourSector.C2.contains(2.0)
 
 
 class TestSeriesEdges:
