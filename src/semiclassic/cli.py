@@ -62,7 +62,7 @@ _SHAPE_FLAGS = tuple(
 
 
 def _load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -162,8 +162,8 @@ def _build_scan(sections: dict, args):
         raise ConfigError("scan needs e_min, e_max and steps ([scan] or flags)")
     if steps < 2:
         raise ConfigError(f"scan steps must be >= 2, got {steps}")
-    if not e_min < e_max:
-        raise ConfigError(f"scan needs e_min < e_max, got [{e_min}, {e_max}]")
+    if not -math.inf < e_min < e_max < math.inf:
+        raise ConfigError(f"scan needs finite e_min < e_max, got [{e_min}, {e_max}]")
     return e_min, e_max, steps
 
 

@@ -322,6 +322,8 @@ def patched_barrier_solution(
     """
     if incident_side not in ("left", "right"):
         raise DomainError(f"incident_side must be 'left' or 'right', got {incident_side!r}")
+    if n_per_region < 0:
+        raise DomainError(f"n_per_region must be >= 0, got {n_per_region}")
     b_amp = _amplitude(outgoing_amplitude)
     # Raises NoBarrierError unless a barrier lies between two turning points.
     sigma_star = barrier_integral(problem)

@@ -20,17 +20,12 @@ Anal. 28, 1071 (1991)); w(x0) is one row of S, at x0's place in its panel.
 The nodes and V, V', V'' on them depend on the domain and x0 only, so a scan
 lays them out once per call and each energy is one sum on them, in the same
 operations as one energy alone; the single-energy functions are batches of
-one.  An amplitude that does not clear the rounding floor of its sum,
-eps (2 W / hbar) int |integrand| dx with W the phase across the domain, is
-refused rather than returned, and so is one that the 10-point rule may miss
-by more than 1 %: the rule's remainder on a panel grows as the 20th power of
-the phase wound across it, weighted by the panel's share of int |integrand|.
-The domain edges stand in for +/- infinity, so a sum whose integrand has not
-decayed there is refused too: the once-reflected sum where its leading-order
-continuation past an edge, r hbar / (2 p) at the outermost node, reaches 1 %
-of |R|, the matrix element where |Vtilde| there reaches 1e-12 of its peak.
-The sums read V' and V'' only, so a potential that jumps inside the domain is
-refused.
+one.  Every sum, g e^{i dk w/hbar} with g = r (once-reflected) or Vtilde p
+(the matrix element), is made and checked by :func:`_sum`, which refuses one
+that is not finite, that does not clear its rounding floor, that the 10-point
+rule may miss by more than 1 %, or that would gain more than 1 % past the
+domain edges, which stand in for +/- infinity.  The sums read V' and V''
+only, so a potential that jumps inside the domain is refused.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -40,6 +35,7 @@ C_minus(left edge) exactly equal to the once-reflected amplitude
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,13 +80,11 @@ _PANELS_PER_DOMAIN = 256
 #: max |f^(20)| of int_{-1}^{1} f dt (2^21 (10!)^4 / (21 (20!)^3)).  Where the
 #: phase of f winds phi across the panel, f^(20) is about |f| (phi / 2)^20.
 _GL_REMAINDER = 2.0**21 * math.factorial(10) ** 4 / (21.0 * math.factorial(20) ** 3)
-#: Largest share of |R| that the remainder, summed over the panels, may reach.
-#: Sized on Eckart barriers against 2048 panels: rows under it agree to 2.5e-4
-#: or better, rows over it are off by 1.3e-4 to 1e11.
+#: Largest share of |R| that the remainder, summed over the panels, or the sum
+#: past the domain edges may reach.  Sized on Eckart barriers against 2048
+#: panels: rows under it agree to 2.5e-4 or better, rows over it are off by
+#: 1.3e-4 to 1e11.
 _MAX_REMAINDER = 1e-2
-#: A matrix element is refused where |Vtilde| at the outermost node of either
-#: edge reaches this times its peak.
-_TAIL_CUT = 1e-12
 #: Integrals from -1 of the Lagrange basis l_j on the Gauss-Legendre nodes, as
 #: Legendre series: l_j = sum_k w_j P_k(t_j) (2k + 1)/2 P_k, which the rule
 #: integrates exactly.  legval at t gives int_{-1}^{t} l_j dt for every j.
@@ -218,51 +212,33 @@ def _reference_point(problem: ScatteringProblem, x0: float | None) -> float:
     return x0
 
 
-def _refuse_unresolved(nodes, amplitude, size, action, span, dk, hbar, energy) -> None:
-    """Raise if ``amplitude`` is below its sum's rounding floor, eps |dk| span / hbar
-    x int |integrand|, or if the 10-point rule may miss more than
-    :data:`_MAX_REMAINDER` of it; ``size`` is |integrand| on the nodes and
-    ``action`` the integral of p over each panel."""
-    mass = nodes.half * (size @ _GL_WEIGHTS)
-    floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * np.sum(mass))
-    if abs(amplitude) < floor:
-        raise NumericalError(
-            f"E = {energy:g}: |R| is {abs(amplitude) / floor:.2g} of the rounding floor of "
-            "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
-            "double precision cannot resolve it"
-        )
-    winding = abs(dk) / hbar * action
-    missed = 0.5 * _GL_REMAINDER * (mass @ (0.5 * winding) ** 20)
-    if missed > _MAX_REMAINDER * abs(amplitude):
-        raise NumericalError(
-            f"E = {energy:g}: the phase of the oscillatory sum winds up to {winding.max():.3g} "
-            f"rad across one panel, where the 10-point rule may miss {missed / abs(amplitude):.2g}"
-            f" of |R|, more than {_MAX_REMAINDER:.0%}; it cannot resolve it"
-        )
-
-
 class _Nodes:
     """The energy-independent work of the reflection sums over the domain.
 
     The composite 10-point Gauss-Legendre nodes of :data:`_PANELS_PER_DOMAIN`
-    equal panels, shaped (panel, node), the panel half-widths, and V and V'
-    (and V'' with ``curvature``) at the nodes.  Above the barrier p(x) is
+    equal panels, shaped (panel, node), the panel half-widths, and V, V' and
+    (on first use) V'' at the nodes.  Above the barrier p(x) is
     smooth on the whole domain, so a running integral needs no other points:
     :meth:`cumulative` integrates the interpolant of the integrand on each
     panel with the spectral integration matrix, and takes its value at x0
     from the row of that matrix at x0's place in its panel, laid out here.
     """
 
-    def __init__(self, problem, x0, curvature=False):
+    def __init__(self, problem, x0):
         x0 = _reference_point(problem, x0)
         edges = np.linspace(*problem.domain, _PANELS_PER_DOMAIN + 1)
+        self.problem = problem
         self.x, self.half = _panel_nodes(edges)
         self.v, self.dv = problem.v(self.x), problem.dv(self.x)
-        self.d2v = problem.d2v(self.x) if curvature else None
         # The integral to x0: the interpolant on x0's panel k0, up to x0.
         k = min(int(np.searchsorted(edges, x0, side="right")) - 1, _PANELS_PER_DOMAIN - 1)
         local = (x0 - edges[k]) / self.half[k] - 1.0
         self.k0, self.row0 = k, self.half[k] * legval(local, _LAGRANGE_INTEGRALS)
+
+    @functools.cached_property
+    def d2v(self):
+        """V'' at the nodes, which only the matrix element reads."""
+        return self.problem.d2v(self.x)
 
     def cumulative(self, f, from_x0=False):
         """int f dx from the left edge (from x0 with ``from_x0``) to each node,
@@ -285,6 +261,65 @@ class _Nodes:
         return np.sum(self.half * (values @ _GL_WEIGHTS))
 
 
+def _sum(nodes: _Nodes, energy: float, dk: float, integrand):
+    """g e^{i dk w/hbar} at the nodes, g = integrand(E, E - V, p) there, and its sum.
+
+    Every check of the reflection sums is made here.  An E not above max V
+    raises :class:`RegimeError`.  A sum that is not finite, below its rounding
+    floor eps (|dk| W / hbar) int |g| dx, W being the phase across the domain,
+    or that the 10-point rule may miss by more than :data:`_MAX_REMAINDER` of
+    it raises :class:`NumericalError`; the rule's remainder on a panel grows as
+    the 20th power of the phase wound across it, weighted by the panel's share
+    of int |g| dx.  The domain edges stand in for +/- infinity: past each one
+    the sum goes on, to leading order, as |g| hbar / (|dk| p) at the outermost
+    node, or, where it does not wind (dk = 0), as |g| / kappa, kappa being the
+    rate at which |g| decays between the two outermost nodes; where the two
+    edges' sum exceeds that share of |R|, :class:`DomainError` is raised.
+    """
+    _require_over_barrier(nodes.problem, energy)
+    hbar = nodes.problem.context.hbar
+    gap = energy - nodes.v
+    p = np.sqrt(2.0 * nodes.problem.context.mass * gap)
+    w, span, action = nodes.phase(p)
+    g = integrand(energy, gap, p)
+    terms = g * np.exp(1j * dk * w / hbar)
+    total = nodes.integral(terms)
+    size = abs(total)
+    if not math.isfinite(size):
+        raise NumericalError(f"E = {energy:g}: the oscillatory sum is not finite")
+    g_abs = np.abs(g)
+    mass = nodes.half * (g_abs @ _GL_WEIGHTS)
+    floor = float(np.finfo(float).eps) * (abs(dk) * span / hbar * np.sum(mass))
+    if size < floor:
+        raise NumericalError(
+            f"E = {energy:g}: |R| is {size / floor:.2g} of the rounding floor of "
+            "its oscillatory sum (eps x phase span / hbar x the sum of |integrand|); "
+            "double precision cannot resolve it"
+        )
+    winding = abs(dk) / hbar * action
+    missed = 0.5 * _GL_REMAINDER * (mass @ (0.5 * winding) ** 20)
+    if missed > _MAX_REMAINDER * size:
+        raise NumericalError(
+            f"E = {energy:g}: the phase of the oscillatory sum winds up to {winding.max():.3g} "
+            f"rad across one panel, where the 10-point rule may miss {missed / size:.2g}"
+            f" of |R|, more than {_MAX_REMAINDER:.0%}; it cannot resolve it"
+        )
+    tail = 0.0
+    for edge, next_in in (((0, 0), (0, 1)), ((-1, -1), (-1, -2))):  # outermost node, next one in
+        if g_abs[edge] > 0.0:
+            decay = g_abs[next_in] / g_abs[edge]
+            kappa = math.log(decay) / abs(nodes.x[next_in] - nodes.x[edge]) if decay > 0.0 else 0.0
+            rate = abs(dk) / hbar * p[edge] if dk else kappa
+            tail += g_abs[edge] / rate if rate > 0.0 else math.inf
+    if tail > _MAX_REMAINDER * size:
+        raise DomainError(
+            f"E = {energy:g}: the integrand has not decayed at the domain edges, where the sum "
+            f"beyond them may reach {tail / size:.2g} of |R|, more than {_MAX_REMAINDER:.0%}; "
+            "widen the domain"
+        )
+    return terms, total
+
+
 def phase_transform(
     problem: ScatteringProblem, n_points: int = 4097, x0: float | None = None
 ) -> PhaseGrid:
@@ -297,6 +332,8 @@ def phase_transform(
     :func:`effective_perturbation`.
     """
     _require_over_barrier(problem, problem.energy)
+    if n_points < 0:
+        raise DomainError(f"n_points must be >= 0, got {n_points}")
     xs = np.linspace(*problem.domain, n_points)
     m, e = problem.context.mass, problem.energy
     ps = np.sqrt(2.0 * m * (e - problem.v(xs)))
@@ -321,7 +358,7 @@ def picard_amplitudes(
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     _require_smooth(problem)
     nodes = _Nodes(problem, x0)
-    coupling, _ = _once_reflected(problem, nodes, problem.energy)
+    coupling, _ = _once_reflected(nodes, problem.energy)
     c_plus = np.ones(nodes.x.shape, dtype=complex)
     c_minus = np.zeros(nodes.x.shape, dtype=complex)
     for used in range(1, iterations + 1):
@@ -343,27 +380,9 @@ def picard_amplitudes(
     )
 
 
-def _once_reflected(problem: ScatteringProblem, nodes: _Nodes, energy: float):
-    """r e^{2iw/hbar} at the nodes, and R = -int r e^{2iw/hbar} dx, C-(left edge)
-    after one half-step from C+ = 1; raises as :func:`once_reflected_coefficients` says."""
-    _require_over_barrier(problem, energy)
-    hbar = problem.context.hbar
-    gap = energy - nodes.v
-    p = np.sqrt(2.0 * problem.context.mass * gap)
-    w, span, action = nodes.phase(p)
-    r = nodes.dv / (-4.0 * gap)
-    coupling = r * np.exp(2.0j * w / hbar)
-    amplitude = -nodes.integral(coupling)
-    _refuse_unresolved(nodes, amplitude, np.abs(r), action, span, 2.0, hbar, energy)
-    # Past an edge the sum goes on, to leading order, as r hbar / (2i p) at its outermost node.
-    tail = 0.5 * hbar * max(abs(r[0, 0]) / p[0, 0], abs(r[-1, -1]) / p[-1, -1])
-    if tail > _MAX_REMAINDER * abs(amplitude):
-        raise DomainError(
-            f"E = {energy:g}: r has not decayed at the domain edges, where the sum beyond them "
-            f"may reach {tail / abs(amplitude):.2g} of |R|, more than {_MAX_REMAINDER:.0%}; "
-            "widen the domain"
-        )
-    return coupling, amplitude
+def _once_reflected(nodes: _Nodes, energy: float):
+    """r e^{2iw/hbar} at the nodes, r = -V' / (4 (E - V)), and its sum, -R."""
+    return _sum(nodes, energy, 2.0, lambda _, gap, p: nodes.dv / (-4.0 * gap))
 
 
 def once_reflected_coefficient(
@@ -387,19 +406,13 @@ def once_reflected_coefficients(
 
     The nodes and V, V' there are laid out once per call; each energy is then
     one sum, the one :func:`once_reflected_coefficient` makes.  A potential
-    with a jump raises, as does an energy not above max V; an R that does not
-    clear the rounding floor eps (2 W / hbar) int |r| dx of its sum, W being
-    the phase across the domain, or that the 10-point rule's remainder may
-    miss by more than 1 %, raises :class:`NumericalError`; one whose r has not
-    decayed at the domain edges, so that the sum beyond them, to leading order
-    r hbar / (2 p) at the outermost node, may reach 1 % of |R|, raises
-    :class:`DomainError`.  The first failing energy in the given order is
-    reported.
+    with a jump raises, and each energy raises as :func:`_sum` says; the first
+    failing energy in the given order is reported.
     """
     _require_smooth(problem)
     nodes = _Nodes(problem, x0)
     energies = np.atleast_1d(np.asarray(energies, dtype=float)).tolist()
-    return np.array([_once_reflected(problem, nodes, e)[1] for e in energies], dtype=complex)
+    return np.array([-_once_reflected(nodes, e)[1] for e in energies], dtype=complex)
 
 
 def effective_perturbation_forms(problem: ScatteringProblem, x: float):
@@ -460,9 +473,8 @@ def matrix_element(
 
     k_i, k_f are dimensionless direction labels whose on-shell values are
     +1/-1 (the free propagator's poles sit at hbar k = +/-1).  The integral is
-    one composite Gauss-Legendre sum in x over the domain, with dw = p dx; a
-    Vtilde that has not decayed below 1e-12 times its peak at the outermost
-    nodes cannot be truncated and is rejected.
+    one composite Gauss-Legendre sum in x over the domain, with dw = p dx, checked
+    as :func:`_sum` says.
     The batch of one of :func:`_matrix_elements`.
     """
     return complex(_matrix_elements(problem, problem.energy, k_i, k_f, x0)[0])
@@ -474,36 +486,18 @@ def _matrix_elements(
     """v(k_i, k_f) at each energy, on one node layout.
 
     V, V' and V'' are taken once on the nodes; each energy is one sum on
-    them.  A v that does not clear the rounding floor eps (|k_f - k_i| W / hbar)
-    int |Vtilde| p dx of its sum, or that the 10-point rule's remainder may
-    miss by more than 1 %, raises :class:`NumericalError`.
-    Each energy raises as :func:`matrix_element` would, in order.
+    them, :func:`_sum` of Vtilde p, and raises as :func:`matrix_element`
+    would, in order.
     """
     _require_smooth(problem)
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
-    out = np.empty(len(e), dtype=complex)
-    m, hbar = problem.context.mass, problem.context.hbar
-    dk = k_f - k_i
-    nodes = _Nodes(problem, x0, curvature=True)
-    for i, energy in enumerate(e.tolist()):
-        _require_over_barrier(problem, energy)
-        vtilde = _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v)
-        size = np.abs(vtilde)
-        peak = float(np.max(size))
-        if peak == 0.0:
-            out[i] = 0.0 + 0.0j
-            continue
-        if max(size[0, 0], size[-1, -1]) >= _TAIL_CUT * peak:
-            raise DomainError(
-                "effective perturbation has not decayed below the truncation "
-                "threshold at the domain edges; widen the domain"
-            )
-        p = np.sqrt(2.0 * m * (energy - nodes.v))
-        w, span, action = nodes.phase(p)
-        dw = vtilde * p
-        out[i] = nodes.integral(dw * np.exp(1j * dk * w / hbar))
-        _refuse_unresolved(nodes, out[i], np.abs(dw), action, span, dk, hbar, energy)
-    return out
+    m, dk = problem.context.mass, k_f - k_i
+    nodes = _Nodes(problem, x0)
+
+    def vtilde_p(energy, gap, p):
+        return _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v) * p
+
+    energies = np.atleast_1d(np.asarray(energies, dtype=float)).tolist()
+    return np.array([_sum(nodes, e, dk, vtilde_p)[1] for e in energies], dtype=complex)
 
 
 def born_first_order(
@@ -529,7 +523,7 @@ def born_amplitudes(
 ) -> np.ndarray:
     """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
     :func:`born_first_order`), from one call of the matrix-element sums, which
-    refuse a v below the rounding floor of its sum."""
+    refuse a v as :func:`_sum` says."""
     return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
 
 

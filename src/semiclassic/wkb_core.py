@@ -360,6 +360,8 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
     c_minus = complex(amplitudes.c_minus if hasattr(amplitudes, "c_minus") else amplitudes[1])
 
     xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
+    if not (np.all(np.isfinite(xs)) and math.isfinite(x0)):
+        raise DomainError(f"the points and x0 = {x0:g} must be finite")
     tp = assert_outside_exclusion(problem, xs)
     assert_outside_exclusion(problem, [x0])
 

@@ -231,6 +231,14 @@ x_max = 3.0
                         "--width", "1"]) == 2
         assert "energy" in capsys.readouterr().err
 
+    def test_percent_is_read_literally(self, tmp_path):
+        # A '%' in a value is text, not the start of an interpolation.
+        out = tmp_path / "out%1.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG + f"\n[output]\npath = {out}\n")
+        assert run_cli(["transmission", "--config", str(cfg), "--method", "wkb"]) == 0
+        assert out.read_text().startswith("E,T,R,sigma_star,method\n0.5,")
+
     def test_unknown_form_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[potential]\nform = morse\n\n[problem]\nenergy = 1\n")
@@ -455,8 +463,8 @@ class TestBatchedScan:
 
 
 #: Over-barrier scans (m = 4): the weak bump of the benchmark, Eckart above
-#: its top (on +/-20, where its Vtilde decays below 1e-12 of its peak), and a
-#: Gaussian bump from 5 to 200 times its top.
+#: its top on +/-20 and on the standard +/-14, and a Gaussian bump from 5 to
+#: 200 times its top.
 WEAK_FORM = ["--form=gaussian", "--amplitude=0.002", "--width=0.5", "--x-min=-8", "--x-max=8"]
 REFLECTION_SCANS = {
     "weak": (WEAK_FORM, "0.34", "0.94", 8),
@@ -467,6 +475,10 @@ REFLECTION_SCANS = {
     "gaussian-support": (
         ["--form=gaussian", "--amplitude=0.01", "--width=1", "--x-min=-12", "--x-max=12"],
         "0.05", "2.0", 12,
+    ),
+    "eckart-14": (
+        ["--form=eckart", "--height=1", "--width=1", "--x-min=-14", "--x-max=14"],
+        "1.2", "1.9", 8,
     ),
 }
 
@@ -506,11 +518,11 @@ class TestReflectionScan:
              "E_REGIME: E = 0.5 does not exceed max V = 1 on the domain; "
              "below-barrier problems belong to the connection module\n"),
             ("born1", ["--form=linear", "--offset=0", "--slope=0.01"],
-             "E_DOMAIN: effective perturbation has not decayed below the truncation "
-             "threshold at the domain edges; widen the domain\n"),
+             "E_DOMAIN: E = 0.5: the integrand has not decayed at the domain edges, where the "
+             "sum beyond them may reach 1.2 of |R|, more than 1%; widen the domain\n"),
             ("once-reflected", ["--form=linear", "--offset=0", "--slope=0.01"],
-             "E_DOMAIN: E = 0.5: r has not decayed at the domain edges, where the sum beyond "
-             "them may reach 0.8 of |R|, more than 1%; widen the domain\n"),
+             "E_DOMAIN: E = 0.5: the integrand has not decayed at the domain edges, where the "
+             "sum beyond them may reach 1.2 of |R|, more than 1%; widen the domain\n"),
         ],
     )
     def test_scan_over_the_top_fails_as_one_energy_would(self, capsys, method, form, err):
@@ -636,28 +648,63 @@ class TestUnresolvedReflection:
 
 
 class TestTruncatedDomain:
-    """The sums take the domain edges for +/- infinity: once-reflected refuses,
-    with exit 4, a domain that cuts r, as born1 refuses one that cuts Vtilde."""
+    """The sums take the domain edges for +/- infinity: once-reflected and
+    born1 refuse, with exit 4, a domain where the sum past its two edges may
+    reach 1 % of |R|."""
 
     GAUSSIAN = ["--form=gaussian", "--amplitude=0.01", "--width=1", "--energy=2"]
 
     @pytest.mark.parametrize(
-        "problem, ratio",
+        "problem, ratios",
         [
             # |R|^2 printed 2.155e-08, 23 % below the +/-12 row.
-            ([*GAUSSIAN, "--x-min=-2", "--x-max=2"], "0.16"),
+            ([*GAUSSIAN, "--x-min=-2", "--x-max=2"], ("0.31", "0.29")),
             # r never decays: |R|^2 printed 2.21e-07 on +/-10 and 3.97e-07 on +/-20.
-            (["--form=linear", "--offset=0", "--slope=0.01", "--energy=2"], "0.72"),
+            (["--form=linear", "--offset=0", "--slope=0.01", "--energy=2"], ("1.3", "1.3")),
+            # r vanishes at the barrier top, just outside the left edge, so |r|
+            # rises steeply inward there; the winding, not that rise, bounds
+            # the sum past the edge.  |R| read 0.062 (0.12 on +/-40).
+            (["--form=eckart", "--height=1", "--width=1", "--x-min=0.02", "--x-max=14",
+              "--mass=1", "--energy=2"], ("0.059", "1")),
         ],
-        ids=["gaussian-2", "ramp"],
+        ids=["gaussian-2", "ramp", "eckart-beside-the-top"],
     )
-    def test_exit_4(self, capsys, problem, ratio):
-        assert run_cli(["transmission", *problem, "--method=once-reflected"]) == 4
-        assert capsys.readouterr() == (
-            "",
-            f"E_DOMAIN: E = 2: r has not decayed at the domain edges, where the sum beyond them "
-            f"may reach {ratio} of |R|, more than 1%; widen the domain\n",
+    def test_exit_4(self, capsys, problem, ratios):
+        for method, ratio in zip(("once-reflected", "born1"), ratios):
+            assert run_cli(["transmission", *problem, f"--method={method}"]) == 4
+            assert capsys.readouterr() == (
+                "",
+                "E_DOMAIN: E = 2: the integrand has not decayed at the domain edges, where the "
+                f"sum beyond them may reach {ratio} of |R|, more than 1%; widen the domain\n",
+            )
+
+    def test_both_edges_count(self, capsys):
+        # Each edge of +/-6 alone stays under 1 %; |R|^2 printed 8.649e-10,
+        # 1.5 % off in |R| from 8.390e-10 on +/-40.
+        code = run_cli(
+            ["transmission", "--form=eckart", "--height=1", "--width=1", "--x-min=-6",
+             "--x-max=6", "--mass=32", "--energy=2", "--method=once-reflected"]
         )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_DOMAIN: E = 2: the integrand has not decayed")
+        assert err.count("\n") == 1
+
+    def test_born1_on_the_standard_eckart_domain(self, tmp_path):
+        # At E 1.9, +/-14 cuts Vtilde at 1.2e-12 of its peak, which a fixed cut
+        # at 1e-12 refused with exit 4; the sum past the edges is 1.7e-12 of
+        # |R1|, and the rows agree with +/-30 to 6.5e-13.
+        rows = {}
+        for reach in ("14", "30"):
+            out = tmp_path / f"{reach}.csv"
+            code = run_cli(
+                ["scan", "--form=eckart", "--height=1", "--width=1", f"--x-min=-{reach}",
+                 f"--x-max={reach}", "--mass=4", "--method=born1", "--e-min=1.2", "--e-max=1.9",
+                 "--steps=8", f"--output={out}"]
+            )
+            assert code == 0
+            rows[reach] = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+        np.testing.assert_allclose(rows["14"], rows["30"], rtol=1e-9, atol=0.0)
 
     def test_wide_domain_row_is_kept(self, capsys):
         code = run_cli(
@@ -930,6 +977,22 @@ class TestUsageErrorsExit2:
         assert captured.out == ""
         assert captured.err == (
             f"E_CONFIG: --outgoing-amplitude must be finite, got {float(value)}\n"
+        )
+
+    @pytest.mark.parametrize("method", ["wkb", "exact", "once-reflected"])
+    @pytest.mark.parametrize("bounds", [("1.5", "inf"), ("-inf", "1.5"), ("nan", "1.5")])
+    def test_non_finite_scan_bounds(self, capsys, method, bounds):
+        # They printed nan rows with exit 0 (once-reflected and born1), exited
+        # 4 (exact) or 3 (wkb), depending on the method.
+        code = run_cli(
+            ["scan", "--form=gaussian", "--amplitude=0.01", "--width=1", f"--method={method}",
+             f"--e-min={bounds[0]}", f"--e-max={bounds[1]}", "--steps=3"]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"E_CONFIG: scan needs finite e_min < e_max, got [{float(bounds[0])}, "
+            f"{float(bounds[1])}]\n",
         )
 
 

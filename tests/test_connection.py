@@ -179,6 +179,10 @@ class TestPatchedSolution:
         with pytest.raises(DomainError, match="outgoing amplitude must be finite"):
             region_one_amplitudes(2.0, amplitude)
 
+    def test_negative_point_count_raises(self):
+        with pytest.raises(DomainError, match=r"n_per_region must be >= 0, got -1"):
+            patched_barrier_solution(DEEP_ECKART, n_per_region=-1)
+
     def test_region_tags_ordered(self):
         table = patched_barrier_solution(DEEP_ECKART)
         tags = [t.value for t in table.region_tags]

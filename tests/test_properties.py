@@ -18,7 +18,8 @@ properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
 where |R| is resolved (and from 15 to 20 where it must be refused); the spectral
 phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
 their top, and converged Picard iteration full Eckart barriers there, checked
-against the closed form in 40 digits.
+against the closed form in 40 digits; the truncation property draws Eckart and
+Gaussian barriers on domains cut 1.5 to 14 widths from their centre.
 """
 
 import cmath
@@ -746,6 +747,44 @@ def test_unresolvable_weak_bumps_are_refused(case):
         once_reflected_coefficient(problem, x0=x0)
     with pytest.raises(NumericalError, match=r"of the rounding floor of its oscillatory sum"):
         born_first_order(problem)
+
+
+@st.composite
+def cut_barriers(draw):
+    """(potential, energy, context, centre, width, lo, hi): an Eckart or Gaussian
+    barrier or bump with E from 1.05 to 3 times its top, m from 0.5 to 64, hbar
+    from k d 0.3 to 3 (where |R| clears the rounding floor of its sums on +/-24
+    widths by 1e5 or more), and a domain cut from 1.5 to 14 widths to the left
+    and to the right of the centre."""
+    form = draw(st.sampled_from(["eckart", "gaussian"]))
+    height, width = draw(st.floats(0.02, 2.0)), draw(st.floats(0.5, 2.0))
+    center, e = draw(st.floats(-1.0, 1.0)), height * draw(st.floats(1.05, 3.0))
+    mass = draw(st.floats(0.5, 64.0))
+    hbar = math.sqrt(2.0 * mass * e) * width / draw(st.floats(0.3, 3.0))
+    model = EckartBarrier if form == "eckart" else GaussianBump
+    potential = model(height, width, center)
+    lo, hi = draw(st.floats(1.5, 14.0)), draw(st.floats(1.5, 14.0))
+    return potential, e, PhysicalContext(mass=mass, hbar=hbar), center, width, lo, hi
+
+
+@PROPERTY
+@given(cut_barriers())
+def test_a_cut_domain_is_refused_or_answered_as_a_wide_one(case):
+    # The sums take the domain edges for +/- infinity, and refuse a domain
+    # where their leading-order estimate of the sum past both edges reaches
+    # 1 % of |R|.  That estimate is leading order, so an accepted row is held
+    # to 2 % of the row on +/-24 widths.  Over these examples 26 of 60 cut
+    # domains are accepted by each method, the worst off by 0.38 % (born1)
+    # and 0.17 % (once-reflected).
+    potential, e, context, center, width, lo, hi = case
+    cut = ScatteringProblem(potential, e, (center - lo * width, center + hi * width), context)
+    wide = ScatteringProblem(potential, e, (center - 24 * width, center + 24 * width), context)
+    for method in (once_reflected_coefficient, born_first_order):
+        try:
+            got = abs(method(cut))
+        except DomainError:
+            continue
+        assert got == pytest.approx(abs(method(wide)), rel=0.02)
 
 
 def eckart_reflection(height, width, mass, hbar, energy):

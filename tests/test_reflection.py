@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from semiclassic import (
     DomainError,
@@ -115,6 +114,10 @@ class TestPhaseTransform:
         with pytest.raises(RegimeError):
             phase_transform(problem)
 
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(DomainError, match=r"n_points must be >= 0, got -1"):
+            phase_transform(WEAK_BUMP, n_points=-1)
+
 
 class TestPicard:
     def test_free_particle_identity(self):
@@ -202,16 +205,29 @@ class TestOnceReflected:
     @pytest.mark.parametrize(
         "problem",
         [
-            # r is 0.16 of |R| past the edges of +/-2; the sum there is 12.5 % below +/-12's.
+            # The sum past the edges of +/-2 may reach 0.31 of |R|; it is 12.5 % below +/-12's.
             ScatteringProblem(WEAK_BUMP.potential, WEAK_BUMP.energy, (-2.0, 2.0)),
-            # r never decays: the sum on +/-10 and on +/-20 differs by 34 %.
+            # r never decays (1.3 of |R|): the sum on +/-10 and on +/-20 differs by 34 %.
             ScatteringProblem(LinearRamp(offset=0.0, slope=0.01), 2.0, (-10.0, 10.0)),
+            # Neither edge alone reaches 1 % of |R|, both together 1.8 %; |R|^2
+            # was 8.649e-10, against 8.390e-10 on +/-40.
+            ScatteringProblem(
+                EckartBarrier(height=1.0, width=1.0), 2.0, (-6.0, 6.0), PhysicalContext(mass=32.0)
+            ),
         ],
-        ids=["gaussian-2", "ramp"],
+        ids=["gaussian-2", "ramp", "eckart-m32"],
     )
     def test_domain_that_cuts_r_rejected(self, problem, call):
-        with pytest.raises(DomainError, match="r has not decayed at the domain edges"):
+        with pytest.raises(DomainError, match=r"^E = 2: the integrand has not decayed at the"):
             call(problem)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_energy_refused(self):
+        for energy in (math.nan, math.inf):
+            with pytest.raises(NumericalError, match=r"the oscillatory sum is not finite"):
+                once_reflected_coefficients(WEAK_BUMP, [energy])
+            with pytest.raises(NumericalError, match=r"the oscillatory sum is not finite"):
+                born_amplitudes(WEAK_BUMP, [energy])
 
     def test_below_unsampled_peak_rejected(self):
         # The peak at x = 0.005 falls between samples of any fixed grid; E is
@@ -277,29 +293,14 @@ class TestBornFirstOrder:
         with pytest.raises(DomainError):
             matrix_element(problem, 1.0, -1.0)
 
-    @pytest.mark.parametrize("level", [0.7, 1.4])
-    def test_truncation_reads_the_outermost_nodes(self, level):
-        # The domain ends where |Vtilde| is `level` times 1e-12 of its peak.
-        # At 0.7 nodes of the first panel reach 1e-12 but the outermost one
-        # does not: the edge has decayed, and |R1| is that of a wider domain.
-        peak = abs(effective_perturbation(WEAK_BUMP, 0.0))
-        edge = brentq(
-            lambda x: math.log(abs(effective_perturbation(WEAK_BUMP, x)) / (level * 1e-12 * peak)),
-            1.0,
-            7.0,
-        )
-        problem = ScatteringProblem(
-            potential=WEAK_BUMP.potential, energy=WEAK_BUMP.energy, domain=(-edge, edge)
-        )
-        first_panel = np.linspace(-edge, -edge + 2.0 * edge / 256, 65)
-        assert np.max(np.abs(effective_perturbation(problem, first_panel))) >= 1e-12 * peak
-        if level > 1.0:
-            with pytest.raises(DomainError, match="has not decayed"):
-                born_first_order(problem)
-        else:
-            assert abs(born_first_order(problem)) == pytest.approx(
-                abs(born_first_order(WEAK_BUMP)), rel=1e-9
-            )
+    def test_non_winding_element_reads_the_decay(self):
+        # With k_i = k_f the sum does not wind: where Vtilde decays, the rate
+        # of that decay bounds the sum past the edges; where it does not, the
+        # sum is refused.
+        assert matrix_element(WEAK_BUMP, 0.7, 0.7) == pytest.approx(-9.858520209980341e-07, rel=1e-12)
+        ramp = ScatteringProblem(LinearRamp(offset=0.0, slope=0.01), 2.0, (-10.0, 10.0))
+        with pytest.raises(DomainError, match=r"the integrand has not decayed"):
+            matrix_element(ramp, 0.7, 0.7)
 
 
 class TestUnresolved:

@@ -206,6 +206,13 @@ class TestWkbWavefunction:
         with pytest.raises((RegionError, TurningPointProximityError)):
             wkb_wavefunction(problem, (1.0, 0.0), 0.0, [2.0])
 
+    @pytest.mark.parametrize(
+        "x0, xs", [(0.0, [1.0, math.nan]), (0.0, [math.inf]), (math.nan, [1.0])]
+    )
+    def test_non_finite_points_rejected(self, x0, xs):
+        with pytest.raises(DomainError, match=r"must be finite"):
+            wkb_wavefunction(problem_for(FREE, 0.5), (1.0, 0.0), x0, xs)
+
     def test_schrodinger_residual_far_from_turning_points(self):
         # |psi'' + k^2 psi| / |k^2 psi| <= 0.05 at >= 5 exclusion radii.
         problem = problem_for(EckartBarrier(height=1.0, width=1.0), 0.5, (-14, 14))
