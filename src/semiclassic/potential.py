@@ -52,6 +52,11 @@ _ROOT_POINTS = 32
 #: Roots per solver call in :func:`_turning_points`, so that a long scan
 #: holds arrays of about a megabyte, not of its whole length.
 _ROOT_BLOCK = 4096
+#: Brackets up to which :func:`_bracketed_roots` steps in Python floats: a
+#: step on arrays makes ~80 numpy calls, which cost more than the float
+#: steps up to 3 brackets of 32 points (0.91 of the time at 3, 1.1 at 4; of
+#: 1 point, 0.78 at 12; BENCH_batch_of_one.json).
+_FEW_ROOTS = 3
 
 
 @dataclass(frozen=True)
@@ -396,11 +401,13 @@ def _step_tables(points: int) -> tuple:
     """For :func:`_bracketed_roots` with ``points`` points per step: the even
     fractions of a bracket, and for each position i of the first point past
     the root in a row (a, the points in order, b), the positions of the new
-    a (a new point), b and c (the old end on the far side of a from b)."""
+    a (a new point), b and c (the old end on the far side of a from b).  At
+    i = 0, where no point qualifies (a nan value), a and b stay."""
     i = np.arange(points + 2)
     even = np.arange(1, points - 2) / (points - 2)
     past_b = i > points
-    return even, np.minimum(i, points), np.where(past_b, i, i - 1), np.where(past_b, 0, points + 1)
+    new_b = np.where(past_b, i, i - 1) % (points + 2)
+    return even, np.minimum(i, points), new_b, np.where(past_b, 0, points + 1)
 
 
 def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
@@ -420,7 +427,9 @@ def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
     the interpolated point, a point half a tolerance to either side of it,
     which close the bracket in the step the interpolation converges, and
     m - 3 points evenly spaced across the bracket, which narrow it
-    (m - 2)-fold where interpolation fails, e.g. at a jump.
+    (m - 2)-fold where interpolation fails, e.g. at a jump.  A call of at
+    most :data:`_FEW_ROOTS` brackets takes the same steps in Python floats
+    (:func:`_few_roots`), to the same roots.
     """
     lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     roots = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
@@ -429,6 +438,8 @@ def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
         return roots
     a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
     xtol = (np.zeros_like(roots) + xtol)[live]
+    if len(live) <= _FEW_ROOTS:
+        return _few_roots(f, roots, live, a, b, fa, fb, xtol, points)
     even, new_a, new_b, new_c = _step_tables(points)
     width = b - a
     t = fa / (fa - fb)  # the first step interpolates linearly
@@ -466,12 +477,75 @@ def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
         # test (xi, phi) keeps it inside the bracket, else bisection; never
         # closer than tol / 2 to either end.
         d_ab, d_cb = fb - fa, fb - fc
-        xi, phi = width / (b - c), d_ab / d_cb
         with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = width / (b - c), d_ab / d_cb
             t = fa / d_cb * (fc / d_ab - (c - a) * fb / (width * (fc - fa)))
         iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
         tl = tol / np.abs(width + width)
         t = np.minimum(np.maximum(np.where(iqi, t, 0.5), tl), 1.0 - tl)
+    raise NumericalError(f"root solver did not converge in {_ROOT_MAX_STEPS} steps")
+
+
+def _quotient(u: float, v: float) -> float:
+    """u / v, with numpy's inf or nan where v is 0."""
+    if v:
+        return u / v
+    return math.copysign(math.inf, u) * math.copysign(1.0, v) if u and u == u else math.nan
+
+
+def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
+    """The steps of :func:`_bracketed_roots` for a few brackets, each kept in
+    Python floats.  f gets the same (n, points) array once per step, and each
+    float operation is the one numpy makes on that bracket's entry, so every
+    root is the same bit for bit; only numpy's per-call cost is saved."""
+    even, new_a, new_b, new_c = (v.tolist() for v in _step_tables(points))
+    brackets = []
+    for a, b, fa, fb, xtol, k in zip(*(v.tolist() for v in (a, b, fa, fb, xtol, live))):
+        width = b - a
+        tl = (xtol + _ROOT_RTOL * abs(a)) / abs(width + width)
+        brackets.append((a, width, fa / (fa - fb), tl, b, fa, fb, xtol, k))
+    for _ in range(_ROOT_MAX_STEPS):
+        rows = []
+        for a, width, t, tl, *_ in brackets:
+            step = [t, t - tl, t + tl, *even] if points > 1 else [t]
+            # numpy sorts the points of a nan t last (a nan tl makes every x nan).
+            step = sorted(step) if t == t else [*even, *step[:3]]
+            rows.append([a + s * width for s in step])
+        ks = [bracket[-1] for bracket in brackets]
+        values = np.asarray(f(np.array(rows), np.array(ks))).reshape(len(ks), points).tolist()
+        still = []
+        for (a, _, _, _, b, fa, fb, xtol, k), x, fx in zip(brackets, rows, values):
+            x, fx = [a, *x, b], [fa, *fx, fb]
+            # The first point whose value is 0 or has lost a's sign (none
+            # where fa or fb is nan, and then numpy's argmax gives 0).
+            sign = 1.0 if fa > 0.0 else -1.0 if fa < 0.0 else math.nan
+            for i, v in enumerate(fx):
+                if v * sign <= 0.0:
+                    break
+            else:
+                i = 0
+            a, b, c = x[new_a[i]], x[new_b[i]], x[new_c[i]]
+            fa, fb, fc = fx[new_a[i]], fx[new_b[i]], fx[new_c[i]]
+            width = b - a
+            tol = xtol + _ROOT_RTOL * abs(a)
+            if abs(width) < tol or fa == 0.0:
+                roots[k] = a if abs(fa) < abs(fb) else b
+                continue
+            # c lies on a's side of the root and b on the other, so b != c and
+            # fb != fc but where fa is nan; there numpy's xi or phi is inf or
+            # nan and fails the test.  Where the test passes, fc != fa (phi is
+            # 1 on a flat stretch), and the last divisor is 0 only by underflow.
+            t = 0.5
+            d_ab, d_cb = fb - fa, fb - fc
+            if b != c and d_cb != 0.0:
+                xi, phi = width / (b - c), d_ab / d_cb
+                if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                    t = fa / d_cb * (fc / d_ab - _quotient((c - a) * fb, width * (fc - fa)))
+            tl = tol / abs(width + width)
+            still.append((a, width, min(max(t, tl), 1.0 - tl), tl, b, fa, fb, xtol, k))
+        if not still:
+            return roots
+        brackets = still
     raise NumericalError(f"root solver did not converge in {_ROOT_MAX_STEPS} steps")
 
 

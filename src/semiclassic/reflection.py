@@ -252,10 +252,6 @@ class _Nodes:
         out += starts[:, None]
         return out, ends[-1], sums
 
-    def phase(self, p):
-        """w(x0, x) at the nodes, across the domain and across each panel, from p."""
-        return self.cumulative(p, from_x0=True)
-
     def integral(self, values):
         """The sum of ``values`` at the nodes against their weights."""
         return np.sum(self.half * (values @ _GL_WEIGHTS))
@@ -277,10 +273,13 @@ def _sum(nodes: _Nodes, energy: float, dk: float, integrand):
     edges' sum exceeds that share of |R|, :class:`DomainError` is raised.
     """
     _require_over_barrier(nodes.problem, energy)
+    if not math.isfinite(energy):
+        raise NumericalError(f"E = {energy:g}: the oscillatory sum is not finite")
     hbar = nodes.problem.context.hbar
     gap = energy - nodes.v
     p = np.sqrt(2.0 * nodes.problem.context.mass * gap)
-    w, span, action = nodes.phase(p)
+    # The phase w(x0, x) at the nodes, across the domain and across each panel.
+    w, span, action = nodes.cumulative(p, from_x0=True)
     g = integrand(energy, gap, p)
     terms = g * np.exp(1j * dk * w / hbar)
     total = nodes.integral(terms)

@@ -126,6 +126,42 @@ class TestScan:
         assert knot_scans() == 1
 
 
+class TestOutputFile:
+    """--output replaces what the file held with the new table."""
+
+    ARGS = TestScan.ARGS
+
+    def test_longer_file_left_with_the_new_bytes_only(self, tmp_path):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        reused.write_bytes(b"stale row\n" * 1000)
+        assert run_cli([*self.ARGS, "--output", str(fresh)]) == 0
+        assert run_cli([*self.ARGS, "--output", str(reused)]) == 0
+        assert read(reused) == read(fresh)
+
+    def test_rerun_onto_the_same_file_byte_identical(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli([*self.ARGS, "--output", str(out)]) == 0
+        first = read(out)
+        assert run_cli([*self.ARGS, "--output", str(out)]) == 0
+        assert read(out) == first and first.count(b"\n") == 5
+
+    def test_new_path_created(self, tmp_path):
+        out = tmp_path / "new.csv"
+        assert not out.exists()
+        assert run_cli([*self.ARGS, "--output", str(out)]) == 0
+        assert read(out).startswith(b"E,T,R,sigma_star,method\n")
+
+    def test_dev_null_exits_0(self, capsys):
+        assert run_cli([*self.ARGS, "--output", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli([*self.ARGS, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: cannot write output {tmp_path}: ")
+        assert err.count("\n") == 1
+
+
 class TestBoundStates:
     ARGS = [
         "bound-states", "--form", "harmonic", "--stiffness", "1",

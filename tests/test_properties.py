@@ -1,6 +1,7 @@
 """Randomised invariants: turning points, the phase accumulator, quantization,
 batched scans and levels against the per-energy route (brentq per monotone
-piece, each half span accumulated alone), the banded Numerov oracle against
+piece, each half span accumulated alone), the root solver's float steps for a
+few brackets against its array steps, the banded Numerov oracle against
 the point-by-point recurrence, its bound states against node-count
 bisection, the over-barrier reflection sums against adaptive quadrature, and
 their spectral phase against the accumulator and exact arithmetic.
@@ -68,7 +69,7 @@ from semiclassic import (
     solve_scattering_exact,
 )
 from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
-from semiclassic.potential import _knots, _turning_points
+from semiclassic.potential import _FEW_ROOTS, _bracketed_roots, _knots, _turning_points
 from semiclassic.reflection import (
     _LAGRANGE_INTEGRALS,
     _SPECTRAL,
@@ -306,6 +307,110 @@ def test_rows_do_not_depend_on_their_batch(case, data):
         assert barrier_integral(dataclasses.replace(problem, energy=float(e))) == whole[i]
 
 
+#: The kinds of function that root_brackets draws (see there).
+ROOT_FORMS = ("eckart", "gaussian", "jump", "end", "staircase", "clipped", "subnormal")
+
+
+@st.composite
+def root_brackets(draw, forms=ROOT_FORMS):
+    """(g, lo, hi): a function of x with a root r on the left flank of a unit
+    barrier, and a bracket of it, for each of ROOT_FORMS.  g is V - V(r) of an
+    Eckart or Gaussian barrier, V - E across the jump of a square one, x - r
+    with the root at a bracket end, a staircase that is 0 on [r, r + 1/q), a
+    ramp clipped to +/-1, or a cubic with subnormal values; negated at
+    random.  On the flat stretches of the staircase and the ramp, the
+    solver's a and c meet equal values, so its inverse-quadratic test sees
+    phi = 1 and a zero divisor; with subnormal values, the step's divisor
+    can underflow to 0 and the step turn nan."""
+    form = draw(st.sampled_from(forms))
+    r = draw(st.floats(-4.0, -0.5))
+    lo, hi = r - draw(st.floats(1e-3, 3.0)), r + draw(st.floats(1e-3, 0.5))
+    if form in ("eckart", "gaussian"):
+        v = (EckartBarrier(1.0, 1.0) if form == "eckart" else GaussianBump(1.0, 1.0)).value
+        e = v(r)
+    elif form == "jump":
+        v, e = SquareBarrier(1.0, -2.0 * r).value, draw(st.floats(0.1, 0.9))
+    elif form == "end":
+        v, e = (lambda x: x), r
+        lo, hi = draw(st.sampled_from([(r, hi), (lo, r)]))
+    elif form == "staircase":
+        q = draw(st.sampled_from([4.0, 64.0, 2.0**20]))
+        v, e = (lambda x: np.floor((x - r) * q) / q), 0.0
+    elif form == "clipped":
+        slope = draw(st.floats(1.0, 1e6))
+        v, e = (lambda x: np.clip((x - r) * slope, -1.0, 1.0)), 0.0
+    else:
+        scale = 10.0 ** draw(st.integers(-322, -310))
+        v, e = (lambda x: scale * ((x - r) ** 3 + 0.3 * np.tanh(5.0 * (x - r)))), 0.0
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return (lambda x: sign * (v(x) - e)), lo, hi
+
+
+def assert_few_match_padded(few, padding, points, xtol):
+    """The roots of the brackets ``few`` (at most _FEW_ROOTS, which step in
+    Python floats) are the same bit for bit as theirs among ``few + padding``
+    (which step on arrays), or both calls fail alike."""
+    gs, lo, hi = (list(column) for column in zip(*few, *padding))
+    lo, hi = np.array(lo), np.array(hi)
+
+    def f(x, idx):
+        return np.array([gs[i](row) for i, row in zip(idx, x)])
+
+    f_lo, f_hi = f(lo[:, None], range(len(lo)))[:, 0], f(hi[:, None], range(len(hi)))[:, 0]
+
+    def solve(n):
+        try:
+            return _bracketed_roots(f, lo[:n], hi[:n], f_lo[:n], f_hi[:n], xtol, points)
+        except NumericalError as exc:
+            return str(exc)
+
+    k = len(few)
+    alone, padded = solve(k), solve(len(lo))
+    if isinstance(alone, str):
+        assert padded == alone
+    else:
+        assert np.array_equal(alone, padded[:k])
+
+
+@PROPERTY
+@given(
+    st.lists(root_brackets(), min_size=1, max_size=_FEW_ROOTS),
+    st.lists(root_brackets(ROOT_FORMS[:-1]), min_size=_FEW_ROOTS, max_size=_FEW_ROOTS + 4),
+    st.sampled_from([1, 32]),
+    st.sampled_from([1e-15, 1e-9, 1e-4]),
+)
+def test_few_bracket_steps_match_the_array_steps(few, padding, points, xtol):
+    # Only the few draw subnormal values, some of which do not converge; the
+    # padding does, so that the padded call fails only where the few do.
+    assert_few_match_padded(few, padding, points, xtol)
+
+
+@pytest.mark.parametrize("exponent, r, lo, hi", [
+    (-315, -0.875, -2.161, 0.832), (-317, 0.279, -1.333, 2.207), (-316, -0.25, -0.89, 1.136),
+    (-317, -0.967, -1.959, 0.976), (-318, 0.593, -0.753, 2.285), (-317, -0.869, -1.21, -0.308),
+])
+def test_a_nan_step_sorts_last_on_both_paths(exponent, r, lo, hi):
+    # At values near 1e-316 an inverse-quadratic step can underflow to a nan
+    # t; numpy sorts the row's nan points last, and so must the float steps,
+    # for these brackets to converge to the same roots.
+    scale = 10.0**exponent
+    few = [(lambda x: scale * ((x - r) ** 3 + 0.3 * np.tanh(5.0 * (x - r))), lo, hi)]
+    padding = [(lambda x, q=q: x - q, -1.0, 1.0) for q in (-0.5, 0.0, 0.5)]
+    assert_few_match_padded(few, padding, 32, 1e-15)
+
+
+@pytest.mark.parametrize("brackets", [1, 2, _FEW_ROOTS + 1])
+def test_a_nan_bracket_end_does_not_converge_on_either_path(brackets):
+    # No point of a row loses a nan's sign, so the bracket keeps its ends and
+    # bisects to the step limit.  Its b must be its own: the other brackets
+    # close in on its lower end, and their b would pass for its root.
+    lo, hi = np.array([0.5] + [0.0] * (brackets - 1)), np.array([1.0] + [0.5 + 1e-9] * (brackets - 1))
+    f_lo, f_hi = lo - 0.5, hi - 0.5
+    f_lo[0] = np.nan
+    with pytest.raises(NumericalError, match="did not converge"):
+        _bracketed_roots(lambda x, _: x - 0.5, lo, hi, f_lo, f_hi, 1e-6, 32)
+
+
 #: Profiles of height 1 for tables: smooth (sech^2, Gaussian) and with a kink.
 PROFILES = {
     "sech2": lambda x: 1.0 / np.cosh(x) ** 2,
@@ -468,21 +573,22 @@ def node_count_levels(problem, n_max, config, rtol):
 
 
 @st.composite
-def wells(draw):
-    """A harmonic or Gaussian well whose levels 0..2 lie well below its rim,
+def wells(draw, top=2):
+    """A harmonic or Gaussian well whose levels 0..top lie well below its rim,
     with random m and hbar, on a domain off centre."""
     hbar = draw(st.floats(0.3, 1.5))
     if draw(st.booleans()):
         stiffness, mass = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 8.0))
-        # Three classical amplitudes of level 2 on either side, or more.
-        reach = 3.0 * math.sqrt(5.0 * hbar * math.sqrt(stiffness / mass) / stiffness)
+        # Three classical amplitudes of level top on either side, or more.
+        reach = 3.0 * math.sqrt((2 * top + 1) * hbar * math.sqrt(stiffness / mass) / stiffness)
         potential, center = HarmonicWell(stiffness=stiffness), 0.0
         left, right = reach * draw(st.floats(1.0, 1.5)), reach * draw(st.floats(1.0, 1.5))
     else:
         depth, width = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0))
         center = draw(st.floats(-2.0, 2.0))
-        # sqrt(2 m depth) width / hbar of 8-14 holds about 6-11 levels.
-        strength = draw(st.floats(8.0, 14.0))
+        # sqrt(2 m depth) width / hbar of 8-14 holds about 6-11 levels, and
+        # the levels grow about in step with it.
+        strength = draw(st.floats(8.0, 14.0)) * (top + 2) / 4
         mass = (strength * hbar / width) ** 2 / (2.0 * depth)
         potential = GaussianBump(amplitude=-depth, width=width, center=center)
         left, right = width * draw(st.floats(6.0, 9.0)), width * draw(st.floats(6.0, 9.0))
@@ -517,6 +623,15 @@ def reference_levels(problem, n_max):
 @given(wells())
 def test_wkb_levels_match_per_level_route(problem):
     assert quantize_levels(problem, 2) == pytest.approx(reference_levels(problem, 2), rel=1e-12)
+
+
+@PROPERTY
+@given(wells(top=7))
+def test_levels_do_not_depend_on_how_many_are_asked(problem):
+    # 1-3 levels are solved on the few-bracket path, 8 on arrays.
+    levels = quantize_levels(problem, 7)
+    for n in range(3):
+        assert quantize_levels(problem, n) == levels[: n + 1]
 
 
 
@@ -875,7 +990,8 @@ def test_spectral_phase_matches_the_accumulator(case):
     # the accumulator integrates p on its own, finer panels.
     problem, x0 = case
     nodes = _Nodes(problem, x0)
-    w, span, _ = nodes.phase(np.sqrt(2.0 * problem.context.mass * (problem.energy - nodes.v)))
+    p = np.sqrt(2.0 * problem.context.mass * (problem.energy - nodes.v))
+    w, span, _ = nodes.cumulative(p, from_x0=True)
     ref = _phase(problem, nodes.x.ravel(), x0)
     assert np.max(np.abs(w.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert span == pytest.approx(float(_phase(problem, [problem.domain[1]])[0]), rel=1e-12)

@@ -221,7 +221,6 @@ class TestOnceReflected:
         with pytest.raises(DomainError, match=r"^E = 2: the integrand has not decayed at the"):
             call(problem)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_energy_refused(self):
         for energy in (math.nan, math.inf):
             with pytest.raises(NumericalError, match=r"the oscillatory sum is not finite"):
