@@ -6,8 +6,11 @@ are decomposed at the left edge into incident plus reflected waves.  Bound
 states are bracketed by the node count of the real solution shot from the
 left edge (a Sturm count: the number of levels below E), and each level is
 then the root of the Wronskian of the solutions shot from both edges, which
-is smooth in E.  Fixed steps rather than adaptive control keep the emitted
-numbers bit-reproducible.
+is smooth in E.  One step of the root solver sets up every live level at
+once: the coefficients, the breakdown check and the Wronskian over the norms
+are arrays with one row per energy, and only the two half-shots of each
+energy are solved one by one.  Fixed steps rather than adaptive control keep
+the emitted numbers bit-reproducible.
 
 The three-term recurrence a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0,
 a_i = 1 + h^2 k_i^2 / 12 and b_i = 12 - 10 a_i, started from two known values
@@ -26,11 +29,14 @@ c = b_i / 2 a_i, per step, and an opaque barrier would carry |psi| past the
 double range.  The grid is therefore cut, in one vectorised pass, wherever
 the running sum of ln lambda_i passes a multiple of ln 1e150.  The sum runs
 over the forbidden rows |c| > 1 alone: every other row adds arccosh(1) = 0
-exactly, so no cut moves.  Each segment is one banded solve seeded from the
-previous segment's last two values divided by a power of two.  The division
-is exact, so the segmented solve is bit-for-bit a rescaled single solve, and
-the carried exponent keeps log|A| exact.  A problem whose |psi| stays far
-from overflow is one segment.
+exactly, so no cut moves.  Since c = 6 / a_i - 5, the growth of n rows is
+at most n arccosh max(|c|) over the least and the largest a_i; the pass runs
+only where that bound reaches half of ln 1e150, so a shot that cannot be cut
+costs its band and its solve alone.  Each segment is one banded solve seeded
+from the previous segment's last two values divided by a power of two.  The
+division is exact, so the segmented solve is bit-for-bit a rescaled single
+solve, and the carried exponent keeps log|A| exact.  A problem whose |psi|
+stays far from overflow is one segment.
 
 Closed-form transmissions for the rectangular and sech^2 barriers are
 provided as independent references the oracle is tested against; both are
@@ -40,7 +46,6 @@ than overflow where T leaves the double range.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -106,19 +111,50 @@ def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
 
 
 def _numerov_coefficients(xs, k2, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0, written
-    into the rows of ``out``, shape (2, len(k2)), if given."""
+    """(a, b) of a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0 for each
+    row of ``k2``, shape (n,) or (energies, n), written into ``out``, shape
+    (2, *k2.shape), if given (its a may be k2 itself).  Raises for the first
+    row where a <= 0."""
     h = xs[1] - xs[0]
-    a, b = np.empty((2, len(k2))) if out is None else out
-    np.multiply(h * h / 12.0, k2, out=a)
-    a += 1.0
-    if np.min(a) <= 0.0:
+    # a = 1 + h^2 k2 / 12 rises with k2, so its least value is that of the least k2.
+    low = np.ravel(np.min(k2, axis=-1))
+    broken = np.flatnonzero(h * h / 12.0 * low + 1.0 <= 0.0)
+    if broken.size:
         raise NumericalError(
-            f"Numerov step breaks down: h*kappa_max = {h * math.sqrt(-np.min(k2)):.3g} "
+            f"Numerov step breaks down: h*kappa_max = {h * math.sqrt(-low[broken[0]]):.3g} "
             ">= sqrt(12) makes 1 + h^2 k^2 / 12 <= 0 on the grid; refine the grid"
         )
+    a, b = np.empty((2, *k2.shape)) if out is None else out
+    np.multiply(h * h / 12.0, k2, out=a)
+    a += 1.0
     np.subtract(12.0, np.multiply(10.0, a, out=b), out=b)
     return a, b
+
+
+def _segment_starts(a, b, scratch) -> list[int]:
+    """The rows after the first at which :func:`_shoot` starts a new segment.
+
+    With b = 12 - 10 a, row i grows by arccosh|6 / a_i - 5|, largest at the
+    least or the largest a.  Where n - 2 rows of that growth stay below half
+    of :data:`_SEGMENT_GROWTH` (a margin far beyond the rounding of the
+    exact sum), no cut can occur and the exact pass is skipped.  ``scratch``
+    holds the n - 2 ratios of the exact pass.
+    """
+    n = len(a)
+    low, high = float(np.minimum.reduce(a)), float(np.maximum.reduce(a))
+    worst = max(abs(6.0 / low - 5.0), abs(6.0 / high - 5.0)) if low > 0.0 else math.inf
+    if (n - 2) * math.acosh(max(worst, 1.0)) < 0.5 * _SEGMENT_GROWTH:
+        return []
+    # An allowed row adds arccosh(1) = 0 to the growth, so summing only the
+    # forbidden rows moves no cut; the first row never starts a new segment.
+    ratio = np.multiply(2.0, a[1:-1], out=scratch[: n - 2])
+    ratio = np.abs(np.divide(b[1:-1], ratio, out=ratio), out=ratio)
+    forbidden = np.flatnonzero(ratio > 1.0)
+    growth = np.cumsum(np.arccosh(ratio[forbidden]))
+    if not growth.size or growth[-1] < _SEGMENT_GROWTH:
+        return []
+    cuts = forbidden[np.flatnonzero(np.diff(np.floor(growth / _SEGMENT_GROWTH), prepend=0.0))]
+    return cuts[cuts > 0].tolist()
 
 
 def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
@@ -129,42 +165,40 @@ def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
     banded solve seeded from the previous segment's last two rows; before it,
     every kept row solved so far is divided by the power of two that brings
     those seeds into [0.5, 1).  ``work``, (3 + ncol) len(a) floats if given,
-    holds the band and the right-hand side, which the solve overwrites.
+    holds the right-hand side and the band, which the solve overwrites; the
+    psi of a one-segment shot is a view of it, valid until its next use.
     """
     n, ncol = len(a), seeds.shape[1]
     first = 0 if rows is None else n - rows
     work = np.empty((3 + ncol) * n) if work is None else work
-    # An allowed row adds arccosh(1) = 0 to the growth, so summing only the
-    # forbidden rows moves no cut; the first row never starts a new segment.
-    ratio = np.multiply(2.0, a[1:-1], out=work[: n - 2])
-    ratio = np.abs(np.divide(b[1:-1], ratio, out=ratio), out=ratio)
-    forbidden = np.flatnonzero(ratio > 1.0)
-    growth = np.cumsum(np.arccosh(ratio[forbidden]))
-    cuts = forbidden[:0]
-    if growth.size and growth[-1] >= _SEGMENT_GROWTH:
-        cuts = forbidden[np.flatnonzero(np.diff(np.floor(growth / _SEGMENT_GROWTH), prepend=0.0))]
-        cuts = cuts[cuts > 0]
-    psi = np.empty((n - first, ncol))
+    starts = [0, *_segment_starts(a, b, work)]
+    psi = np.empty((n - first, ncol)) if len(starts) > 1 else None
     exponent = 0
-    for start, stop in zip([0, *cuts], [*(cuts + 2), n]):
-        _, shift = math.frexp(float(np.max(np.abs(seeds))))
-        solved = psi[: max(start - first, 0)]
-        np.ldexp(solved, -shift, out=solved)
+    for start, stop in zip(starts, [*(s + 2 for s in starts[1:]), n]):
+        # The exponent of the largest |seed|; frexp gives 0 for inf and for
+        # nan, which np.max would return for any nan seed.
+        magnitudes = [abs(seed) for seed in seeds.ravel().tolist()]
+        _, shift = math.frexp(math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes))
+        if start > first:
+            solved = psi[: start - first]
+            np.ldexp(solved, -shift, out=solved)
         exponent += shift
         # Lower band storage: column j holds A[j, j], A[j+1, j], A[j+2, j];
         # the first two rows are the identity on the seeds.
         size = stop - start
-        ab = work[: 3 * size].reshape((3, size), order="F")
+        rhs = work[: ncol * size].reshape(ncol, size).T
+        ab = work[ncol * size : (3 + ncol) * size].reshape(size, 3).T
         ab[0] = ab[2] = a[start:stop]
         np.negative(b[start:stop], out=ab[1])
         ab[0, :2] = 1.0
         ab[1, 0] = 0.0
-        rhs = work[3 * size : (3 + ncol) * size].reshape((size, ncol), order="F")
-        rhs[:2] = np.ldexp(seeds, -shift)
+        np.ldexp(seeds, -shift, out=rhs[:2])
         rhs[2:] = 0.0
         x, info = linalg.lapack.dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
         if info != 0:
             raise NumericalError(f"banded Numerov solve failed: LAPACK info = {info}")
+        if psi is None:
+            return x[first:], exponent
         if stop > first:
             kept = max(start, first)
             psi[kept - first : stop - first] = x[kept - start :]
@@ -283,9 +317,9 @@ def unitarity_defect(
     return t + r - 1.0
 
 
-def _count_nodes(a, b) -> int:
+def _count_nodes(a, b, work=None) -> int:
     """Interior sign changes of the real solution shot from the left edge."""
-    psi, _ = _shoot(a, b, _EDGE_SEEDS)
+    psi, _ = _shoot(a, b, _EDGE_SEEDS, work=work)
     negative = np.signbit(psi[1:, 0])
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
@@ -300,9 +334,10 @@ def solve_bound_states_exact(
     split at its midpoint only while it holds more than one level (a pair
     unresolved at width 1e-9 max(1, |E|) gets the midpoint).  An isolated
     level is the root, to 1e-12 relative plus 2e-12, of the Wronskian at the
-    bottom of V of the shots from both edges over their norms, smooth in E;
-    the shared solver (:func:`potential._bracketed_roots`) converges all
-    isolated levels in one call.
+    bottom of V of the shots from both edges over their norms, smooth in E.
+    All bracket ends are evaluated in one step, and the shared solver
+    (:func:`potential._bracketed_roots`) converges all isolated levels in
+    one call, each of its steps one evaluation of every live level.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -313,21 +348,11 @@ def solve_bound_states_exact(
     v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
     if v_edge <= v_min:
         raise SpectrumError("potential does not confine: no well below the edges")
+    work, coefficients = np.empty(4 * len(v)), np.empty((2, len(v)))
 
     def nodes_at(energy: float) -> int:
-        return _count_nodes(*_numerov_coefficients(xs, scale * (energy - v)))
-
-    @functools.cache
-    def mismatch(energy: float) -> float:
-        a, b = _numerov_coefficients(xs, scale * (energy - v))
-        left = _shoot(a[: j + 2], b[: j + 2], _EDGE_SEEDS)[0][:, 0]
-        right = _shoot(a[: j - 1 : -1], b[: j - 1 : -1], _EDGE_SEEDS)[0][::-1, 0]
-        # Scaled to their peaks so no square overflows; np.sum, not
-        # np.linalg.norm, whose BLAS dot wakes a thread pool (~5 ms a call
-        # on 20000 rows).
-        left, right = left / np.max(np.abs(left)), right / np.max(np.abs(right))
-        wronskian = left[j + 1] * right[0] - left[j] * right[1]
-        return wronskian / math.sqrt(np.sum(left * left) * np.sum(right * right))
+        k2 = np.multiply(np.subtract(energy, v, out=coefficients[0]), scale, out=coefficients[0])
+        return _count_nodes(*_numerov_coefficients(xs, k2, coefficients), work)
 
     floor = v_min + 1e-12 * max(1.0, abs(v_min))
     rim = v_edge - 1e-12 * max(1.0, abs(v_edge))
@@ -347,20 +372,50 @@ def solve_bound_states_exact(
             counts[mid] = nodes_at(mid)
         levels.append(mid)
         if counts[hi] - counts[lo] == 1:
-            f_lo, f_hi = mismatch(lo), mismatch(hi)
-            if f_lo * f_hi > 0.0:
-                raise NumericalError(
-                    f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
-                )
-            isolated.append((n, lo, hi, f_lo, f_hi))
-    if isolated:
-        ns, lo, hi, f_lo, f_hi = (np.array(column) for column in zip(*isolated))
-        roots = _bracketed_roots(
-            lambda es, _: [mismatch(e) for e in es[:, 0].tolist()], lo, hi, f_lo, f_hi,
-            2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
-        )
-        for n, root in zip(ns, roots.tolist()):
-            levels[n] = root
+            isolated.append((n, lo, hi))
+    if not isolated:
+        return levels
+    # Bracketing every level first raises what one level at a time would: a
+    # lower energy breaks the Numerov step down first, and every end but the
+    # floor was node-counted, so only the floor can raise below; the signs
+    # are then checked in level order.
+    ends = list(dict.fromkeys(e for _, lo, hi in isolated for e in (lo, hi)))
+    # One row per energy; the bracket ends are the most that come at once.
+    batch, halves = np.empty((2, len(ends), len(v))), np.empty((len(ends), len(v) + 2))
+
+    def mismatch(energies) -> np.ndarray:
+        count = len(energies)
+        a, b = batch[:, :count]
+        np.multiply(np.subtract(np.asarray(energies)[:, None], v, out=a), scale, out=a)
+        _numerov_coefficients(xs, a, (a, b))
+        left, right = halves[:count, : j + 2], halves[:count, j + 2 :]
+        for a_e, b_e, left_e, right_e in zip(a, b, left, right):
+            left_e[:] = _shoot(a_e[: j + 2], b_e[: j + 2], _EDGE_SEEDS, work=work)[0][:, 0]
+            shot = _shoot(a_e[: j - 1 : -1], b_e[: j - 1 : -1], _EDGE_SEEDS, work=work)[0]
+            right_e[::-1] = shot[:, 0]
+        # Scaled to their peaks so no square overflows; np.sum, not
+        # np.linalg.norm, whose BLAS dot wakes a thread pool (~5 ms a call
+        # on 20000 rows).
+        for half in (left, right):
+            half /= np.maximum(np.max(half, axis=1), -np.min(half, axis=1))[:, None]
+        wronskian = left[:, j + 1] * right[:, 0] - left[:, j] * right[:, 1]
+        norms = np.sum(np.square(left, out=left), axis=1)
+        norms *= np.sum(np.square(right, out=right), axis=1)
+        return wronskian / np.sqrt(norms)
+
+    at = dict(zip(ends, mismatch(ends).tolist()))
+    for n, lo, hi in isolated:
+        if at[lo] * at[hi] > 0.0:
+            raise NumericalError(
+                f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
+            )
+    ns, lo, hi = (np.array(column) for column in zip(*isolated))
+    roots = _bracketed_roots(
+        lambda es, _: mismatch(es[:, 0]), lo, hi, [at[e] for e in lo.tolist()],
+        [at[e] for e in hi.tolist()], 2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
+    )
+    for n, root in zip(ns, roots.tolist()):
+        levels[n] = root
     return levels
 
 

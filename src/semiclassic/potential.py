@@ -550,7 +550,7 @@ def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
 
 
 def _geometry(problem: ScatteringProblem) -> tuple:
-    """``(knots, xs, vs, runs)``: the extrema of V and the monotone runs between them.
+    """``(knots, kx, kv, xs, vs, runs)``: the extrema of V and the monotone runs between them.
 
     One vectorised pass over ``_SCAN_PANELS + 1`` samples finds where the
     slope of V changes sign (a flat run counts once).  Each extremum is the
@@ -558,9 +558,10 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     :func:`_bracketed_roots` call; where V' does not change sign there (a
     jump of SquareBarrier, a finite-difference slope) or its root is worse
     than the best sample, the best sample stands in.  ``knots`` are the
-    domain edges and the extrema as increasing (x, V) pairs; ``xs``, ``vs``
-    the samples with the extrema merged in.  Run k, from knot k to knot k + 1,
-    is ``(s, up, key, xtol)``: its first index in xs, +1 if V rises on it
+    domain edges and the extrema as increasing (x, V) pairs, ``kx`` and
+    ``kv`` the same as arrays; ``xs``, ``vs`` the samples with the extrema
+    merged in.  ``runs`` is ``(s, up, keys, xtol)``; entry k is of the run
+    from knot k to knot k + 1: its first index in xs, +1 if V rises on it
     else -1, up * V on it (increasing), and its root tolerance.  All of it
     depends on the potential and the domain only, so it is found once per
     domain and kept on the (frozen) potential instance, outside its fields:
@@ -594,11 +595,11 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     cuts = np.concatenate([[0], at + np.arange(len(at)), [len(xs) + len(at) - 1]])
     xs, vs = np.insert(xs, at, x_ext), np.insert(vs, at, v_ext)
     knots = tuple(zip(xs[cuts].tolist(), vs[cuts].tolist()))
-    runs = []
-    for (s, t), (x0, v0), (x1, v1) in zip(zip(cuts, cuts[1:]), knots, knots[1:]):
-        up = 1.0 if v1 > v0 else -1.0
-        runs.append((s, up, up * vs[s : t + 1], 4e-16 * max(1.0, abs(x0), abs(x1))))
-    stored[problem.domain] = (knots, xs, vs, tuple(runs))
+    kx, kv = xs[cuts], vs[cuts]
+    ups = np.where(kv[1:] > kv[:-1], 1.0, -1.0)
+    keys = tuple(up * vs[s : t + 1] for s, t, up in zip(cuts, cuts[1:], ups))
+    xtol = 4e-16 * np.maximum(1.0, np.maximum(np.abs(kx[:-1]), np.abs(kx[1:])))
+    stored[problem.domain] = (knots, kx, kv, xs, vs, (cuts[:-1], ups, keys, xtol))
     return stored[problem.domain]
 
 
@@ -619,19 +620,16 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     in one :func:`_bracketed_roots` call, each to 4e-16 max(1, |x|) over its
     run's ends.
     """
-    knots, xs, vs, runs = _geometry(problem)
+    _, kx, kv, xs, vs, (starts, ups, keys, tols) = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    kx, kv = np.array(knots).T
     # Column k: the root at knot k, or inside run k.
     roots = np.where(e[:, None] == kv, kx, np.nan)
     rows, cols = np.nonzero((kv[:-1] - e[:, None]) * (kv[1:] - e[:, None]) < 0.0)
     if len(rows):
         target = e[rows]
-        left, xtol = np.empty(len(rows), dtype=int), np.empty(len(rows))
-        for k, (s, up, key, tol) in enumerate(runs):
-            here = cols == k
-            left[here] = s - 1 + np.searchsorted(key, up * target[here])
-            xtol[here] = tol
+        # Column k: the samples of run k below each energy.
+        below = np.column_stack([np.searchsorted(key, up * e) for key, up in zip(keys, ups)])
+        left, xtol = starts[cols] - 1 + below[rows, cols], tols[cols]
         for blk in (slice(r, r + _ROOT_BLOCK) for r in range(0, len(rows), _ROOT_BLOCK)):
             e_blk, j = target[blk], left[blk]
             roots[rows[blk], cols[blk]] = _bracketed_roots(

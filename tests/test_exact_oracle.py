@@ -340,9 +340,9 @@ class TestBoundStates:
         rows = []
         shoot = exact_oracle._shoot
 
-        def counted(a, b, seeds):
+        def counted(a, b, seeds, **options):
             rows.append(len(a))
-            return shoot(a, b, seeds)
+            return shoot(a, b, seeds, **options)
 
         monkeypatch.setattr(exact_oracle, "_shoot", counted)
         problem = ScatteringProblem(

@@ -2,9 +2,11 @@
 batched scans and levels against the per-energy route (brentq per monotone
 piece, each half span accumulated alone), the root solver's float steps for a
 few brackets against its array steps, the banded Numerov oracle against
-the point-by-point recurrence, its bound states against node-count
-bisection, the over-barrier reflection sums against adaptive quadrature, and
-their spectral phase against the accumulator and exact arithmetic.
+the point-by-point recurrence, its shot against the shot that always runs
+the growth pass, its levels against node-count bisection and against the
+route that sets up one energy at a time, the over-barrier reflection sums
+against adaptive quadrature, and their spectral phase against the
+accumulator and exact arithmetic.
 
 Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
@@ -14,8 +16,11 @@ Tabulated sech^2, Gaussian and kinked profiles (20 to 2000 knots), as
 barriers and as wells, check the opacity and well action on their fixed
 panels against the accumulator.  The oracle properties draw Eckart,
 Gaussian and square barriers with energies below and above the top, and
-harmonic and Gaussian wells on domains off centre.  The reflection
-properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
+harmonic and Gaussian wells on domains off centre; the shot property draws
+coefficient profiles around an opaque stretch of 0-3 times the segment
+growth, and the level route harmonic (some past the Numerov breakdown),
+inverted Gaussian and tabulated double wells on 1001-8001 points.  The
+reflection properties draw weak Gaussian and Eckart bumps far below E, at k d up to 5
 where |R| is resolved (and from 15 to 20 where it must be refused); the spectral
 phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
 their top, and converged Picard iteration full Eckart barriers there, checked
@@ -25,16 +30,19 @@ Gaussian barriers on domains cut 1.5 to 14 widths from their centre.
 
 import cmath
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 from scipy import integrate
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from semiclassic import (
@@ -48,6 +56,8 @@ from semiclassic import (
     ParabolicBarrier,
     PhysicalContext,
     ScatteringProblem,
+    SemiclassicError,
+    SpectrumError,
     SquareBarrier,
     TabulatedPotential,
     action_integral,
@@ -68,7 +78,8 @@ from semiclassic import (
     solve_bound_states_exact,
     solve_scattering_exact,
 )
-from semiclassic.exact_oracle import _count_nodes, _numerov_coefficients
+from semiclassic import exact_oracle
+from semiclassic.exact_oracle import _EDGE_SEEDS, _count_nodes, _numerov_coefficients
 from semiclassic.potential import _FEW_ROOTS, _bracketed_roots, _knots, _turning_points
 from semiclassic.reflection import (
     _LAGRANGE_INTEGRALS,
@@ -654,6 +665,232 @@ def test_node_count_steps_at_each_level(problem):
         below, above = e - 1e-8 * abs(e), e + 1e-8 * abs(e)
         assert _count_nodes(*_numerov_coefficients(xs, scale * (below - v))) == n
         assert _count_nodes(*_numerov_coefficients(xs, scale * (above - v))) == n + 1
+
+
+def reference_shoot(a, b, seeds, rows=None):
+    """The Numerov shot with the exact growth pass on every call: the
+    reference for the shot that skips it where no cut can occur."""
+    n, ncol = len(a), seeds.shape[1]
+    first = 0 if rows is None else n - rows
+    bound = exact_oracle._SEGMENT_GROWTH
+    ratio = np.abs(b[1:-1] / np.multiply(2.0, a[1:-1]))
+    forbidden = np.flatnonzero(ratio > 1.0)
+    growth = np.cumsum(np.arccosh(ratio[forbidden]))
+    cuts = forbidden[:0]
+    if growth.size and growth[-1] >= bound:
+        cuts = forbidden[np.flatnonzero(np.diff(np.floor(growth / bound), prepend=0.0))]
+        cuts = cuts[cuts > 0]
+    psi = np.empty((n - first, ncol))
+    exponent = 0
+    for start, stop in zip([0, *cuts], [*(cuts + 2), n]):
+        _, shift = math.frexp(float(np.max(np.abs(seeds))))
+        solved = psi[: max(start - first, 0)]
+        np.ldexp(solved, -shift, out=solved)
+        exponent += shift
+        size = stop - start
+        ab = np.empty((3, size), order="F")
+        ab[0] = ab[2] = a[start:stop]
+        np.negative(b[start:stop], out=ab[1])
+        ab[0, :2] = 1.0
+        ab[1, 0] = 0.0
+        rhs = np.zeros((size, ncol), order="F")
+        rhs[:2] = np.ldexp(seeds, -shift)
+        x, info = lapack.dtbtrs(ab, rhs, uplo="L")
+        assert info == 0
+        if stop > first:
+            kept = max(start, first)
+            psi[kept - first : stop - first] = x[kept - start :]
+        seeds = x[-2:].copy()
+    return psi, exponent
+
+
+@st.composite
+def numerov_profiles(draw):
+    """(a, seeds, bound): Numerov coefficients of allowed (1 <= a <= 1.5),
+    forbidden (a < 1) and a > 1.5 stretches around one opaque stretch whose
+    growth is about 0, 0.25, 0.5, 1 or 3 times the segment bound (just below,
+    at or just above it), and two seeds of one or two columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.sampled_from([exact_oracle._SEGMENT_GROWTH, 40.0, 5.0]))
+    kinds = [(1.0, 1.5), (0.5, 1.0), (1.5, 1.9)]
+    stretches = [
+        rng.uniform(*draw(st.sampled_from(kinds)), draw(st.integers(1, 40)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    opaque = draw(st.floats(0.1, 0.95))
+    multiple = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
+    multiple *= draw(st.sampled_from([0.9, 0.999, 1.0, 1.001, 1.1]))
+    size = round(multiple * bound / math.acosh(6.0 / opaque - 5.0))
+    stretches.insert(draw(st.integers(0, len(stretches))), np.full(size, opaque))
+    a = np.concatenate([rng.uniform(1.0, 1.5, 3), *stretches, rng.uniform(1.0, 1.5, 3)])
+    seeds = rng.normal(size=(2, draw(st.integers(1, 2)))) * 10.0 ** draw(st.integers(-8, 8))
+    return a, seeds, bound
+
+
+@PROPERTY
+@given(numerov_profiles())
+def test_shot_matches_the_shot_with_the_growth_pass(case):
+    # Same cuts, so the same bits and the same exponent, whether or not the
+    # growth bound lets the shot skip its exact growth pass.
+    a, seeds, bound = case
+    b = 12.0 - 10.0 * a
+    with mock.patch.object(exact_oracle, "_SEGMENT_GROWTH", bound):
+        for rows in (None, 2, 5):
+            psi, exponent = exact_oracle._shoot(a, b, seeds, rows)
+            expected, expected_exponent = reference_shoot(a, b, seeds, rows)
+            assert exponent == expected_exponent
+            assert np.ascontiguousarray(psi).tobytes() == expected.tobytes()
+
+
+def per_energy_coefficients(xs, k2):
+    """Numerov's (a, b) for one energy, its breakdown checked on a itself."""
+    h = xs[1] - xs[0]
+    a = h * h / 12.0 * k2 + 1.0
+    if np.min(a) <= 0.0:
+        raise NumericalError(
+            f"Numerov step breaks down: h*kappa_max = {h * math.sqrt(-np.min(k2)):.3g} "
+            ">= sqrt(12) makes 1 + h^2 k^2 / 12 <= 0 on the grid; refine the grid"
+        )
+    return a, 12.0 - 10.0 * a
+
+
+def per_energy_levels(problem, n_max, config):
+    """solve_bound_states_exact with the Wronskian evaluated one energy at a
+    time, each bracket's ends checked before the next level is bracketed: the
+    reference for the batched evaluation of all live levels."""
+    xs = np.linspace(*problem.domain, config.grid_points)
+    v = problem.v(xs)
+    scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    j = int(np.argmin(v))
+    v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
+    if v_edge <= v_min:
+        raise SpectrumError("potential does not confine: no well below the edges")
+
+    def nodes_at(energy):
+        return _count_nodes(*per_energy_coefficients(xs, scale * (energy - v)))
+
+    @functools.cache
+    def mismatch(energy):
+        a, b = per_energy_coefficients(xs, scale * (energy - v))
+        left = exact_oracle._shoot(a[: j + 2], b[: j + 2], _EDGE_SEEDS)[0][:, 0]
+        right = exact_oracle._shoot(a[: j - 1 : -1], b[: j - 1 : -1], _EDGE_SEEDS)[0][::-1, 0]
+        left, right = left / np.max(np.abs(left)), right / np.max(np.abs(right))
+        wronskian = left[j + 1] * right[0] - left[j] * right[1]
+        return wronskian / math.sqrt(np.sum(left * left) * np.sum(right * right))
+
+    floor = v_min + 1e-12 * max(1.0, abs(v_min))
+    rim = v_edge - 1e-12 * max(1.0, abs(v_edge))
+    counts = {floor: 0, rim: nodes_at(rim)}
+    if counts[rim] <= n_max:
+        raise SpectrumError(
+            f"the well holds fewer than {n_max + 1} levels below its rim on this domain"
+        )
+    levels, isolated = [], []
+    for n in range(n_max + 1):
+        while True:
+            lo = max(e for e, c in counts.items() if c <= n)
+            hi = min(e for e, c in counts.items() if c > n)
+            mid = 0.5 * (lo + hi)
+            if counts[hi] - counts[lo] == 1 or hi - lo <= 1e-9 * max(1.0, abs(mid)):
+                break
+            counts[mid] = nodes_at(mid)
+        levels.append(mid)
+        if counts[hi] - counts[lo] == 1:
+            f_lo, f_hi = mismatch(lo), mismatch(hi)
+            if f_lo * f_hi > 0.0:
+                raise NumericalError(
+                    f"Wronskian does not change sign across level {n} in [{lo:g}, {hi:g}]"
+                )
+            isolated.append((n, lo, hi, f_lo, f_hi))
+    if isolated:
+        ns, lo, hi, f_lo, f_hi = (np.array(column) for column in zip(*isolated))
+        roots = _bracketed_roots(
+            lambda es, _: [mismatch(e) for e in es[:, 0].tolist()], lo, hi, f_lo, f_hi,
+            2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
+        )
+        for n, root in zip(ns, roots.tolist()):
+            levels[n] = root
+    return levels
+
+
+def levels_or_error(problem, n_max, config, solve):
+    try:
+        return solve(problem, n_max, config)
+    except SemiclassicError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def oracle_wells(draw):
+    """(problem, n_max, config): a harmonic, inverted Gaussian or tabulated
+    double well on 1001-8001 points.  Harmonic wells are drawn by how far
+    h kappa at the bottom lies past the breakdown at sqrt(12), so that some
+    break down in a node count, some only at the bottom (in a Wronskian),
+    and most nowhere."""
+    points = 2 * draw(st.integers(500, 4000)) + 1
+    hbar = draw(st.floats(0.5, 1.5))
+    form = draw(st.sampled_from(["harmonic", "harmonic", "gaussian", "double"]))
+    if form == "harmonic":
+        stiffness, reach = draw(st.floats(0.5, 4.0)), draw(st.floats(3.0, 8.0))
+        h = 2.0 * reach / (points - 1)
+        # (h kappa)^2 / 12 at the bottom: past 1 (and up to E_0 / V_edge past
+        # it) breaks down only there, further past it in a node count too.
+        past = draw(st.sampled_from([(0.02, 0.9)] * 4 + [(1.0, 1.0 + 3e-4), (1.0, 1.5)]))
+        mass = 12.0 * draw(st.floats(*past)) * hbar**2 / (h * h * stiffness * reach * reach)
+        potential, domain = HarmonicWell(stiffness=stiffness), (-reach, reach)
+    elif form == "gaussian":
+        depth, width = draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 2.0))
+        mass = draw(st.floats(0.5, 30.0))
+        potential = GaussianBump(amplitude=-depth, width=width, center=draw(st.floats(-1.0, 1.0)))
+        domain = (-draw(st.floats(4.0, 9.0)) * width, draw(st.floats(4.0, 9.0)) * width)
+    else:
+        samples = np.linspace(-4.0, 4.0, 401)
+        tilt = draw(st.floats(-0.3, 0.3))
+        potential = TabulatedPotential(samples, 0.25 * (samples**2 - 4.0) ** 2 + tilt * samples)
+        mass, domain = draw(st.floats(0.5, 16.0)), (-4.0, 4.0)
+    problem = ScatteringProblem(
+        potential=potential, energy=0.0, domain=domain,
+        context=PhysicalContext(mass=mass, hbar=hbar),
+    )
+    return problem, draw(st.integers(0, 5)), OracleConfig(grid_points=points)
+
+
+def harmonic_well(reach, points, mass, n_max):
+    problem = ScatteringProblem(
+        potential=HarmonicWell(stiffness=1.0), energy=0.0, domain=(-reach, reach),
+        context=PhysicalContext(mass=mass, hbar=1.0),
+    )
+    return problem, n_max, OracleConfig(grid_points=points)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(oracle_wells())
+# Shots that need cuts; a breakdown met only at the bottom, in a Wronskian
+# (h kappa)^2 / 12 = 1.0001 there, named by its full-grid h*kappa_max.
+@example(harmonic_well(40.0, 8001, 1.0, 5))
+@example(harmonic_well(6.0, 1001, 12.0 * 1.0001 / (0.012**2 * 36.0), 3))
+def test_batched_levels_match_the_per_energy_route(case):
+    # The same levels bit for bit, or the same error and message.
+    expected = levels_or_error(*case, per_energy_levels)
+    assert levels_or_error(*case, solve_bound_states_exact) == expected
+
+
+def test_a_wronskian_without_a_sign_change_is_raised_for_its_level():
+    # Half-shots replaced by ramps rising from each edge: W > 0 at every
+    # energy, which both routes report, after their node counts, for level 0.
+    case = harmonic_well(6.0, 1001, 4.0, 2)
+    full = case[2].grid_points
+    shoot = exact_oracle._shoot
+
+    def ramps(a, b, seeds, **options):
+        if len(a) < full:
+            return np.arange(1.0, len(a) + 1.0)[:, None], 0
+        return shoot(a, b, seeds, **options)
+
+    with mock.patch.object(exact_oracle, "_shoot", ramps):
+        expected = levels_or_error(*case, per_energy_levels)
+        assert expected[0] is NumericalError and "across level 0" in expected[1]
+        assert levels_or_error(*case, solve_bound_states_exact) == expected
 
 
 @st.composite
