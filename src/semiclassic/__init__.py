@@ -17,7 +17,6 @@ from .errors import (
     NoBarrierError,
     NumericalError,
     OrientationError,
-    PoleError,
     RangeError,
     RegimeError,
     RegionError,
@@ -55,14 +54,12 @@ from .special_fn import (
 from .wkb_core import (
     Method,
     TransmissionReport,
-    WkbTerms,
     action_integral,
     barrier_integral,
     opacities,
     quantize,
     quantize_levels,
     transmission_leading,
-    wkb_terms,
     wkb_wavefunction,
 )
 from .connection import (
@@ -80,19 +77,15 @@ from .connection import (
 )
 from .reflection import (
     EffectivePerturbation,
-    PhaseGrid,
     PicardAmplitudes,
     born_amplitudes,
     born_first_order,
     differential_reflection,
     effective_perturbation,
-    effective_perturbation_forms,
     effective_perturbation_profile,
     matrix_element,
-    momentum_propagator,
     once_reflected_coefficient,
     once_reflected_coefficients,
-    phase_transform,
     picard_amplitudes,
 )
 from .exact_oracle import (

@@ -36,6 +36,8 @@ from .potential import (
     PhysicalContext,
     ScatteringProblem,
     TurningPoints,
+    _require_count,
+    _require_finite,
     exclusion_radius,
     find_turning_points,
 )
@@ -322,8 +324,7 @@ def patched_barrier_solution(
     """
     if incident_side not in ("left", "right"):
         raise DomainError(f"incident_side must be 'left' or 'right', got {incident_side!r}")
-    if n_per_region < 0:
-        raise DomainError(f"n_per_region must be >= 0, got {n_per_region}")
+    n_per_region = _require_count(n_per_region, "n_per_region")
     b_amp = _amplitude(outgoing_amplitude)
     # Raises NoBarrierError unless a barrier lies between two turning points.
     sigma_star = barrier_integral(problem)
@@ -337,7 +338,7 @@ def patched_barrier_solution(
     if xs is None:
         xs = _default_grid(problem, tp, n_per_region)
     else:
-        xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
+        xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
         assert_outside_exclusion(problem, xs)
 
     m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar

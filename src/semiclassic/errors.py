@@ -96,12 +96,6 @@ class RangeError(SemiclassicError):
     code = "E_RANGE"
 
 
-class PoleError(SemiclassicError):
-    """Evaluation too close to a propagator pole."""
-
-    code = "E_POLE"
-
-
 class MatchingError(SemiclassicError):
     """Asymptotic matching failed (potential not flat at the domain edges)."""
 

@@ -61,7 +61,15 @@ from .errors import (
     NumericalError,
     SpectrumError,
 )
-from .potential import ScatteringProblem, _bracketed_roots, find_turning_points
+from .potential import (
+    EckartBarrier,
+    PhysicalContext,
+    ScatteringProblem,
+    SquareBarrier,
+    _bracketed_roots,
+    _require_count,
+    find_turning_points,
+)
 from .wkb_core import Method, TransmissionReport
 
 linalg = lazy("scipy.linalg")
@@ -339,8 +347,7 @@ def solve_bound_states_exact(
     (:func:`potential._bracketed_roots`) converges all isolated levels in
     one call, each of its steps one evaluation of every live level.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _require_count(n_max, "n_max")
     config = config or OracleConfig()
     xs, v = _grid_and_potential(problem, config)
     scale = 2.0 * problem.context.mass / problem.context.hbar**2
@@ -444,12 +451,21 @@ def _logistic(w: float) -> float:
     return 1.0 / (1.0 + math.exp(w))
 
 
+def _closed_form_arguments(model, height, width, energy, mass, hbar) -> None:
+    """Refuse, with :class:`DomainError`, what ``model`` or :class:`PhysicalContext`
+    refuse (a height, width, mass or hbar not finite; a width, mass or hbar <= 0),
+    and an E that is not positive and finite."""
+    model(height=height, width=width)
+    PhysicalContext(mass=mass, hbar=hbar)
+    if not (energy > 0.0 and math.isfinite(energy)):
+        raise DomainError(f"E must be positive and finite, got {energy}")
+
+
 def analytic_square_barrier_transmission(
     height: float, width: float, energy: float, mass: float = 1.0, hbar: float = 1.0
 ) -> float:
     """Closed-form T for the rectangular barrier (any E > 0)."""
-    if energy <= 0.0:
-        raise DomainError("analytic square barrier: E must be positive")
+    _closed_form_arguments(SquareBarrier, height, width, energy, mass, hbar)
     v0, l = height, width
     if energy < v0:
         # 1 / (1 + q sinh^2(kappa L)) as a logistic of ln(q sinh^2), which stays finite.
@@ -467,8 +483,7 @@ def analytic_eckart_transmission(
     height: float, width: float, energy: float, mass: float = 1.0, hbar: float = 1.0
 ) -> float:
     """Closed-form T for V = V0 sech^2(x/d) (any E > 0)."""
-    if energy <= 0.0:
-        raise DomainError("analytic Eckart barrier: E must be positive")
+    _closed_form_arguments(EckartBarrier, height, width, energy, mass, hbar)
     k = math.sqrt(2.0 * mass * energy) / hbar
     g = 8.0 * mass * height * width * width / (hbar * hbar)
     # T = sinh^2(pi k d) / (sinh^2(pi k d) + D^2) = 1 / (1 + (D / sinh)^2), with

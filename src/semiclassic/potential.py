@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,24 +376,40 @@ class TurningPoints:
     count: int
 
 
+def _require_finite(x, what: str = "x") -> np.ndarray:
+    """x as a float array; a point that is not finite raises :class:`DomainError`."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise DomainError(f"{what} must be finite")
+    return xa
+
+
+def _require_count(n, what: str, least: int = 0) -> int:
+    """n as an int; a non-integer or one below ``least`` raises :class:`DomainError`."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise DomainError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
 def evaluate(potential: PotentialModel, x):
     """V(x)."""
-    if np.any(~np.isfinite(np.asarray(x, dtype=float))):
-        raise DomainError("x must be finite")
+    _require_finite(x)
     return potential.value(x)
 
 
 def derivative(potential: PotentialModel, x):
     """dV/dx."""
-    if np.any(~np.isfinite(np.asarray(x, dtype=float))):
-        raise DomainError("x must be finite")
+    _require_finite(x)
     return potential.derivative(x)
 
 
 def second_derivative(potential: PotentialModel, x):
     """d2V/dx2."""
-    if np.any(~np.isfinite(np.asarray(x, dtype=float))):
-        raise DomainError("x must be finite")
+    _require_finite(x)
     return potential.second_derivative(x)
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legint, legval, legvander
 
-from .errors import DomainError, NumericalError, PoleError, RegimeError
-from .potential import PhysicalContext, ScatteringProblem, _knots
+from .errors import DomainError, NumericalError, RegimeError
+from .potential import ScatteringProblem, _knots, _require_count, _require_finite
 from .wkb_core import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -55,21 +55,17 @@ from .wkb_core import (
 )
 
 __all__ = [
-    "PhaseGrid",
     "EffectivePerturbation",
     "PicardAmplitudes",
     "differential_reflection",
-    "phase_transform",
     "picard_amplitudes",
     "once_reflected_coefficient",
     "once_reflected_coefficients",
     "effective_perturbation",
-    "effective_perturbation_forms",
     "effective_perturbation_profile",
     "matrix_element",
     "born_first_order",
     "born_amplitudes",
-    "momentum_propagator",
 ]
 
 #: Panels of the reflection sums over the domain.  On the weak bumps of the
@@ -94,25 +90,6 @@ _LAGRANGE_INTEGRALS = legint(
 #: The spectral integration matrix, transposed: (p @ _SPECTRAL)[i] is the
 #: integral of p's interpolant from -1 to node t_i.
 _SPECTRAL = legval(_GL_NODES, _LAGRANGE_INTEGRALS)
-
-
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Positions, accumulated action w(x0, x), and momenta on a grid."""
-
-    xs: np.ndarray
-    ws: np.ndarray
-    ps: np.ndarray
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        ws = np.asarray(self.ws, dtype=float)
-        ps = np.asarray(self.ps, dtype=float)
-        if not (len(xs) == len(ws) == len(ps)):
-            raise DomainError("phase grid columns must have equal length")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ws", ws)
-        object.__setattr__(self, "ps", ps)
 
 
 @dataclass(frozen=True)
@@ -319,26 +296,6 @@ def _sum(nodes: _Nodes, energy: float, dk: float, integrand):
     return terms, total
 
 
-def phase_transform(
-    problem: ScatteringProblem, n_points: int = 4097, x0: float | None = None
-) -> PhaseGrid:
-    """Grid of (x, w, p) with w the action measured from x0 (default: left edge).
-
-    w comes from the shared action accumulator at the grid points; an x0
-    outside the domain is rejected.  In the phase variable the wave equation reads
-    d^2 phi/dw^2 + [1/hbar^2 + Vtilde(w)] phi = 0 after the amplitude
-    rescaling phi = sqrt(p/hbar) psi; Vtilde is exposed by
-    :func:`effective_perturbation`.
-    """
-    _require_over_barrier(problem, problem.energy)
-    if n_points < 0:
-        raise DomainError(f"n_points must be >= 0, got {n_points}")
-    xs = np.linspace(*problem.domain, n_points)
-    m, e = problem.context.mass, problem.energy
-    ps = np.sqrt(2.0 * m * (e - problem.v(xs)))
-    return PhaseGrid(xs=xs, ws=_phase(problem, xs, x0), ps=ps)
-
-
 def picard_amplitudes(
     problem: ScatteringProblem, iterations: int, tol: float = 1e-10, x0: float | None = None
 ) -> PicardAmplitudes:
@@ -353,8 +310,7 @@ def picard_amplitudes(
     Iteration stops at ``iterations`` or when the largest relative change
     drops below ``tol``.
     """
-    if iterations < 1:
-        raise DomainError(f"iterations must be >= 1, got {iterations}")
+    iterations = _require_count(iterations, "iterations", 1)
     _require_smooth(problem)
     nodes = _Nodes(problem, x0)
     coupling, _ = _once_reflected(nodes, problem.energy)
@@ -414,53 +370,24 @@ def once_reflected_coefficients(
     return np.array([-_once_reflected(nodes, e)[1] for e in energies], dtype=complex)
 
 
-def effective_perturbation_forms(problem: ScatteringProblem, x: float):
-    """The three algebraically equivalent forms of the residual potential.
-
-    Returns (direct, sigma1_route, sigma2_route): the momentum-derivative
-    form, the form (sigma1'' + sigma1'^2)/sigma0'^2 evaluated by finite
-    differences of sigma1 = -ln sqrt(p) with step 1e-3 max(1, |x|) (an
-    independent numerical route), and -(2/p) sigma2' with sigma2' recovered
-    from the direct value (the identity the expansion's second-order term is
-    housed through).
-    """
-    direct = effective_perturbation(problem, x)
-    h = 1e-3 * max(1.0, abs(x))
-    stencil = x + h * np.arange(-2.0, 3.0)
-    p2s = 2.0 * problem.context.mass * (problem.energy - problem.v(stencil))
-    bad = np.flatnonzero(p2s <= 0.0)
-    if bad.size:
-        raise DomainError(f"sigma1 undefined in forbidden region at x = {stencil[bad[0]]:g}")
-    s = -0.25 * np.log(p2s)  # sigma1 on the five-point stencil
-    s1p = (s[0] - 8 * s[1] + 8 * s[3] - s[4]) / (12 * h)
-    s1pp = (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * h * h)
-    p2 = float(p2s[2])
-    sigma1_route = float((s1pp + s1p * s1p) / p2)
-
-    p = math.sqrt(p2)
-    sigma2_prime = -0.5 * p * direct
-    sigma2_route = -(2.0 / p) * sigma2_prime
-    return direct, sigma1_route, sigma2_route
-
-
 def effective_perturbation_profile(
     problem: ScatteringProblem, xs, x0: float | None = None
 ) -> EffectivePerturbation:
-    """Vtilde sampled against the phase variable w measured from x0."""
-    _require_over_barrier_or_allowed(problem, xs)
-    xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
-    return EffectivePerturbation(
-        ws=_phase(problem, xs, x0), values=effective_perturbation(problem, xs)
-    )
+    """Vtilde sampled against the phase variable w measured from x0.
 
-
-def _require_over_barrier_or_allowed(problem: ScatteringProblem, xs) -> None:
-    v = problem.v(np.atleast_1d(np.asarray(xs, dtype=float)))
-    if np.any(problem.energy <= v) or problem.energy < _v_max(problem):
+    In the phase variable the wave equation reads
+    d^2 phi/dw^2 + [1/hbar^2 + Vtilde(w)] phi = 0 after the amplitude
+    rescaling phi = sqrt(p/hbar) psi.
+    """
+    xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
+    if np.any(problem.energy <= problem.v(xs)) or problem.energy < _v_max(problem):
         raise RegimeError(
             "all sample points, and the domain the phase is accumulated "
             "over, must be classically allowed"
         )
+    return EffectivePerturbation(
+        ws=_phase(problem, xs, x0), values=effective_perturbation(problem, xs)
+    )
 
 
 def matrix_element(
@@ -525,15 +452,3 @@ def born_amplitudes(
     refuse a v as :func:`_sum` says."""
     return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
 
-
-def momentum_propagator(k: float, context: PhysicalContext = PhysicalContext()) -> float:
-    """Free propagator hbar^2 / (2 pi (1 - (hbar k)^2)) in the phase variable.
-
-    Real poles sit at hbar k = +/-1 and no contour prescription is adopted,
-    so evaluation within 1e-6 of a pole is refused; no perturbation series
-    is built on top of this function.
-    """
-    hk = context.hbar * k
-    if min(abs(hk - 1.0), abs(hk + 1.0)) < 1e-6:
-        raise PoleError(f"hbar k = {hk:g} is within 1e-6 of a propagator pole")
-    return context.hbar**2 / (2.0 * math.pi * (1.0 - hk * hk))

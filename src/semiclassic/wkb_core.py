@@ -1,4 +1,4 @@
-"""Action integrals, WKB expansion terms, leading transmission, quantization.
+"""Action integrals, leading transmission, quantization.
 
 Quadrature policy: every action and decay integral is a 10-point
 Gauss-Legendre sum: cumulative along one span on panels sized by the domain
@@ -33,6 +33,8 @@ from .potential import (
     _bracketed_roots,
     _knots,
     _multi_well,
+    _require_count,
+    _require_finite,
     _turning_points,
     exclusion_radius,
     find_turning_points,
@@ -40,12 +42,10 @@ from .potential import (
 
 __all__ = [
     "Method",
-    "WkbTerms",
     "TransmissionReport",
     "action_integral",
     "barrier_integral",
     "opacities",
-    "wkb_terms",
     "wkb_wavefunction",
     "transmission_leading",
     "quantize",
@@ -97,21 +97,6 @@ class Method(enum.Enum):
     WKB_CORRECTED = "wkb-corrected"
     CONNECTION_PATCHED = "connection"
     EXACT_NUMEROV = "exact"
-
-
-@dataclass(frozen=True)
-class WkbTerms:
-    """Leading terms of the phase expansion at one point.
-
-    sigma0 is the accumulated action w(x0, x); sigma1 = -ln sqrt(p);
-    sigma2_prime is recovered from the effective perturbation via
-    sigma2' = -p Vtilde / 2.
-    """
-
-    sigma0: float
-    sigma1: float
-    sigma2_prime: float
-    evaluation_point: float
 
 
 @dataclass(frozen=True)
@@ -222,6 +207,7 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
     turning point is an error: the path must stay inside one allowed region,
     though either endpoint may sit exactly on a turning point.
     """
+    _require_finite([x0, x], "x0 and x")
     if x == x0:
         return 0.0
     sign = 1.0 if x > x0 else -1.0
@@ -329,23 +315,6 @@ def _vtilde(m: float, e: float, x, v, dv, d2v):
     return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
 
 
-def wkb_terms(problem: ScatteringProblem, x0: float, x: float) -> WkbTerms:
-    """Accumulated action, amplitude log-term, and the sigma2' residual at x.
-
-    Both x0 and x must lie in the classically allowed region, outside every
-    turning-point exclusion zone.
-    """
-    assert_outside_exclusion(problem, [x0, x])
-    sigma0 = action_integral(problem, x0, x)
-    m = problem.context.mass
-    p = math.sqrt(2.0 * m * (problem.energy - problem.v(x)))
-    sigma1 = -math.log(math.sqrt(p))
-    sigma2_prime = -0.5 * p * effective_perturbation(problem, x)
-    return WkbTerms(
-        sigma0=sigma0, sigma1=sigma1, sigma2_prime=sigma2_prime, evaluation_point=x
-    )
-
-
 def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
     """First-order WKB wave on a set of points sharing one region with x0.
 
@@ -359,14 +328,12 @@ def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
     c_plus = complex(amplitudes.c_plus if hasattr(amplitudes, "c_plus") else amplitudes[0])
     c_minus = complex(amplitudes.c_minus if hasattr(amplitudes, "c_minus") else amplitudes[1])
 
-    xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
-    if not (np.all(np.isfinite(xs)) and math.isfinite(x0)):
-        raise DomainError(f"the points and x0 = {x0:g} must be finite")
+    xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
+    _require_finite(x0, "x0")
     tp = assert_outside_exclusion(problem, xs)
     assert_outside_exclusion(problem, [x0])
 
-    span_lo = min(float(xs[0]), x0)
-    span_hi = max(float(xs[-1]), x0)
+    span_lo, span_hi = np.min(xs, initial=x0), np.max(xs, initial=x0)
     for x_c in (tp.a, tp.b):
         if x_c is not None and span_lo < x_c < span_hi:
             raise RegionError(
@@ -475,8 +442,7 @@ def quantize(
     potential and domain; each trial energy only brackets its two turning
     points between them.
     """
-    if n < 0:
-        raise DomainError(f"quantum number must be nonnegative, got {n}")
+    n = _require_count(n, "n")
     e_lo, e_hi = bracket
     if not e_lo < e_hi:
         raise BracketError(f"empty bracket {bracket}")
@@ -493,8 +459,7 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     root-solver call converges all the levels at once, as :func:`quantize`
     converges one.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _require_count(n_max, "n_max")
     vs = [v for _, v in _knots(problem)]
     v_min = min(vs)
     rim = min(vs[0], vs[-1])

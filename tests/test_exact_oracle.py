@@ -66,6 +66,29 @@ class TestAnalyticReferences:
             analytic_square_barrier_transmission(1.0, 2.0, 0.0)
 
     @pytest.mark.parametrize(
+        "closed_form", [analytic_square_barrier_transmission, analytic_eckart_transmission]
+    )
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            ((1.0, 1.0, math.nan), "E must be positive and finite"),
+            ((1.0, 1.0, math.inf), "E must be positive and finite"),
+            ((1.0, 1.0, -0.5), "E must be positive and finite"),
+            ((math.nan, 1.0, 0.5), "height must be finite"),
+            ((1.0, math.inf, 0.5), "width must be strictly positive"),
+            ((1.0, 0.0, 0.5), "width must be strictly positive"),
+            ((1.0, 1.0, 0.5, 0.0), "mass must be positive and finite"),
+            ((1.0, 1.0, 0.5, math.nan), "mass must be positive and finite"),
+            ((1.0, 1.0, 0.5, 1.0, -1.0), "hbar must be positive and finite"),
+        ],
+    )
+    def test_bad_arguments_refused(self, closed_form, args, what):
+        # Before, nan read as E = V0 (0.6667) or came back as nan, and a zero
+        # width or mass raised a bare math domain error.
+        with pytest.raises(DomainError, match=what):
+            closed_form(*args)
+
+    @pytest.mark.parametrize(
         "closed_form, args",
         [
             (analytic_eckart_transmission, (400.0, 10.0, 200.0)),  # T ~ 8.8e-227

@@ -75,6 +75,28 @@ def test_every_public_name_of_the_package_resolves():
         assert getattr(semiclassic, name) is getattr(source, name), name
 
 
+def test_every_error_class_is_made_and_has_its_own_code():
+    """Each error class has a code of its own and is constructed somewhere in
+    the package (raised, or returned by a helper that builds it): a class
+    whose last raiser is deleted fails here."""
+    from semiclassic import errors
+
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.SemiclassicError)
+    ]
+    codes = [c.code for c in classes]
+    assert len(set(codes)) == len(codes), codes
+    called = {
+        node.func.id
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    subclasses = [c.__name__ for c in classes if c is not errors.SemiclassicError]
+    assert [name for name in subclasses if name not in called] == []
+
+
 def _fresh(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(PACKAGE.parent)

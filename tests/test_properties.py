@@ -64,6 +64,7 @@ from semiclassic import (
     barrier_integral,
     born_amplitudes,
     born_first_order,
+    derivative,
     effective_perturbation,
     effective_perturbation_profile,
     find_turning_points,
@@ -71,12 +72,15 @@ from semiclassic import (
     once_reflected_coefficient,
     once_reflected_coefficients,
     opacities,
-    phase_transform,
+    patched_barrier_solution,
     picard_amplitudes,
+    quantize,
     quantize_levels,
     scan_scattering_exact,
+    second_derivative,
     solve_bound_states_exact,
     solve_scattering_exact,
+    wkb_wavefunction,
 )
 from semiclassic import exact_oracle
 from semiclassic.exact_oracle import _EDGE_SEEDS, _count_nodes, _numerov_coefficients
@@ -96,9 +100,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 #: E / V0: the bulk of the barrier, or 1e-10..1e-8 below its top.
-FRACTIONS = st.one_of(
-    st.floats(0.05, 0.95), st.floats(1e-10, 1e-8).map(lambda d: 1.0 - d)
-)
+BULK, NEAR_TOP = st.floats(0.05, 0.95), st.floats(1e-10, 1e-8).map(lambda d: 1.0 - d)
+FRACTIONS = st.one_of(BULK, NEAR_TOP)
 
 
 @st.composite
@@ -269,7 +272,7 @@ def scans(draw):
         reach = 0.5 * width + 4.0
     shift = draw(st.floats(-0.2, 0.2)) * reach
     near_top = draw(st.booleans())
-    fractions = FRACTIONS.filter(lambda f: (f > 0.95) == near_top)
+    fractions = NEAR_TOP if near_top else BULK
     energies = height * np.array(draw(st.lists(fractions, min_size=1, max_size=12)))
     problem = ScatteringProblem(
         potential=potential,
@@ -1294,8 +1297,52 @@ def test_reference_point_outside_domain_rejected(x0):
     for call in (
         lambda: once_reflected_coefficient(problem, x0=x0),
         lambda: matrix_element(problem, 1.0, -1.0, x0=x0),
-        lambda: phase_transform(problem, x0=x0),
         lambda: effective_perturbation_profile(problem, [0.0], x0=x0),
     ):
         with pytest.raises(DomainError):
             call()
+
+
+ECKART = ScatteringProblem(EckartBarrier(height=1.0, width=1.0), 0.5, (-14.0, 14.0))
+WEAK_BUMP = ScatteringProblem(GaussianBump(amplitude=0.01, width=1.0), 2.0, (-12.0, 12.0))
+WELL = ScatteringProblem(HarmonicWell(stiffness=1.0), 0.0, (-8.0, 8.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: action_integral(WEAK_BUMP, 0.0, math.nan),
+    lambda: action_integral(WEAK_BUMP, 0.0, math.inf),
+    lambda: action_integral(WEAK_BUMP, -math.inf, 0.0),
+    lambda: patched_barrier_solution(ECKART, xs=[-8.0, math.nan]),
+    lambda: effective_perturbation_profile(WEAK_BUMP, [math.nan]),
+    lambda: derivative(WEAK_BUMP.potential, math.nan),
+    lambda: second_derivative(WEAK_BUMP.potential, -math.inf),
+], ids=["action-nan", "action-inf", "action-x0", "patched", "profile", "derivative", "second"])
+def test_points_that_are_not_finite_rejected(call):
+    # Before, action_integral raised a bare ValueError or OverflowError, the
+    # patched wave dropped the point, and the profile read Vtilde = nan.
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+
+
+def test_empty_point_sets_give_empty_tables():
+    free = ScatteringProblem(LinearRamp(offset=0.0, slope=0.0), 0.5, (-10.0, 10.0))
+    for table in (
+        wkb_wavefunction(free, (1.0, 0.0), 0.0, []),
+        patched_barrier_solution(ECKART, xs=[]),
+    ):
+        assert table.xs.shape == table.psi.shape == (0,) and table.region_tags == ()
+
+
+@pytest.mark.parametrize("what, call", [
+    ("n_max", lambda n: quantize_levels(WELL, n)),
+    ("n_max", lambda n: solve_bound_states_exact(WELL, n)),
+    ("iterations", lambda n: picard_amplitudes(WEAK_BUMP, n)),
+    ("n_per_region", lambda n: patched_barrier_solution(ECKART, n_per_region=n)),
+    ("n", lambda n: quantize(WELL, n, (1.0, 2.0))),
+], ids=["levels", "levels-exact", "picard", "patched", "quantize"])
+@pytest.mark.parametrize("n", [2.5, 1.0])
+def test_counts_that_are_not_integers_rejected(what, call, n):
+    # Before, 2.5 raised a bare TypeError (quantize: BracketError "for n = 2.5"),
+    # and quantize took 1.0 as a level number.
+    with pytest.raises(DomainError, match=f"^{what} must be an integer, got {n!r}$"):
+        call(n)

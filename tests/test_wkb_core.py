@@ -25,13 +25,11 @@ from semiclassic import (
     TurningPointProximityError,
     action_integral,
     barrier_integral,
-    effective_perturbation,
     find_turning_points,
     exclusion_radius,
     quantize,
     quantize_levels,
     transmission_leading,
-    wkb_terms,
     wkb_wavefunction,
 )
 from semiclassic import wkb_core
@@ -139,33 +137,6 @@ class TestBarrierIntegral:
             )
         )
         assert barrier_integral(problem) == pytest.approx(ref, rel=1e-11)
-
-
-class TestWkbTerms:
-    def test_flat_potential(self):
-        problem = problem_for(FREE, 0.5)
-        t1 = wkb_terms(problem, 0.0, 1.0)
-        t2 = wkb_terms(problem, 0.0, 4.0)
-        assert t1.sigma1 == t2.sigma1  # -ln sqrt(p), constant p
-        assert t1.sigma2_prime == 0.0
-
-    def test_sigma0_is_action(self):
-        problem = problem_for(GaussianBump(amplitude=0.2, width=1.0), 1.5)
-        t = wkb_terms(problem, -2.0, 2.0)
-        assert t.sigma0 == pytest.approx(action_integral(problem, -2.0, 2.0))
-
-    def test_sigma2_prime_ties_to_residual_potential(self):
-        problem = problem_for(GaussianBump(amplitude=0.2, width=1.0), 1.5)
-        t = wkb_terms(problem, -2.0, 1.3)
-        p = math.sqrt(2.0 * (1.5 - problem.v(1.3)))
-        assert t.sigma2_prime == pytest.approx(
-            -0.5 * p * effective_perturbation(problem, 1.3)
-        )
-
-    def test_exclusion_zone(self):
-        problem = problem_for(HarmonicWell(stiffness=1.0), 0.5)
-        with pytest.raises(TurningPointProximityError):
-            wkb_terms(problem, 0.0, 0.99)
 
 
 class TestWkbWavefunction:
