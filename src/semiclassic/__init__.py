@@ -16,7 +16,6 @@ from .errors import (
     MultiWellError,
     NoBarrierError,
     NumericalError,
-    OrientationError,
     RangeError,
     RegimeError,
     RegionError,
@@ -40,7 +39,6 @@ from .potential import (
     evaluate,
     exclusion_radius,
     find_turning_points,
-    local_wavenumber,
     second_derivative,
 )
 from .special_fn import (
@@ -49,7 +47,6 @@ from .special_fn import (
     airy_asymptotic,
     airy_bessel_form,
     airy_laplace_contour,
-    bessel_transform_check,
 )
 from .wkb_core import (
     Method,
@@ -60,19 +57,13 @@ from .wkb_core import (
     quantize,
     quantize_levels,
     transmission_leading,
-    wkb_wavefunction,
 )
 from .connection import (
-    AmplitudePair,
     Region,
     WavefunctionTable,
     airy_local_solution,
     barrier_currents,
-    connect_decreasing,
-    connect_increasing,
     patched_barrier_solution,
-    probability_current,
-    region_one_amplitudes,
     transmission_from_currents,
 )
 from .reflection import (
@@ -80,7 +71,6 @@ from .reflection import (
     PicardAmplitudes,
     born_amplitudes,
     born_first_order,
-    differential_reflection,
     effective_perturbation,
     effective_perturbation_profile,
     matrix_element,

@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     LinearizationError,
     NumericalError,
-    OrientationError,
     TurningPointProximityError,
 )
 from .potential import (
@@ -53,15 +52,10 @@ from ._format import table_text
 
 __all__ = [
     "Region",
-    "AmplitudePair",
     "WavefunctionTable",
     "classify_region",
-    "connect_increasing",
-    "connect_decreasing",
-    "region_one_amplitudes",
     "barrier_currents",
     "patched_barrier_solution",
-    "probability_current",
     "transmission_from_currents",
     "airy_local_solution",
 ]
@@ -73,18 +67,6 @@ class Region(enum.Enum):
     ALLOWED_LEFT = "allowed_left"
     FORBIDDEN = "forbidden"
     ALLOWED_RIGHT = "allowed_right"
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Coefficients of the two counter-propagating WKB components."""
-
-    c_plus: complex
-    c_minus: complex
-
-    def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.c_plus) and cmath.isfinite(self.c_minus)):
-            raise DomainError("amplitudes must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,70 +133,11 @@ def classify_region(problem: ScatteringProblem, x: float, tp: TurningPoints) -> 
     return _region_tags(problem, x, tp)[0]
 
 
-def connect_increasing(cos_amplitude, sin_amplitude=0.0, slope=None):
-    """Allowed-side (cos, sin) amplitudes -> forbidden-side (decaying, growing).
-
-    For an uphill turning point (allowed region on the left): the cosine
-    component maps 2:1 onto the decaying exponential, the sine component
-    maps 1:-1 onto the growing one.  Pass the local dV/dx as ``slope`` to
-    have the orientation checked.
-    """
-    if slope is not None and not slope > 0.0:
-        raise OrientationError(
-            f"uphill connection needs dV/dx > 0 at the turning point, got {slope:g}"
-        )
-    return 0.5 * complex(cos_amplitude), -complex(sin_amplitude)
-
-
-def connect_decreasing(decaying_amplitude, growing_amplitude=0.0, slope=None):
-    """Forbidden-side (decaying, growing) amplitudes -> allowed-side (cos, sin).
-
-    For a downhill turning point (allowed region on the right): the decaying
-    exponential maps 1:2 onto the cosine component, the growing one 1:-1
-    onto the sine component.  Pass the local dV/dx as ``slope`` to have the
-    orientation checked.
-    """
-    if slope is not None and not slope < 0.0:
-        raise OrientationError(
-            f"downhill connection needs dV/dx < 0 at the turning point, got {slope:g}"
-        )
-    return 2.0 * complex(decaying_amplitude), -complex(growing_amplitude)
-
-
 def _amplitude(outgoing_amplitude) -> complex:
     b = complex(outgoing_amplitude)
     if not cmath.isfinite(b):
         raise DomainError(f"outgoing amplitude must be finite, got {outgoing_amplitude}")
     return b
-
-
-def region_one_amplitudes(sigma_star: float, outgoing_amplitude=1.0):
-    """Incident and reflected traveling-wave amplitudes feeding the barrier.
-
-    Splitting the region-I standing-wave combination
-
-        psi_I = -(B/sqrt(k)) [e^{-sigma*} sin(phi - pi/4)
-                              + 4 i e^{sigma*} cos(phi - pi/4)]
-
-    into e^{-i phi} (incident) and e^{+i phi} (reflected) exponentials gives
-
-        A_inc = -2 i B (e^{sigma*} + e^{-sigma*}/4) e^{+i pi/4}
-        A_ref = -2 i B (e^{sigma*} - e^{-sigma*}/4) e^{-i pi/4}
-
-    so |A_inc|^2 - |A_ref|^2 = 4|B|^2 exactly: the net current equals the
-    transmitted current, whatever sigma*.
-    """
-    b = _amplitude(outgoing_amplitude)
-    try:
-        ep = math.exp(sigma_star)
-        em = 0.25 * math.exp(-sigma_star)
-    except OverflowError as exc:
-        raise _overflow(sigma_star, "amplitudes") from exc
-    inc = -2.0j * b * (ep + em) * cmath.exp(0.25j * math.pi)
-    ref = -2.0j * b * (ep - em) * cmath.exp(-0.25j * math.pi)
-    if not (cmath.isfinite(inc) and cmath.isfinite(ref)):
-        raise _overflow(sigma_star, "amplitudes")
-    return inc, ref
 
 
 def barrier_currents(
@@ -223,30 +146,24 @@ def barrier_currents(
     """(incident, reflected, transmitted) probability currents for a barrier.
 
     Closed forms: j_trans = 4|B|^2 hbar/m and j_inc/ref = 4|B|^2
-    (e^{sigma*} +/- e^{-sigma*}/4)^2 hbar/m.
+    (e^{sigma*} +/- e^{-sigma*}/4)^2 hbar/m.  A sigma* or an amplitude that
+    is not finite raises :class:`DomainError`, and a sigma* whose currents
+    overflow a float :class:`NumericalError`.
     """
-    scale = abs(complex(outgoing_amplitude)) ** 2 * context.hbar / context.mass
+    _require_finite(sigma_star, "sigma*")
+    scale = abs(_amplitude(outgoing_amplitude)) ** 2 * context.hbar / context.mass
     try:
         ep = math.exp(sigma_star)
         em = 0.25 * math.exp(-sigma_star)
         j_inc, j_ref = 4.0 * scale * (ep + em) ** 2, 4.0 * scale * (ep - em) ** 2
-    except OverflowError as exc:
-        raise _overflow(sigma_star, "currents") from exc
+    except OverflowError:
+        j_inc = math.inf
     if not math.isfinite(j_inc):
-        raise _overflow(sigma_star, "currents")
+        raise NumericalError(
+            f"opacity sigma* = {sigma_star:g} is too large for the region-I currents: "
+            "they overflow a float"
+        )
     return j_inc, j_ref, 4.0 * scale
-
-
-def _overflow(sigma_star: float, what: str) -> NumericalError:
-    return NumericalError(
-        f"opacity sigma* = {sigma_star:g} is too large for the region-I {what}: "
-        "they overflow a float"
-    )
-
-
-def probability_current(psi, dpsi_dx, context: PhysicalContext = PhysicalContext()):
-    """j = Re[(hbar / i m) psi* dpsi/dx]."""
-    return (context.hbar / context.mass) * (np.conj(psi) * dpsi_dx).imag
 
 
 def transmission_from_currents(problem: ScatteringProblem) -> TransmissionReport:

@@ -65,12 +65,6 @@ class TurningPointProximityError(SemiclassicError):
     code = "E_PROXIMITY"
 
 
-class OrientationError(SemiclassicError):
-    """Connection map applied at a turning point with the wrong slope sign."""
-
-    code = "E_ORIENTATION"
-
-
 class LinearizationError(SemiclassicError):
     """Point outside the radius where a linearized potential is trustworthy."""
 

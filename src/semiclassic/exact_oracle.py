@@ -68,6 +68,7 @@ from .potential import (
     SquareBarrier,
     _bracketed_roots,
     _require_count,
+    _require_finite,
     find_turning_points,
 )
 from .wkb_core import Method, TransmissionReport
@@ -294,7 +295,9 @@ def scan_scattering_exact(
     instead of the few that 1 - T leaves.  The grid, V and the work arrays
     are set up once; an energy that fails a check raises as
     :func:`solve_scattering_exact` would, the first such energy in order.
+    An energy that is not finite raises :class:`DomainError` first.
     """
+    energies = _require_finite(energies, "energies")
     # The defect checked bounds the discretization noise; clamping keeps
     # T = 1 problems from overshooting by ulps.
     return [

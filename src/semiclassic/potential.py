@@ -1,4 +1,4 @@
-"""Analytic 1-D potential models, turning-point location, local wavenumbers.
+"""Analytic 1-D potential models, turning-point location, exclusion radii.
 
 All models evaluate V(x), dV/dx and d2V/dx2 for scalar or array ``x``.  The
 scattering problem bundles a potential with a physical context (mass, hbar),
@@ -36,7 +36,6 @@ __all__ = [
     "derivative",
     "second_derivative",
     "find_turning_points",
-    "local_wavenumber",
     "exclusion_radius",
 ]
 
@@ -686,15 +685,6 @@ def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
     tp = TurningPoints(a=float(a[0]) if n else None, b=float(b[0]) if n == 2 else None, count=n)
     vars(problem)["_turning_points"] = tp
     return tp
-
-
-def local_wavenumber(problem: ScatteringProblem, x: float) -> complex:
-    """k(x) = sqrt(2m(E - V))/hbar, continued to i beta(x) where E < V."""
-    m, hbar = problem.context.mass, problem.context.hbar
-    diff = problem.energy - problem.v(x)
-    if diff >= 0.0:
-        return complex(math.sqrt(2.0 * m * diff) / hbar, 0.0)
-    return complex(0.0, math.sqrt(-2.0 * m * diff) / hbar)
 
 
 def exclusion_radius(problem: ScatteringProblem, x_c: float) -> float:

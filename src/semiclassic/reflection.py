@@ -50,14 +50,12 @@ from .wkb_core import (
     _accumulate,
     _panel_nodes,
     _vtilde,
-    assert_outside_exclusion,
     effective_perturbation,
 )
 
 __all__ = [
     "EffectivePerturbation",
     "PicardAmplitudes",
-    "differential_reflection",
     "picard_amplitudes",
     "once_reflected_coefficient",
     "once_reflected_coefficients",
@@ -143,24 +141,6 @@ def _require_smooth(problem: ScatteringProblem) -> None:
             f"V jumps at {where}; the reflection sums need a smooth potential "
             "(use the exact method)"
         )
-
-
-def differential_reflection(problem: ScatteringProblem, x: float) -> float:
-    """r(x) = p'(x) / (2 p(x)) = -m V'(x) / (2 p(x)^2).
-
-    The local rate at which forward and backward WKB amplitudes couple.
-    Requires a classically allowed point outside any turning-point
-    exclusion zone.
-    """
-    e, m = problem.energy, problem.context.mass
-    v = problem.v(x)
-    if e <= v:
-        raise DomainError(
-            f"differential reflection needs the allowed region; E <= V at x = {x:g}"
-        )
-    assert_outside_exclusion(problem, [x])
-    p2 = 2.0 * m * (e - v)
-    return -m * problem.dv(x) / (2.0 * p2)
 
 
 def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
@@ -413,8 +393,10 @@ def _matrix_elements(
 
     V, V' and V'' are taken once on the nodes; each energy is one sum on
     them, :func:`_sum` of Vtilde p, and raises as :func:`matrix_element`
-    would, in order.
+    would, in order.  A k_i or k_f that is not finite raises
+    :class:`DomainError` first.
     """
+    _require_finite([k_i, k_f], "k_i and k_f")
     _require_smooth(problem)
     m, dk = problem.context.mass, k_f - k_i
     nodes = _Nodes(problem, x0)

@@ -13,6 +13,7 @@ consistent with the Bessel representation Ai = (sqrt(z)/3)(I_{-1/3} - I_{1/3}).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._lazy import lazy
@@ -27,7 +28,6 @@ __all__ = [
     "airy_asymptotic",
     "airy_bessel_form",
     "airy_laplace_contour",
-    "bessel_transform_check",
     "AI_ZERO",
     "BI_ZERO",
 ]
@@ -47,6 +47,10 @@ SERIES_MAX_ABS_Z = 30.0
 #: in double precision the alternating/cancelling sums lose roughly
 #: 2 zeta / ln 10 digits with zeta = (2/3)|z|^(3/2).
 _F64_SERIES_LIMIT = 3.5
+
+#: Largest z the exponential routes accept: up to it e^zeta, zeta =
+#: (2/3) z^(3/2), times the prefactors of Bi and Bi' (below 8) is a float.
+_EXP_MAX_Z = (1.5 * (math.log(sys.float_info.max) - math.log(8.0))) ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,19 @@ def airy(z: float) -> AiryPair:
     return AiryPair(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip)
 
 
+def _exponential_range(z, name: str) -> float:
+    """z as a float; one that is not finite raises :class:`DomainError`, and
+    one past :data:`_EXP_MAX_Z`, where Bi' would overflow, :class:`RangeError`."""
+    z = float(z)
+    if not math.isfinite(z):
+        raise DomainError(f"{name}: z must be finite")
+    if z > _EXP_MAX_Z:
+        raise RangeError(
+            f"{name}: z = {z:g} exceeds {_EXP_MAX_Z:.6g}, where e^zeta overflows a float"
+        )
+    return z
+
+
 # Coefficients u_k, v_k of the standard large-|z| expansions.
 def _uv_coefficients(n: int) -> tuple[list[float], list[float]]:
     u = [1.0]
@@ -147,7 +164,7 @@ def airy_asymptotic(z: float) -> AiryPair:
     zeta^(-5) are included, so the relative error at |z| = 10 is ~1e-7 and
     falls rapidly with |z|.
     """
-    z = float(z)
+    z = _exponential_range(z, "airy_asymptotic")
     if abs(z) < 3.0:
         raise RangeError(
             f"airy_asymptotic: |z| = {abs(z):g} < 3 is outside the accurate "
@@ -244,7 +261,7 @@ def airy_bessel_form(z: float) -> AiryPair:
     mpmath with guard digits; beyond, it comes from the exponential
     asymptotic series.
     """
-    z = float(z)
+    z = _exponential_range(z, "airy_bessel_form")
     if z <= 0.0:
         raise DomainError("airy_bessel_form: representation valid for z > 0 only")
     zeta = (2.0 / 3.0) * z**1.5
@@ -272,6 +289,8 @@ def airy_laplace_contour(z: float) -> float:
     terms.  Accurate to ~1e-7, comfortably inside the 1e-6 contract.
     """
     z = float(z)
+    if not math.isfinite(z):
+        raise DomainError("airy_laplace_contour: z must be finite")
     if abs(z) > 2.0:
         raise RangeError(
             f"airy_laplace_contour: |z| = {abs(z):g} > 2 is outside the "
@@ -290,28 +309,3 @@ def airy_laplace_contour(z: float) -> float:
     dphi = z + t_max * t_max
     tail = -math.sin(phi) / dphi + math.cos(phi) * (2.0 * t_max) / dphi**3
     return (val + tail) / math.pi
-
-
-def bessel_transform_check(z: float) -> float:
-    """Residual of the order-1/3 Bessel equation satisfied by transformed Ai.
-
-    With tau = (2/3)(-z)^(3/2) and phi(tau) = Ai(z)/(-z)^(1/2), evaluates
-    tau^2 phi'' + tau phi' + (tau^2 - 1/9) phi by five-point finite
-    differences in tau with step 1e-2.  The result should vanish to ~1e-6
-    max(1, |phi|).
-    """
-    z = float(z)
-    if z >= -0.5:
-        raise DomainError("bessel_transform_check: requires z < -0.5")
-    tau0 = (2.0 / 3.0) * (-z) ** 1.5
-
-    def phi(tau: float) -> float:
-        zz = -((1.5 * tau) ** (2.0 / 3.0))
-        return airy(zz).ai / math.sqrt(-zz)
-
-    h = 1e-2
-    samples = [phi(tau0 + j * h) for j in (-2, -1, 0, 1, 2)]
-    dphi = (samples[0] - 8 * samples[1] + 8 * samples[3] - samples[4]) / (12 * h)
-    d2phi = (-samples[0] + 16 * samples[1] - 30 * samples[2] + 16 * samples[3]
-             - samples[4]) / (12 * h * h)
-    return tau0**2 * d2phi + tau0 * dphi + (tau0**2 - 1.0 / 9.0) * samples[2]

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .potential import (
     ScatteringProblem,
-    TurningPoints,
     _SCAN_PANELS,
     _bracketed_roots,
     _knots,
@@ -46,7 +45,6 @@ __all__ = [
     "action_integral",
     "barrier_integral",
     "opacities",
-    "wkb_wavefunction",
     "transmission_leading",
     "quantize",
     "quantize_levels",
@@ -116,7 +114,7 @@ class TransmissionReport:
             )
 
 
-def assert_outside_exclusion(problem: ScatteringProblem, xs) -> TurningPoints:
+def assert_outside_exclusion(problem: ScatteringProblem, xs) -> None:
     """Raise if any x lies within one Airy length of a turning point."""
     tp = find_turning_points(problem)
     points = [p for p in (tp.a, tp.b) if p is not None]
@@ -129,7 +127,6 @@ def assert_outside_exclusion(problem: ScatteringProblem, xs) -> TurningPoints:
                 f"x = {float(xa[bad][0]):g} is within one Airy length "
                 f"({r:g}) of the turning point at {x_c:g}"
             )
-    return tp
 
 
 def _accumulate(
@@ -256,9 +253,10 @@ def opacities(problem: ScatteringProblem, energies) -> np.ndarray:
     """sigma* at each energy of a scan, from one turning-point solve and one sum.
 
     An energy without a barrier raises as :func:`barrier_integral` would; the
-    first such energy in the given order is the one reported.
+    first such energy in the given order is the one reported.  An energy that
+    is not finite raises :class:`DomainError` first.
     """
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    e = np.atleast_1d(_require_finite(energies, "energies"))
     return _opacities(problem, e, *_turning_points(problem, e))
 
 
@@ -313,49 +311,6 @@ def _vtilde(m: float, e: float, x, v, dv, d2v):
     p1 = -m * dv / p
     p2 = -m * d2v / p - (m * dv) ** 2 / p**3
     return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
-
-
-def wkb_wavefunction(problem: ScatteringProblem, amplitudes, x0: float, xs):
-    """First-order WKB wave on a set of points sharing one region with x0.
-
-    In the allowed region psi = p^(-1/2) [C+ e^{i w/hbar} + C- e^{-i w/hbar}];
-    in the forbidden region the oscillations become real exponentials with
-    rate beta.  Crossing a turning point requires the connection machinery
-    instead, so mixed-region requests are rejected.
-    """
-    from .connection import WavefunctionTable, _region_tags
-
-    c_plus = complex(amplitudes.c_plus if hasattr(amplitudes, "c_plus") else amplitudes[0])
-    c_minus = complex(amplitudes.c_minus if hasattr(amplitudes, "c_minus") else amplitudes[1])
-
-    xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
-    _require_finite(x0, "x0")
-    tp = assert_outside_exclusion(problem, xs)
-    assert_outside_exclusion(problem, [x0])
-
-    span_lo, span_hi = np.min(xs, initial=x0), np.max(xs, initial=x0)
-    for x_c in (tp.a, tp.b):
-        if x_c is not None and span_lo < x_c < span_hi:
-            raise RegionError(
-                f"points straddle the turning point at {x_c:g}; "
-                "use the connection module to cross it"
-            )
-
-    e, m, hbar = problem.energy, problem.context.mass, problem.context.hbar
-    allowed = e >= problem.v(x0)
-    # Signed phase (or decay) integral from x0, accumulated outward both ways.
-    before = xs < x0
-    w = np.concatenate([
-        -_accumulate(problem, x0, xs[before][::-1], forbidden=not allowed)[::-1],
-        _accumulate(problem, x0, xs[~before], forbidden=not allowed),
-    ]) / hbar
-    if allowed:
-        p = np.sqrt(2.0 * m * (e - problem.v(xs)))
-        psi = (c_plus * np.exp(1j * w) + c_minus * np.exp(-1j * w)) / np.sqrt(p)
-    else:
-        beta = problem.beta(xs)
-        psi = (c_plus * np.exp(-w) + c_minus * np.exp(+w)) / np.sqrt(beta)
-    return WavefunctionTable(xs=xs, psi=psi, region_tags=_region_tags(problem, xs, tp))
 
 
 def transmission_leading(
@@ -440,13 +395,17 @@ def quantize(
     bracket with the shared root solver (Chandrupatla's method), to
     4e-16 of the bracket plus 4 ulp of E.  The extrema of V are found once per
     potential and domain; each trial energy only brackets its two turning
-    points between them.
+    points between them.  A bracket that is not two finite energies raises
+    :class:`DomainError`.
     """
     n = _require_count(n, "n")
-    e_lo, e_hi = bracket
+    ends = _require_finite(bracket, "bracket")
+    if ends.shape != (2,):
+        raise DomainError(f"bracket must be a pair of energies, got {bracket!r}")
+    e_lo, e_hi = ends.tolist()
     if not e_lo < e_hi:
         raise BracketError(f"empty bracket {bracket}")
-    return float(_levels(problem, [n], bracket, _well_actions(problem, bracket))[0])
+    return float(_levels(problem, [n], (e_lo, e_hi), _well_actions(problem, ends))[0])
 
 
 def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:

@@ -1,4 +1,4 @@
-"""Connection maps, patched barrier wave, currents, local Airy bridge."""
+"""Patched barrier wave, currents, local Airy bridge."""
 
 import cmath
 import math
@@ -23,12 +23,9 @@ from semiclassic import (
     airy_local_solution,
     barrier_currents,
     barrier_integral,
-    connect_decreasing,
-    connect_increasing,
+    exclusion_radius,
     find_turning_points,
     patched_barrier_solution,
-    probability_current,
-    region_one_amplitudes,
     transmission_from_currents,
     transmission_leading,
 )
@@ -37,6 +34,20 @@ from semiclassic.connection import Region, classify_region
 DEEP_ECKART = ScatteringProblem(
     potential=EckartBarrier(height=1.0, width=1.0), energy=0.15, domain=(-14.0, 14.0)
 )
+
+
+def incident_amplitude(sigma, b_amp):
+    """Closed-form region-I incident amplitude -2iB (e^sigma + e^-sigma/4) e^{i pi/4}."""
+    return -2j * b_amp * (math.exp(sigma) + 0.25 * math.exp(-sigma)) * cmath.exp(0.25j * math.pi)
+
+
+def reflected_amplitude(sigma, b_amp):
+    """Closed-form region-I reflected amplitude -2iB (e^sigma - e^-sigma/4) e^{-i pi/4}."""
+    return -2j * b_amp * (math.exp(sigma) - 0.25 * math.exp(-sigma)) * cmath.exp(-0.25j * math.pi)
+
+
+def five_point_stencil(x, h):
+    return np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
 
 
 def reference_region(problem, x, tp):
@@ -55,44 +66,9 @@ def reference_region(problem, x, tp):
 
 
 class TestConnectionMaps:
-    def test_increasing_cosine_ratio(self):
-        assert connect_increasing(2.0, 0.0) == (1.0, 0.0)
-
-    def test_increasing_sine_sign(self):
-        assert connect_increasing(0.0, 1.0) == (0.0, -1.0)
-
-    def test_decreasing_decaying_ratio(self):
-        assert connect_decreasing(1.0, 0.0) == (2.0, 0.0)
-
-    def test_decreasing_growing_sign(self):
-        assert connect_decreasing(0.0, -1.0) == (0.0, 1.0)
-
-    def test_orientation_guard(self):
-        from semiclassic import OrientationError
-
-        assert connect_increasing(2.0, 0.0, slope=1.5) == (1.0, 0.0)
-        assert connect_decreasing(1.0, 0.0, slope=-1.5) == (2.0, 0.0)
-        with pytest.raises(OrientationError):
-            connect_increasing(1.0, 0.0, slope=-0.3)
-        with pytest.raises(OrientationError):
-            connect_decreasing(1.0, 0.0, slope=0.3)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = complex(*rng.normal(size=2))
-            y = complex(*rng.normal(size=2))
-            a, b = rng.normal(size=2)
-            for fn in (connect_increasing, connect_decreasing):
-                lhs = fn(a * x + b * y, a * y + b * x)
-                fx, fy = fn(x, y), fn(y, x)
-                rhs = (a * fx[0] + b * fy[0], a * fx[1] + b * fy[1])
-                assert lhs[0] == pytest.approx(rhs[0])
-                assert lhs[1] == pytest.approx(rhs[1])
-
     def test_roundtrip_through_barrier_reproduces_region_one(self):
         # Compose the maps backward from the outgoing wave and compare with
-        # the closed-form incident/reflected amplitudes.
+        # the closed-form incident amplitude.
         sigma = 1.7
         b_amp = 1.0
         # Outgoing 2B e^{i(theta - pi/4)} on the (cos, sin) basis: (2B, 2iB).
@@ -103,39 +79,11 @@ class TestConnectionMaps:
         cos_a, sin_a = 2.0 * dec_a, -grow_a
         # Euler split of cos/sin(phi - pi/4) into e^{-i phi} (incident).
         inc = 0.5 * (cos_a * cmath.exp(0.25j * math.pi) + sin_a * 1j * cmath.exp(0.25j * math.pi))
-        expected_inc, _ = region_one_amplitudes(sigma, b_amp)
-        assert abs(inc) == pytest.approx(abs(expected_inc), rel=1e-12)
-
-
-class TestRegionOneAmplitudes:
-    def test_flux_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            sigma = rng.uniform(0.1, 5.0)
-            inc, ref = region_one_amplitudes(sigma, 1.0)
-            # |A_inc|^2 - |A_ref|^2 = |2B|^2: the current bracket identity.
-            assert abs(inc) ** 2 - abs(ref) ** 2 == pytest.approx(4.0, rel=1e-10)
-
-    def test_closed_forms(self):
-        inc, ref = region_one_amplitudes(2.0, 1.0)
-        assert abs(inc) == pytest.approx(2.0 * (math.exp(2) + 0.25 * math.exp(-2)))
-        assert abs(ref) == pytest.approx(2.0 * (math.exp(2) - 0.25 * math.exp(-2)))
+        expected = incident_amplitude(sigma, b_amp)
+        assert inc == pytest.approx(expected, rel=1e-12)
 
 
 class TestCurrents:
-    def test_plane_wave(self):
-        # psi = e^{ikx}, k = 1: j = hbar k / m = 1.
-        psi, dpsi = 1.0 + 0.0j, 1.0j
-        assert probability_current(psi, dpsi) == pytest.approx(1.0)
-
-    def test_real_wave_carries_no_flux(self):
-        assert probability_current(0.7, 0.3) == pytest.approx(0.0)
-
-    def test_quadratic_scaling(self):
-        j1 = probability_current(1.0 + 0.5j, 0.2 + 1.0j)
-        j2 = probability_current(2.0 + 1.0j, 0.4 + 2.0j)
-        assert j2 == pytest.approx(4.0 * j1)
-
     def test_conservation_identity(self):
         for sigma in (0.3, 1.0, 2.5):
             j_inc, j_ref, j_out = barrier_currents(sigma)
@@ -150,6 +98,27 @@ class TestCurrents:
         ctx = PhysicalContext(mass=2.0, hbar=0.5)
         j_inc, _, j_out = barrier_currents(1.0, 1.0, ctx)
         assert j_out == pytest.approx(4.0 * 0.5 / 2.0)
+
+
+    @pytest.mark.parametrize("region", ["allowed_left", "forbidden", "allowed_right"])
+    def test_patched_wave_carries_the_transmitted_current(self, region):
+        # j = (hbar/m) Im(psi* psi') is the same in all three regions and
+        # equals the closed-form j_trans = 4|B|^2 hbar/m.
+        ctx = PhysicalContext(mass=1.3, hbar=0.8)
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0), energy=0.3,
+            domain=(-14.0, 14.0), context=ctx,
+        )
+        b_amp = 0.7 - 0.4j
+        x = {"allowed_left": -6.0, "forbidden": 0.2, "allowed_right": 6.0}[region]
+        h = 1e-3
+        table = patched_barrier_solution(problem, b_amp, xs=five_point_stencil(x, h))
+        assert table.region_tags[2].value == region
+        psi = table.psi
+        dpsi = (psi[0] - 8 * psi[1] + 8 * psi[3] - psi[4]) / (12 * h)
+        j = ctx.hbar / ctx.mass * (np.conj(psi[2]) * dpsi).imag
+        _, _, j_out = barrier_currents(barrier_integral(problem), b_amp, ctx)
+        assert j == pytest.approx(j_out, rel=1e-8)
 
 
 class TestTransmissionFromCurrents:
@@ -177,7 +146,7 @@ class TestPatchedSolution:
         with pytest.raises(DomainError, match="outgoing amplitude must be finite"):
             patched_barrier_solution(DEEP_ECKART, outgoing_amplitude=amplitude)
         with pytest.raises(DomainError, match="outgoing amplitude must be finite"):
-            region_one_amplitudes(2.0, amplitude)
+            barrier_currents(1.0, amplitude)
 
     def test_negative_point_count_raises(self):
         with pytest.raises(DomainError, match=r"n_per_region must be >= 0, got -1"):
@@ -229,11 +198,53 @@ class TestPatchedSolution:
         )
 
     def test_incident_amplitude_ratio(self):
+        # psi sqrt(k) = A_inc e^{-i phi} + A_ref e^{+i phi} in region I, phi
+        # the action toward the uphill turning point: two points fix both.
         sigma = barrier_integral(DEEP_ECKART)
-        inc, _ = region_one_amplitudes(sigma, 1.0)
-        assert abs(inc) ** 2 / 4.0 == pytest.approx(
-            (math.exp(sigma) + 0.25 * math.exp(-sigma)) ** 2, rel=1e-12
+        a = find_turning_points(DEEP_ECKART).a
+        xs = np.array([-9.0, -6.5])
+        psi = patched_barrier_solution(DEEP_ECKART, xs=xs).psi
+        k = np.sqrt(2.0 * (DEEP_ECKART.energy - DEEP_ECKART.v(xs)))
+        phi = np.array([action_integral(DEEP_ECKART, x, a) for x in xs])
+        basis = np.column_stack([np.exp(-1j * phi), np.exp(1j * phi)])
+        inc, _ = np.linalg.solve(basis, psi * np.sqrt(k))
+        assert inc == pytest.approx(incident_amplitude(sigma, 1.0), rel=1e-12)
+
+    def test_reflected_amplitude(self):
+        # Same two-point fit as above; |A_inc|^2 - |A_ref|^2 = |2B|^2.
+        b_amp = 0.6 + 0.3j
+        sigma = barrier_integral(DEEP_ECKART)
+        a = find_turning_points(DEEP_ECKART).a
+        xs = np.array([-9.0, -6.5])
+        psi = patched_barrier_solution(DEEP_ECKART, b_amp, xs=xs).psi
+        k = np.sqrt(2.0 * (DEEP_ECKART.energy - DEEP_ECKART.v(xs)))
+        phi = np.array([action_integral(DEEP_ECKART, x, a) for x in xs])
+        basis = np.column_stack([np.exp(-1j * phi), np.exp(1j * phi)])
+        inc, ref = np.linalg.solve(basis, psi * np.sqrt(k))
+        assert ref == pytest.approx(reflected_amplitude(sigma, b_amp), rel=1e-12)
+        assert abs(inc) ** 2 - abs(ref) ** 2 == pytest.approx(4.0 * abs(b_amp) ** 2, rel=1e-10)
+
+    def test_linearity(self):
+        one = patched_barrier_solution(DEEP_ECKART, 0.3 + 0.1j, n_per_region=20)
+        two = patched_barrier_solution(DEEP_ECKART, 0.6 + 0.2j, n_per_region=20)
+        np.testing.assert_array_equal(two.xs, one.xs)
+        np.testing.assert_allclose(two.psi, 2.0 * one.psi, rtol=1e-12)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_schrodinger_residual_far_from_turning_points(self, side):
+        # |psi'' + k^2 psi| / |k^2 psi| <= 0.05 at >= 5 exclusion radii.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14.0, 14.0)
         )
+        tp = find_turning_points(problem)
+        x = tp.a - 5.0 * exclusion_radius(problem, tp.a)
+        h = 1e-3
+        psi = patched_barrier_solution(
+            problem, xs=five_point_stencil(x, h), incident_side=side
+        ).psi
+        d2 = (-psi[0] + 16 * psi[1] - 30 * psi[2] + 16 * psi[3] - psi[4]) / (12 * h * h)
+        k2 = 2.0 * (problem.energy - problem.v(x))
+        assert abs(d2 + k2 * psi[2]) / abs(k2 * psi[2]) <= 0.05
 
     def test_explicit_points_near_turning_point_rejected(self):
         tp = find_turning_points(DEEP_ECKART)
@@ -253,7 +264,7 @@ class TestPatchedAgainstOracle:
     def test_patched_wave_tracks_exact_through_barrier(self):
         # Normalize the outgoing amplitude to the exact transmitted wave and
         # compare magnitudes point by point: WKB-level accuracy expected.
-        from semiclassic import OracleConfig, exclusion_radius, solve_scattering_exact
+        from semiclassic import OracleConfig, solve_scattering_exact
         from semiclassic import wavefunction_exact
 
         exact = wavefunction_exact(DEEP_ECKART, OracleConfig(grid_points=8001))
@@ -359,8 +370,8 @@ class TestAiryLocalSolution:
 
 
 class TestRegionOneOverflow:
-    """Where e^{sigma*} or its square overflows a float, the closed forms
-    raise NumericalError naming sigma*, not a bare OverflowError."""
+    """Where e^{sigma*} or its square overflows a float, the currents raise
+    NumericalError naming sigma*, not a bare OverflowError."""
 
     @pytest.mark.parametrize("sigma", [355.0, 710.0, 800.0])
     def test_barrier_currents(self, sigma):
@@ -368,14 +379,21 @@ class TestRegionOneOverflow:
             barrier_currents(sigma)
 
     @pytest.mark.parametrize("sigma", [710.0, 800.0])
-    def test_region_one_amplitudes(self, sigma):
-        with pytest.raises(NumericalError, match=f"sigma\\* = {sigma:g}"):
-            region_one_amplitudes(sigma)
+    def test_patched_wave(self, sigma):
+        # Scale the mass so that sigma* (proportional to sqrt(m)) lands near sigma.
+        base = barrier_integral(DEEP_ECKART)
+        problem = ScatteringProblem(
+            potential=DEEP_ECKART.potential, energy=DEEP_ECKART.energy,
+            domain=DEEP_ECKART.domain, context=PhysicalContext(mass=(sigma / base) ** 2),
+        )
+        sigma_star = barrier_integral(problem)
+        assert sigma_star == pytest.approx(sigma, rel=1e-6)
+        with pytest.raises(NumericalError, match=f"sigma\\* = {sigma_star:g}"):
+            patched_barrier_solution(problem)
 
     def test_below_the_overflow_is_finite(self):
         j_inc, j_ref, j_out = barrier_currents(354.0)
         assert math.isfinite(j_inc) and j_out == 4.0
-        assert all(cmath.isfinite(a) for a in region_one_amplitudes(700.0))
 
 
 class TestPatchedSolutionRegime:

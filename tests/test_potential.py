@@ -1,4 +1,4 @@
-"""Potential models, turning points, local wavenumbers."""
+"""Potential models, turning points, decay rates."""
 
 import dataclasses
 import math
@@ -23,7 +23,6 @@ from semiclassic import (
     evaluate,
     exclusion_radius,
     find_turning_points,
-    local_wavenumber,
     second_derivative,
 )
 
@@ -276,34 +275,34 @@ class TestStoredKnots:
         assert model == fresh and fresh == model
 
 
-class TestLocalWavenumber:
-    def test_free(self):
-        problem = problem_for(LinearRamp(offset=0.0, slope=0.0), 0.5)
-        assert local_wavenumber(problem, 0.0) == pytest.approx(1.0)
-
+class TestDecayRate:
     def test_forbidden(self):
         problem = problem_for(SquareBarrier(height=1.0, width=2.0), 0.5, (-8, 8))
-        k = local_wavenumber(problem, 0.0)
-        assert k.real == 0.0
-        assert k.imag == pytest.approx(1.0)
+        assert problem.beta(0.0) == pytest.approx(1.0)
 
     def test_turning_point(self):
         problem = problem_for(HarmonicWell(stiffness=1.0), 0.5)
-        assert local_wavenumber(problem, 1.0) == 0.0
+        assert problem.beta(1.0) == 0.0
+
+    def test_allowed_is_nan(self):
+        problem = problem_for(LinearRamp(offset=0.0, slope=0.0), 0.5)
+        assert math.isnan(problem.beta(0.0))
+        np.testing.assert_array_equal(np.isnan(problem.beta(np.array([-1.0, 2.0]))), True)
 
     def test_square_identity(self):
+        # beta^2 = 2m(V - E)/hbar^2 wherever E < V.
         rng = np.random.default_rng(3)
         ctx = PhysicalContext(mass=1.7, hbar=0.6)
         for model in SMOOTH_MODELS:
             for _ in range(20):
                 x = rng.uniform(-3.0, 3.0)
-                e = rng.uniform(-1.0, 3.0)
+                e = model.value(x) - rng.uniform(1e-3, 3.0)
                 problem = ScatteringProblem(
                     potential=model, energy=e, domain=(-10, 10), context=ctx
                 )
-                k = local_wavenumber(problem, x)
-                expected = 2.0 * ctx.mass * (e - model.value(x)) / ctx.hbar**2
-                assert k * k == pytest.approx(expected, rel=1e-13, abs=1e-13)
+                beta = problem.beta(x)
+                expected = 2.0 * ctx.mass * (model.value(x) - e) / ctx.hbar**2
+                assert beta * beta == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestExclusionRadius:

@@ -61,6 +61,7 @@ from semiclassic import (
     SquareBarrier,
     TabulatedPotential,
     action_integral,
+    barrier_currents,
     barrier_integral,
     born_amplitudes,
     born_first_order,
@@ -80,7 +81,6 @@ from semiclassic import (
     second_derivative,
     solve_bound_states_exact,
     solve_scattering_exact,
-    wkb_wavefunction,
 )
 from semiclassic import exact_oracle
 from semiclassic.exact_oracle import _EDGE_SEEDS, _count_nodes, _numerov_coefficients
@@ -1324,13 +1324,23 @@ def test_points_that_are_not_finite_rejected(call):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: scan_scattering_exact(ECKART, [math.nan]), "energies must be finite"),
+    (lambda: opacities(ECKART, [math.nan]), "energies must be finite"),
+    (lambda: matrix_element(WEAK_BUMP, math.inf, 1.0), "k_i and k_f must be finite"),
+    (lambda: barrier_currents(math.nan), r"sigma\* must be finite"),
+    (lambda: quantize(WELL, 0, (0.1, 0.9, 2)), r"bracket must be a pair of energies"),
+], ids=["scan-exact", "opacities", "matrix-element", "currents", "quantize"])
+def test_scans_labels_and_currents_refuse_bad_input_first(call, message):
+    # The currents' amplitude is checked in test_connection.py.
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
 def test_empty_point_sets_give_empty_tables():
-    free = ScatteringProblem(LinearRamp(offset=0.0, slope=0.0), 0.5, (-10.0, 10.0))
-    for table in (
-        wkb_wavefunction(free, (1.0, 0.0), 0.0, []),
-        patched_barrier_solution(ECKART, xs=[]),
-    ):
-        assert table.xs.shape == table.psi.shape == (0,) and table.region_tags == ()
+    table = patched_barrier_solution(ECKART, xs=[])
+    assert table.xs.shape == table.psi.shape == (0,) and table.region_tags == ()
 
 
 @pytest.mark.parametrize("what, call", [

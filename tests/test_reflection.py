@@ -15,11 +15,9 @@ from semiclassic import (
     RegimeError,
     ScatteringProblem,
     SquareBarrier,
-    TurningPointProximityError,
     action_integral,
     born_amplitudes,
     born_first_order,
-    differential_reflection,
     effective_perturbation,
     effective_perturbation_profile,
     matrix_element,
@@ -46,56 +44,6 @@ def _sigma1_route(problem, x):
     s1p = (s[0] - 8 * s[1] + 8 * s[3] - s[4]) / (12 * h)
     s1pp = (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * h * h)
     return float((s1pp + s1p * s1p) / p2s[2])
-
-
-class TestDifferentialReflection:
-    def test_flat_potential(self):
-        for x in (-3.0, 0.0, 4.0):
-            assert differential_reflection(FREE, x) == 0.0
-
-    def test_linear_ramp_closed_form(self):
-        # V = -x, E = 1, turning point a = -1: r(x) = 1/(4 (x - a)).
-        problem = ScatteringProblem(
-            potential=LinearRamp(offset=0.0, slope=-1.0), energy=1.0, domain=(-1, 30)
-        )
-        for x in (0.0, 1.0, 5.0):
-            assert differential_reflection(problem, x) == pytest.approx(
-                1.0 / (4.0 * (x + 1.0)), rel=1e-12
-            )
-
-    def test_sign_follows_slope(self):
-        # Uphill ramp: allowed region left of a = 0.5, r negative there.
-        problem = ScatteringProblem(
-            potential=LinearRamp(offset=0.0, slope=1.0), energy=0.5, domain=(-30, 0.5)
-        )
-        assert differential_reflection(problem, -4.0) == pytest.approx(
-            1.0 / (4.0 * (-4.0 - 0.5)), rel=1e-12
-        )
-
-    def test_odd_about_even_bump_center(self):
-        problem = ScatteringProblem(
-            potential=GaussianBump(amplitude=0.3, width=1.0, center=0.4),
-            energy=2.0,
-            domain=(-10, 10),
-        )
-        for d in (0.3, 1.0, 2.5):
-            assert differential_reflection(problem, 0.4 + d) == pytest.approx(
-                -differential_reflection(problem, 0.4 - d), rel=1e-12
-            )
-
-    def test_forbidden_point_rejected(self):
-        problem = ScatteringProblem(
-            potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14, 14)
-        )
-        with pytest.raises(DomainError):
-            differential_reflection(problem, 0.0)
-
-    def test_exclusion_zone_rejected(self):
-        problem = ScatteringProblem(
-            potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14, 14)
-        )
-        with pytest.raises(TurningPointProximityError):
-            differential_reflection(problem, -1.0)
 
 
 class TestPhaseTransform:

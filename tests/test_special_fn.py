@@ -1,5 +1,6 @@
 """Airy machinery: series, asymptotics, Bessel form, Laplace integral."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,28 @@ from semiclassic import (
     airy_asymptotic,
     airy_bessel_form,
     airy_laplace_contour,
-    bessel_transform_check,
 )
+from semiclassic.special_fn import _EXP_MAX_Z
+
+
+def bessel_transform_residual(z, scale=1.0):
+    """Residual of the order-1/3 Bessel equation satisfied by transformed Ai.
+
+    With tau = (2/3)(-z)^(3/2) and phi(tau) = scale Ai(z)/(-z)^(1/2),
+    tau^2 phi'' + tau phi' + (tau^2 - 1/9) phi by five-point finite
+    differences in tau with step 1e-2; it vanishes to ~1e-6 max(1, |phi|).
+    """
+    tau0 = (2.0 / 3.0) * (-z) ** 1.5
+    h = 1e-2
+
+    def phi(tau):
+        zz = -((1.5 * tau) ** (2.0 / 3.0))
+        return scale * airy(zz).ai / math.sqrt(-zz)
+
+    f = [phi(tau0 + j * h) for j in (-2, -1, 0, 1, 2)]
+    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+    return tau0**2 * d2 + tau0 * d1 + (tau0**2 - 1.0 / 9.0) * f[2]
 
 
 class TestSeries:
@@ -148,31 +169,35 @@ class TestLaplaceContour:
 class TestBesselTransform:
     @pytest.mark.parametrize("z", [-2.0, -5.0])
     def test_residual_small(self, z):
-        tau = (2.0 / 3.0) * (-z) ** 1.5
         phi = airy(z).ai / math.sqrt(-z)
-        assert abs(bessel_transform_check(z)) <= 1e-6 * max(1.0, abs(phi)) + 1e-8
+        assert abs(bessel_transform_residual(z)) <= 1e-6 * max(1.0, abs(phi)) + 1e-8
 
     def test_linearity_of_operator(self):
         # The transformed equation is linear: scaling phi scales the residual.
-        z = -3.0
-        tau0 = (2.0 / 3.0) * (-z) ** 1.5
-        h = 1e-2
+        residual = bessel_transform_residual(-3.0)
+        assert bessel_transform_residual(-3.0, 2.0) == pytest.approx(2.0 * residual, abs=1e-12)
 
-        def residual(scale):
-            def phi(tau):
-                zz = -((1.5 * tau) ** (2.0 / 3.0))
-                return scale * airy(zz).ai / math.sqrt(-zz)
 
-            f = [phi(tau0 + j * h) for j in (-2, -1, 0, 1, 2)]
-            d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-            return tau0**2 * d2 + tau0 * d1 + (tau0**2 - 1.0 / 9.0) * f[2]
+@pytest.mark.filterwarnings("error")
+class TestCrossCheckRefusals:
+    """The cross-check routes refuse, with no warning, a z that is not finite
+    and one where e^zeta overflows."""
 
-        assert residual(2.0) == pytest.approx(2.0 * residual(1.0), abs=1e-12)
+    @pytest.mark.parametrize("route", [airy_asymptotic, airy_bessel_form, airy_laplace_contour])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z(self, route, z):
+        with pytest.raises(DomainError, match=f"^{route.__name__}: z must be finite$"):
+            route(z)
 
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            bessel_transform_check(-0.2)
+    @pytest.mark.parametrize("route", [airy_asymptotic, airy_bessel_form])
+    @pytest.mark.parametrize("z", [math.nextafter(_EXP_MAX_Z, math.inf), 105.0, 200.0, 1e300])
+    def test_overflowing_z(self, route, z):
+        with pytest.raises(RangeError, match=r"e\^zeta overflows a float$"):
+            route(z)
+
+    @pytest.mark.parametrize("route", [airy_asymptotic, airy_bessel_form])
+    def test_values_up_to_the_cut_are_finite(self, route):
+        assert all(map(math.isfinite, dataclasses.astuple(route(_EXP_MAX_Z))))
 
 
 class TestSeriesEdges:

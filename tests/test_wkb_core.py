@@ -22,15 +22,12 @@ from semiclassic import (
     ScatteringProblem,
     SpectrumError,
     SquareBarrier,
-    TurningPointProximityError,
     action_integral,
     barrier_integral,
     find_turning_points,
-    exclusion_radius,
     quantize,
     quantize_levels,
     transmission_leading,
-    wkb_wavefunction,
 )
 from semiclassic import wkb_core
 
@@ -137,65 +134,6 @@ class TestBarrierIntegral:
             )
         )
         assert barrier_integral(problem) == pytest.approx(ref, rel=1e-11)
-
-
-class TestWkbWavefunction:
-    def test_plane_wave(self):
-        problem = problem_for(FREE, 0.5)
-        xs = np.linspace(0.0, 3.0, 7)
-        table = wkb_wavefunction(problem, (1.0, 0.0), 0.0, xs)
-        np.testing.assert_allclose(table.psi, np.exp(1j * xs), rtol=1e-12)
-
-    def test_accepts_amplitude_pair(self):
-        from semiclassic import AmplitudePair, DomainError as DErr
-
-        problem = problem_for(FREE, 0.5)
-        xs = np.linspace(0.0, 2.0, 5)
-        a = wkb_wavefunction(problem, AmplitudePair(0.4, 0.3j), 0.0, xs)
-        b = wkb_wavefunction(problem, (0.4, 0.3j), 0.0, xs)
-        np.testing.assert_array_equal(a.psi, b.psi)
-        with pytest.raises(DErr):
-            AmplitudePair(float("nan"), 0.0)
-
-    def test_forbidden_flat_exponentials(self):
-        problem = problem_for(SquareBarrier(height=1.0, width=2.0), 0.5, (-8, 8))
-        xs = np.array([-0.5, 0.0, 0.5])
-        table = wkb_wavefunction(problem, (1.0, 0.0), -0.5, xs)
-        # Pure decaying exponential with rate beta = 1.
-        ratio = table.psi[1] / table.psi[0]
-        assert ratio == pytest.approx(math.exp(-0.5), rel=1e-10)
-
-    def test_linearity(self):
-        problem = problem_for(FREE, 0.5)
-        xs = np.linspace(0.0, 2.0, 5)
-        one = wkb_wavefunction(problem, (0.3 + 0.1j, 0.2), 0.0, xs)
-        two = wkb_wavefunction(problem, (0.6 + 0.2j, 0.4), 0.0, xs)
-        np.testing.assert_allclose(two.psi, 2.0 * one.psi, rtol=1e-12)
-
-    def test_region_crossing_rejected(self):
-        problem = problem_for(HarmonicWell(stiffness=1.0), 0.5)
-        with pytest.raises((RegionError, TurningPointProximityError)):
-            wkb_wavefunction(problem, (1.0, 0.0), 0.0, [2.0])
-
-    @pytest.mark.parametrize(
-        "x0, xs", [(0.0, [1.0, math.nan]), (0.0, [math.inf]), (math.nan, [1.0])]
-    )
-    def test_non_finite_points_rejected(self, x0, xs):
-        with pytest.raises(DomainError, match=r"must be finite"):
-            wkb_wavefunction(problem_for(FREE, 0.5), (1.0, 0.0), x0, xs)
-
-    def test_schrodinger_residual_far_from_turning_points(self):
-        # |psi'' + k^2 psi| / |k^2 psi| <= 0.05 at >= 5 exclusion radii.
-        problem = problem_for(EckartBarrier(height=1.0, width=1.0), 0.5, (-14, 14))
-        tp = find_turning_points(problem)
-        r = exclusion_radius(problem, tp.a)
-        x = tp.a - 5.0 * r
-        h = 1e-3
-        xs = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
-        psi = wkb_wavefunction(problem, (1.0, 0.0), problem.domain[0], xs).psi
-        d2 = (-psi[0] + 16 * psi[1] - 30 * psi[2] + 16 * psi[3] - psi[4]) / (12 * h * h)
-        k2 = 2.0 * (0.5 - problem.v(x))
-        assert abs(d2 + k2 * psi[2]) / abs(k2 * psi[2]) <= 0.05
 
 
 class TestTransmission:
