@@ -179,15 +179,6 @@ def _output_options(sections: dict, args):
 # method dispatch
 
 
-#: sigma* -> report, for the methods whose scans take every sigma* from one
-#: batched turning-point solve and one opacity sum.
-_FROM_OPACITY = {
-    "wkb": lambda sigma, context: wkb_core._leading_report(sigma, corrected=False),
-    "wkb-corrected": lambda sigma, context: wkb_core._leading_report(sigma, corrected=True),
-    "connection": connection._current_ratio_report,
-}
-
-
 def _table(args, sections: dict):
     """The (columns, rows) that one table command prints, built from its flags
     and config sections; bad inputs are reported in the order read here."""
@@ -239,9 +230,10 @@ def _table(args, sections: dict):
     if method == "exact":
         reports = exact_oracle.scan_scattering_exact(problem, energies, oracle)
     else:
-        report = _FROM_OPACITY[method]
+        # Every sigma* from one batched turning-point solve and one opacity sum.
+        kind = wkb_core.Method(method)
         reports = [
-            report(float(s), problem.context) for s in wkb_core.opacities(problem, energies)
+            wkb_core._opacity_report(float(s), kind) for s in wkb_core.opacities(problem, energies)
         ]
     rows = [
         (float(e), r.transmission, r.reflection, r.sigma_star, method)

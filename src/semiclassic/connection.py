@@ -12,7 +12,9 @@ maps between those bases are
 for an uphill turning point, and the analogous pair for a downhill one.  The
 growing exponential is kept exactly: its interference term is what upgrades
 the bare tunneling probability e^{-2 sigma*} to e^{-2 sigma*}/(1 + e^{-2
-sigma*}/4)^2.
+sigma*}/4)^2.  That ratio and j_ref/j_inc are reported from sigma* by the
+map that also makes the ``wkb`` and ``wkb-corrected`` reports;
+:func:`barrier_currents` keeps the currents themselves, as a check of it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .wkb_core import (
     Method,
     TransmissionReport,
     _accumulate,
+    _opacity_report,
     assert_outside_exclusion,
     barrier_integral,
 )
@@ -169,33 +172,14 @@ def barrier_currents(
 def transmission_from_currents(problem: ScatteringProblem) -> TransmissionReport:
     """Transmission as the current ratio of the patched barrier solution.
 
-    T = j_trans / j_inc = (e^{sigma*} + e^{-sigma*}/4)^{-2}, which is the
-    corrected closed form e^{-2 sigma*}/(1 + e^{-2 sigma*}/4)^2 written
-    differently; the outgoing amplitude cancels in the ratio.  The reported
-    reflection is j_ref / j_inc, and unitarity T + R = 1 holds identically
-    because the current algebra conserves flux.
+    T = j_trans / j_inc = e^{-2 sigma*}/(1 + e^{-2 sigma*}/4)^2, the
+    ``wkb-corrected`` T bit for bit, and R = j_ref / j_inc =
+    ((1 - e^{-2 sigma*}/4)/(1 + e^{-2 sigma*}/4))^2: the outgoing amplitude
+    and e^{2 sigma*} cancel in both ratios, so any finite sigma* has a report
+    and T + R = 1 holds to rounding.  The batch of one of the map from
+    sigma* that the CLI's ``connection`` scans use.
     """
-    return _current_ratio_report(barrier_integral(problem), problem.context)
-
-
-def _current_ratio_report(sigma_star: float, context: PhysicalContext) -> TransmissionReport:
-    if sigma_star > 300.0:
-        # The incident current would overflow; the ratio is 0 to all digits.
-        return TransmissionReport(
-            transmission=0.0,
-            reflection=1.0,
-            sigma_star=sigma_star,
-            method=Method.CONNECTION_PATCHED,
-            transmission_bare=0.0,
-        )
-    j_inc, j_ref, j_out = barrier_currents(sigma_star, 1.0, context)
-    return TransmissionReport(
-        transmission=j_out / j_inc,
-        reflection=j_ref / j_inc,
-        sigma_star=sigma_star,
-        method=Method.CONNECTION_PATCHED,
-        transmission_bare=math.exp(-2.0 * sigma_star),
-    )
+    return _opacity_report(barrier_integral(problem), Method.CONNECTION_PATCHED)
 
 
 def _default_grid(problem, tp, n_per_region):
@@ -223,7 +207,6 @@ def patched_barrier_solution(
     outgoing_amplitude=1.0,
     xs=None,
     n_per_region: int = 200,
-    incident_side: str = "left",
 ) -> WavefunctionTable:
     """Three-region WKB wave built backward from the outgoing wave.
 
@@ -236,11 +219,10 @@ def patched_barrier_solution(
         psi_III =  (2B/sqrt(k)) e^{i (theta - pi/4)}
 
     with s = sigma*, u the decay integral from the uphill point, phi/theta
-    the action phases measured toward/from the turning points.  For
-    ``incident_side="right"`` the mirrored assembly is produced.
+    the action phases measured toward/from the turning points.  The wave is
+    incident from the left; a right-incident one is this wave of the mirrored
+    potential.
     """
-    if incident_side not in ("left", "right"):
-        raise DomainError(f"incident_side must be 'left' or 'right', got {incident_side!r}")
     n_per_region = _require_count(n_per_region, "n_per_region")
     b_amp = _amplitude(outgoing_amplitude)
     # Raises NoBarrierError unless a barrier lies between two turning points.
@@ -282,22 +264,15 @@ def patched_barrier_solution(
     total = from_a[-1] + from_b[-1]
     u = np.concatenate([from_a[:-1], total - from_b[-2::-1]]) / hbar
 
-    # The right-incident wave is the mirrored assembly, its decay integral
-    # int_x^b beta dx' being sigma* - u.
-    k_in, phase_in, decay, k_out, phase_out = (
-        (k_left, phi, u, k_right, theta) if incident_side == "left"
-        else (k_right, theta, sigma_star - u, k_left, phi)
-    )
     e_grow, e_decay = math.exp(sigma_star), math.exp(-sigma_star)
-    psi_in = -(b_amp / np.sqrt(k_in)) * (
-        e_decay * np.sin(phase_in - 0.25 * math.pi)
-        + 4.0j * e_grow * np.cos(phase_in - 0.25 * math.pi)
+    psi_left = -(b_amp / np.sqrt(k_left)) * (
+        e_decay * np.sin(phi - 0.25 * math.pi)
+        + 4.0j * e_grow * np.cos(phi - 0.25 * math.pi)
     )
     psi_mid = (b_amp / np.sqrt(beta_mid)) * (
-        e_decay * np.exp(decay) - 2.0j * e_grow * np.exp(-decay)
+        e_decay * np.exp(u) - 2.0j * e_grow * np.exp(-u)
     )
-    psi_out = (2.0 * b_amp / np.sqrt(k_out)) * np.exp(1j * (phase_out - 0.25 * math.pi))
-    psi_left, psi_right = (psi_in, psi_out) if incident_side == "left" else (psi_out, psi_in)
+    psi_right = (2.0 * b_amp / np.sqrt(k_right)) * np.exp(1j * (theta - 0.25 * math.pi))
 
     psi = np.concatenate([psi_left, psi_mid, psi_right])
     order = np.concatenate([left, mid, right])
@@ -315,13 +290,14 @@ def airy_local_solution(
     z = (2 m mu / hbar^2)^(1/3) (x - a) with mu the local slope of V; the
     requested points must stay inside the radius where the linearization
     error is below 10% of |E - V| (plus an Airy-length floor, since both
-    vanish at the turning point itself).
+    vanish at the turning point itself).  A turning point or a point that is
+    not finite raises :class:`DomainError`.
     """
     if solution not in ("ai", "bi"):
         raise DomainError(f"solution must be 'ai' or 'bi', got {solution!r}")
-    xs = np.sort(np.atleast_1d(np.asarray(xs, dtype=float)))
+    a = float(_require_finite(tp_position, "tp_position"))
+    xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
     m, e, hbar = problem.context.mass, problem.energy, problem.context.hbar
-    a = float(tp_position)
     mu = problem.dv(a)
     if mu == 0.0:
         raise LinearizationError("V'(a) = 0: no linear turning point here")

@@ -277,22 +277,24 @@ def _sum(nodes: _Nodes, energy: float, dk: float, integrand):
 
 
 def picard_amplitudes(
-    problem: ScatteringProblem, iterations: int, tol: float = 1e-10, x0: float | None = None
+    problem: ScatteringProblem, iterations: int, tol: float = 1e-10
 ) -> PicardAmplitudes:
     """Iterate the coupled amplitude integral equations from C+ = 1, C- = 0.
 
         C+(x) = 1 + int_{-inf}^{x} r C- e^{-2iw/hbar} dx'
         C-(x) =   - int_{x}^{+inf} r C+ e^{+2iw/hbar} dx'
 
-    The domain edges stand in for +/- infinity.  The integrals are running
-    sums on the once-reflected sum's nodes; its first half-step is that sum,
-    so whatever the sum refuses is refused, a domain that cuts r among them.
+    The domain edges stand in for +/- infinity, and the phase w is measured
+    from the left edge.  The integrals are running sums on the once-reflected
+    sum's nodes; its first half-step is that sum at the default reference
+    point, so whatever the sum refuses is refused, a domain that cuts r among
+    them.
     Iteration stops at ``iterations`` or when the largest relative change
     drops below ``tol``.
     """
     iterations = _require_count(iterations, "iterations", 1)
     _require_smooth(problem)
-    nodes = _Nodes(problem, x0)
+    nodes = _Nodes(problem, None)
     coupling, _ = _once_reflected(nodes, problem.energy)
     c_plus = np.ones(nodes.x.shape, dtype=complex)
     c_minus = np.zeros(nodes.x.shape, dtype=complex)
@@ -408,29 +410,25 @@ def _matrix_elements(
     return np.array([_sum(nodes, e, dk, vtilde_p)[1] for e in energies], dtype=complex)
 
 
-def born_first_order(
-    problem: ScatteringProblem, k_i: float = 1.0, k_f: float = -1.0
-) -> complex:
+def born_first_order(problem: ScatteringProblem) -> complex:
     """First-order reflection amplitude of the phase-variable wave equation.
 
     Treating Vtilde as the perturbation of d^2 phi/dw^2 + phi/hbar^2 = 0 and
-    solving to first order with the outgoing Green function gives
+    solving to first order with the outgoing Green function gives the
+    on-shell backscattering amplitude
 
-        R1 = (i hbar / 2) v(k_i, k_f)
+        R1 = (i hbar / 2) v(+1, -1)
 
-    for backscattering (k_f = -k_i on shell); the i hbar/2 factor is the
-    on-shell weight of the free propagator.  |R1|^2 tracks the once-reflected
-    probability as the perturbation amplitude goes to zero.  The batch of one
-    of :func:`born_amplitudes`.
+    the i hbar/2 factor being the on-shell weight of the free propagator.
+    |R1|^2 tracks the once-reflected probability as the perturbation
+    amplitude goes to zero.  The batch of one of :func:`born_amplitudes`.
     """
-    return complex(born_amplitudes(problem, problem.energy, k_i, k_f)[0])
+    return complex(born_amplitudes(problem, problem.energy)[0])
 
 
-def born_amplitudes(
-    problem: ScatteringProblem, energies, k_i: float = 1.0, k_f: float = -1.0
-) -> np.ndarray:
-    """R1 = (i hbar / 2) v(k_i, k_f) at each energy of a scan (see
+def born_amplitudes(problem: ScatteringProblem, energies) -> np.ndarray:
+    """R1 = (i hbar / 2) v(+1, -1) at each energy of a scan (see
     :func:`born_first_order`), from one call of the matrix-element sums, which
     refuse a v as :func:`_sum` says."""
-    return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, k_i, k_f)
+    return 0.5j * problem.context.hbar * _matrix_elements(problem, energies, 1.0, -1.0)
 

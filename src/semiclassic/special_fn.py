@@ -52,6 +52,11 @@ _F64_SERIES_LIMIT = 3.5
 #: (2/3) z^(3/2), times the prefactors of Bi and Bi' (below 8) is a float.
 _EXP_MAX_Z = (1.5 * (math.log(sys.float_info.max) - math.log(8.0))) ** (2.0 / 3.0)
 
+#: Largest -z the oscillatory route accepts: past it zeta = (2/3)|z|^(3/2)
+#: exceeds 2^52, its ulp exceeds 1, and the phase zeta - pi/4 has no correct
+#: digit (long before zeta^5 in the odd sums overflows, near z = -1e41).
+_PHASE_MAX_ABS_Z = (1.5 * 2.0**52) ** (2.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class AiryPair:
@@ -162,13 +167,19 @@ def airy_asymptotic(z: float) -> AiryPair:
     Bi ~ exp(zeta)/(sqrt(pi) z^(1/4)); for z < 0 the oscillatory forms with
     phase zeta - pi/4, zeta = (2/3)|z|^(3/2).  Correction terms through
     zeta^(-5) are included, so the relative error at |z| = 10 is ~1e-7 and
-    falls rapidly with |z|.
+    falls rapidly with |z|.  A z below -:data:`_PHASE_MAX_ABS_Z`, where the
+    phase has no correct digit, raises :class:`RangeError`.
     """
     z = _exponential_range(z, "airy_asymptotic")
     if abs(z) < 3.0:
         raise RangeError(
             f"airy_asymptotic: |z| = {abs(z):g} < 3 is outside the accurate "
             "regime; use the series evaluator"
+        )
+    if z < -_PHASE_MAX_ABS_Z:
+        raise RangeError(
+            f"airy_asymptotic: z = {z:g} is below {-_PHASE_MAX_ABS_Z:.6g}, where the "
+            "phase zeta - pi/4 has no correct digit left"
         )
     az = abs(z)
     zeta = (2.0 / 3.0) * az**1.5

@@ -288,9 +288,9 @@ def effective_perturbation(problem: ScatteringProblem, x):
     Valid in the classically allowed region (p > 0), at a scalar x or an
     array of them.  This is the residual coupling left over when the wave
     equation is rewritten in the phase variable; it vanishes identically for
-    a free particle.
+    a free particle.  An x that is not finite raises :class:`DomainError`.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = _require_finite(x, "x")
     out = _vtilde(
         problem.context.mass, problem.energy, xa, problem.v(xa), problem.dv(xa), problem.d2v(xa)
     )
@@ -321,20 +321,31 @@ def transmission_leading(
     corrected=True reports T = e^{-2 sigma*} / (1 + e^{-2 sigma*}/4)^2, the
     interference-aware value that keeping the growing exponential inside the
     barrier produces; corrected=False reports the bare e^{-2 sigma*}.  The
-    bare value is always recorded alongside for comparison.
+    bare value is always recorded alongside for comparison.  The batch of one
+    of :func:`_opacity_report`.
     """
-    return _leading_report(barrier_integral(problem), corrected)
+    method = Method.WKB_CORRECTED if corrected else Method.WKB_LEADING
+    return _opacity_report(barrier_integral(problem), method)
 
 
-def _leading_report(sigma_star: float, corrected: bool = True) -> TransmissionReport:
+def _opacity_report(sigma_star: float, method: Method) -> TransmissionReport:
+    """The report of ``wkb``, ``wkb-corrected`` or ``connection`` from sigma*.
+
+    With b = e^{-2 sigma*}: ``wkb`` reports T = b and ``wkb-corrected``
+    T = b/(1 + b/4)^2, each with R = 1 - T.  ``connection`` reports the
+    corrected T and R = ((1 - b/4)/(1 + b/4))^2, the currents j_trans/j_inc
+    and j_ref/j_inc of the patched wave divided by their common factor
+    4|B|^2 (hbar/m) e^{2 sigma*}, so that no sigma* overflows them.
+    """
     bare = math.exp(-2.0 * sigma_star)
-    corr = bare / (1.0 + 0.25 * bare) ** 2
-    t = corr if corrected else bare
+    quarter = 0.25 * bare
+    t = bare if method is Method.WKB_LEADING else bare / (1.0 + quarter) ** 2
+    r = (
+        ((1.0 - quarter) / (1.0 + quarter)) ** 2
+        if method is Method.CONNECTION_PATCHED else 1.0 - t
+    )
     return TransmissionReport(
-        transmission=t,
-        reflection=1.0 - t,
-        sigma_star=sigma_star,
-        method=Method.WKB_CORRECTED if corrected else Method.WKB_LEADING,
+        transmission=t, reflection=r, sigma_star=sigma_star, method=method,
         transmission_bare=bare,
     )
 

@@ -54,6 +54,19 @@ class TestTransmission:
         assert float(cells[1]) == pytest.approx(math.exp(-math.pi), rel=1e-10)
         assert cells[4] == "wkb"
 
+    @pytest.mark.parametrize("method", ["wkb-corrected", "connection"])
+    def test_opaque_row_keeps_its_transmission(self, capsys, method):
+        # sigma* 318.75: connection once printed T = 0 past sigma* 300.
+        code = run_cli([
+            "transmission", "--form", "eckart", "--height", "1", "--width", "1",
+            "--mass", "60000", "--energy", "0.5", "--x-min", "-14", "--x-max", "14",
+            "--method", method,
+        ])
+        assert code == 0
+        _, t, r, sigma, name = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (t, r, name) == ("1.372494479987334e-277", "1", method)
+        assert float(sigma) == pytest.approx(318.75, abs=5e-3)
+
     def test_exact_has_empty_sigma(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run_cli(

@@ -126,7 +126,7 @@ class TestTransmissionFromCurrents:
         rep_conn = transmission_from_currents(DEEP_ECKART)
         rep_wkb = transmission_leading(DEEP_ECKART)
         assert rep_conn.method is Method.CONNECTION_PATCHED
-        assert abs(rep_conn.transmission - rep_wkb.transmission) < 1e-14
+        assert rep_conn.transmission == rep_wkb.transmission
         assert rep_conn.transmission + rep_conn.reflection == pytest.approx(1.0, abs=1e-14)
 
     def test_sigma_grid_identity(self):
@@ -187,16 +187,6 @@ class TestPatchedSolution:
         amp = np.abs(psi) * np.sqrt(k)
         assert np.max(np.abs(amp - amp[0])) < 1e-12
 
-    def test_mirror_assembly_agreement(self):
-        left = patched_barrier_solution(DEEP_ECKART)
-        right = patched_barrier_solution(DEEP_ECKART, incident_side="right")
-        # Symmetric barrier: the right-incident wave is the mirror image,
-        # and its conjugate-reversal recovers the left-incident table.
-        np.testing.assert_allclose(right.psi[::-1], left.psi, atol=1e-11)
-        np.testing.assert_allclose(
-            np.conj(left.psi[::-1]), np.conj(right.psi), atol=1e-11
-        )
-
     def test_incident_amplitude_ratio(self):
         # psi sqrt(k) = A_inc e^{-i phi} + A_ref e^{+i phi} in region I, phi
         # the action toward the uphill turning point: two points fix both.
@@ -230,8 +220,7 @@ class TestPatchedSolution:
         np.testing.assert_array_equal(two.xs, one.xs)
         np.testing.assert_allclose(two.psi, 2.0 * one.psi, rtol=1e-12)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_schrodinger_residual_far_from_turning_points(self, side):
+    def test_schrodinger_residual_far_from_turning_points(self):
         # |psi'' + k^2 psi| / |k^2 psi| <= 0.05 at >= 5 exclusion radii.
         problem = ScatteringProblem(
             potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14.0, 14.0)
@@ -239,9 +228,7 @@ class TestPatchedSolution:
         tp = find_turning_points(problem)
         x = tp.a - 5.0 * exclusion_radius(problem, tp.a)
         h = 1e-3
-        psi = patched_barrier_solution(
-            problem, xs=five_point_stencil(x, h), incident_side=side
-        ).psi
+        psi = patched_barrier_solution(problem, xs=five_point_stencil(x, h)).psi
         d2 = (-psi[0] + 16 * psi[1] - 30 * psi[2] + 16 * psi[3] - psi[4]) / (12 * h * h)
         k2 = 2.0 * (problem.energy - problem.v(x))
         assert abs(d2 + k2 * psi[2]) / abs(k2 * psi[2]) <= 0.05

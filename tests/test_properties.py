@@ -25,7 +25,9 @@ where |R| is resolved (and from 15 to 20 where it must be refused); the spectral
 phase property draws full Eckart and Gaussian barriers with E 1.1 to 3 times
 their top, and converged Picard iteration full Eckart barriers there, checked
 against the closed form in 40 digits; the truncation property draws Eckart and
-Gaussian barriers on domains cut 1.5 to 14 widths from their centre.
+Gaussian barriers on domains cut 1.5 to 14 widths from their centre.  The
+``connection`` report is held to the ``wkb-corrected`` one and to the
+currents of the patched wave at sigma* drawn from (0, 400].
 """
 
 import cmath
@@ -61,6 +63,7 @@ from semiclassic import (
     SquareBarrier,
     TabulatedPotential,
     action_integral,
+    airy_local_solution,
     barrier_currents,
     barrier_integral,
     born_amplitudes,
@@ -68,6 +71,7 @@ from semiclassic import (
     derivative,
     effective_perturbation,
     effective_perturbation_profile,
+    exclusion_radius,
     find_turning_points,
     matrix_element,
     once_reflected_coefficient,
@@ -92,7 +96,15 @@ from semiclassic.reflection import (
     _matrix_elements,
     _phase,
 )
-from semiclassic.wkb_core import _GL_NODES, _GL_WEIGHTS, _accumulate, _panel_nodes, _well_actions
+from semiclassic.wkb_core import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    Method,
+    _accumulate,
+    _opacity_report,
+    _panel_nodes,
+    _well_actions,
+)
 
 #: The reference quadratures below ask for more than rounding allows near the top.
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -1082,8 +1094,10 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, kd, data)
         one = dataclasses.replace(problem, energy=float(e))
         once, element, born = (rows_alone[i] for rows_alone in alone)
         assert same_outcome(outcome(once_reflected_coefficient, one, x0), once)
-        picard = outcome(picard_amplitudes, one, 1, 1e-10, x0)
-        assert same_outcome(getattr(picard, "reflection_amplitude", picard), once)
+        # Picard measures the phase from the left edge, once-reflected's default x0.
+        picard = outcome(picard_amplitudes, one, 1, 1e-10)
+        once_from_edge = outcome(once_reflected_coefficient, one)
+        assert same_outcome(getattr(picard, "reflection_amplitude", picard), once_from_edge)
         assert same_outcome(outcome(matrix_element, one, 1.0, -1.0, x0), element)
         assert same_outcome(outcome(born_first_order, one), born)
         if not isinstance(once, str):
@@ -1336,6 +1350,41 @@ def test_scans_labels_and_currents_refuse_bad_input_first(call, message):
     # The currents' amplitude is checked in test_connection.py.
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: effective_perturbation(ECKART, math.nan), "x must be finite"),
+    (lambda: exclusion_radius(ECKART, math.nan), "x_c must be finite"),
+    (lambda: airy_local_solution(ECKART, math.nan, [-1.0]), "tp_position must be finite"),
+    (
+        lambda: airy_local_solution(ECKART, find_turning_points(ECKART).a, [math.nan]),
+        "the points must be finite",
+    ),
+], ids=["perturbation", "exclusion", "bridge-point", "bridge-xs"])
+def test_turning_point_helpers_refuse_points_that_are_not_finite(call, message):
+    # Before, the first two returned nan, and the Airy bridge failed only
+    # inside airy ("airy: z must be finite"), naming neither argument.
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.floats(0.0, 400.0, exclude_min=True))
+@example(318.74972044341217)
+def test_connection_report_is_the_corrected_transmission(sigma):
+    # connection once printed T = 0 past sigma* 300, where its currents
+    # would overflow; it now divides them by their common factor first.
+    conn = _opacity_report(sigma, Method.CONNECTION_PATCHED)
+    corr = _opacity_report(sigma, Method.WKB_CORRECTED)
+    assert conn.transmission.hex() == corr.transmission.hex()
+    assert conn.transmission > 0.0 or corr.transmission == 0.0
+    assert abs(conn.transmission + conn.reflection - 1.0) <= 1e-15
+    if sigma < 350.0:
+        # The currents of the patched wave, while they are floats.
+        j_inc, j_ref, j_out = barrier_currents(sigma)
+        assert conn.transmission == pytest.approx(j_out / j_inc, rel=1e-14)
+        assert conn.reflection == pytest.approx(j_ref / j_inc, rel=1e-15)
 
 
 def test_empty_point_sets_give_empty_tables():

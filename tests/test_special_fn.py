@@ -15,7 +15,7 @@ from semiclassic import (
     airy_bessel_form,
     airy_laplace_contour,
 )
-from semiclassic.special_fn import _EXP_MAX_Z
+from semiclassic.special_fn import _EXP_MAX_Z, _PHASE_MAX_ABS_Z
 
 
 def bessel_transform_residual(z, scale=1.0):
@@ -198,6 +198,20 @@ class TestCrossCheckRefusals:
     @pytest.mark.parametrize("route", [airy_asymptotic, airy_bessel_form])
     def test_values_up_to_the_cut_are_finite(self, route):
         assert all(map(math.isfinite, dataclasses.astuple(route(_EXP_MAX_Z))))
+
+    def test_phase_cut_is_where_zeta_reaches_2_to_52(self):
+        assert (2.0 / 3.0) * _PHASE_MAX_ABS_Z**1.5 == pytest.approx(2.0**52, rel=1e-14)
+        inside = airy_asymptotic(math.nextafter(-_PHASE_MAX_ABS_Z, 0.0))
+        assert all(map(math.isfinite, dataclasses.astuple(inside)))
+
+    @pytest.mark.parametrize(
+        "z", [math.nextafter(-_PHASE_MAX_ABS_Z, -math.inf), -1e11, -2e41, -1e300]
+    )
+    def test_phase_without_a_digit(self, z):
+        # Before, the phase was noise from z ~ -3.6e10, and from between -1e41
+        # and -2e41 zeta^5 in the odd sums raised a bare OverflowError.
+        with pytest.raises(RangeError, match=r"phase zeta - pi/4 has no correct digit left$"):
+            airy_asymptotic(z)
 
 
 class TestSeriesEdges:

@@ -1,6 +1,5 @@
 """Nothing below assumes m = hbar = 1; spot-check a nontrivial unit system."""
 
-import numpy as np
 import pytest
 
 from semiclassic import (
@@ -13,7 +12,6 @@ from semiclassic import (
     analytic_eckart_transmission,
     barrier_integral,
     once_reflected_coefficient,
-    patched_barrier_solution,
     quantize_levels,
     solve_bound_states_exact,
     solve_scattering_exact,
@@ -75,7 +73,7 @@ def test_once_reflected_tracks_oracle():
     assert r_once == pytest.approx(r_exact, rel=0.05)
 
 
-def test_patched_identity_and_mirror():
+def test_patched_identity():
     deep = ScatteringProblem(
         potential=EckartBarrier(height=1.0, width=1.0),
         energy=0.15,
@@ -86,6 +84,3 @@ def test_patched_identity_and_mirror():
         transmission_from_currents(deep).transmission
         - transmission_leading(deep).transmission
     ) < 1e-14
-    left = patched_barrier_solution(deep)
-    right = patched_barrier_solution(deep, incident_side="right")
-    np.testing.assert_allclose(right.psi[::-1], left.psi, atol=1e-9)
