@@ -115,21 +115,27 @@ class WavefunctionTable:
 #: ln of the largest float: math.exp overflows beyond it.
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 
-_REGIONS = np.array(
-    [Region.ALLOWED_LEFT, Region.FORBIDDEN, Region.ALLOWED_RIGHT], dtype=object
-)
+_REGIONS = (Region.ALLOWED_LEFT, Region.FORBIDDEN, Region.ALLOWED_RIGHT)
 
 
-def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints) -> tuple:
-    """Region of every x in one vectorised pass.
+def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints, v=None) -> tuple:
+    """Region of every x, from V on ``xs`` (``v`` if given).
 
     Forbidden where V > E; otherwise allowed_right beyond the last turning
-    point and allowed_left elsewhere (so the inside of a well is left).
+    point and allowed_left elsewhere (so the inside of a well is left).  The
+    tuple is joined from the runs of equal regions, a handful per table.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
-    forbidden = problem.v(xs) > problem.energy
-    return tuple(_REGIONS[np.where(forbidden, 1, np.where(xs > last, 2, 0))])
+    forbidden = (problem.v(xs) if v is None else v) > problem.energy
+    codes = np.where(forbidden, 1, np.where(xs > last, 2, 0))
+    if not len(codes):
+        return ()
+    tags, lo = (), -1
+    for hi in [*np.nonzero(codes[1:] != codes[:-1])[0].tolist(), len(codes) - 1]:
+        tags += (_REGIONS[codes[hi]],) * (hi - lo)
+        lo = hi
+    return tags
 
 
 def classify_region(problem: ScatteringProblem, x: float, tp: TurningPoints) -> Region:
@@ -318,5 +324,5 @@ def airy_local_solution(
     vals = np.array(
         [getattr(airy(z), solution) for z in zs], dtype=complex
     )
-    tags = _region_tags(problem, xs, find_turning_points(problem))
+    tags = _region_tags(problem, xs, find_turning_points(problem), v)
     return WavefunctionTable(xs=xs, psi=vals, region_tags=tags)

@@ -12,20 +12,22 @@ are arrays with one row per energy, and only the two half-shots of each
 energy are solved one by one.  Fixed steps rather than adaptive control keep
 the emitted numbers bit-reproducible.
 
-The three-term recurrence a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0,
-a_i = 1 + h^2 k_i^2 / 12 and b_i = 12 - 10 a_i, started from two known values
+The three-term recurrence a_{i-1} psi_{i-1} + b_i psi_i + a_{i+1} psi_{i+1} = 0,
+a_i = 1 + h^2 k_i^2 / 12 and b_i = 10 a_i - 12, started from two known values
 is a lower-triangular banded linear system of bandwidth 2 (the matrix form of
-Numerov's method).  LAPACK's ``dtbtrs`` solves it by the same substitution as
-the recurrence, in compiled code: one call per energy, the leftward sweep
-being the same solve on the reversed grid, with Re and Im of the seed as two
-right-hand sides.  a_i <= 0 anywhere (h kappa >= sqrt(12)) breaks the
-recurrence down and raises NumericalError.  A scan of energies sets up the
-grid, V and the work arrays once; each energy solves into the reused band
-and right-hand-side arrays and keeps only the five left-edge rows that T and
-R read.  The wavefunction runs the same checks, T + R = 1 included.
+Numerov's method).  a_i <= 0 anywhere (h kappa >= sqrt(12)) breaks the
+recurrence down and raises NumericalError; otherwise each row is divided
+through by its diagonal a_i, one vectorised division per band row, and
+LAPACK's ``dtbtrs`` solves the unit-diagonal band by substitution on
+multiply-adds alone, with no division per row, in compiled code: one call per energy, the leftward
+sweep being the same solve on the reversed grid, with Re and Im of the seed
+as two right-hand sides.  A scan of energies sets up the grid, V and the
+work arrays once; each energy solves into the reused band and right-hand-
+side arrays and keeps only the five left-edge rows that T and R read.  The
+wavefunction runs the same checks, T + R = 1 included.
 
 Behind a barrier the solution grows by up to lambda_i = c + sqrt(c^2 - 1),
-c = b_i / 2 a_i, per step, and an opaque barrier would carry |psi| past the
+c = -b_i / 2 a_i, per step, and an opaque barrier would carry |psi| past the
 double range.  The grid is therefore cut, in one vectorised pass, wherever
 the running sum of ln lambda_i passes a multiple of ln 1e150.  The sum runs
 over the forbidden rows |c| > 1 alone: every other row adds arccosh(1) = 0
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +101,8 @@ _MATCH_MARGIN = 0.05
 _V_EPS = 1e-10
 #: First two rows of a bound-state shot: a node at the edge row.
 _EDGE_SEEDS = np.array([[0.0], [1e-8]])
+#: Per thread, the batch arrays of the last bound-state solve (_batch_arrays).
+_BATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def _grid_and_potential(problem: ScatteringProblem, config: OracleConfig):
 
 
 def _numerov_coefficients(xs, k2, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of a_{i-1} psi_{i-1} - b_i psi_i + a_{i+1} psi_{i+1} = 0 for each
+    """(a, b) of a_{i-1} psi_{i-1} + b_i psi_i + a_{i+1} psi_{i+1} = 0 for each
     row of ``k2``, shape (n,) or (energies, n), written into ``out``, shape
     (2, *k2.shape), if given (its a may be k2 itself).  Raises for the first
     row where a <= 0."""
@@ -136,14 +141,14 @@ def _numerov_coefficients(xs, k2, out=None) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.empty((2, *k2.shape)) if out is None else out
     np.multiply(h * h / 12.0, k2, out=a)
     a += 1.0
-    np.subtract(12.0, np.multiply(10.0, a, out=b), out=b)
+    np.subtract(np.multiply(10.0, a, out=b), 12.0, out=b)
     return a, b
 
 
 def _segment_starts(a, b, scratch) -> list[int]:
     """The rows after the first at which :func:`_shoot` starts a new segment.
 
-    With b = 12 - 10 a, row i grows by arccosh|6 / a_i - 5|, largest at the
+    With b = 10 a - 12, row i grows by arccosh|6 / a_i - 5|, largest at the
     least or the largest a.  Where n - 2 rows of that growth stay below half
     of :data:`_SEGMENT_GROWTH` (a margin far beyond the rounding of the
     exact sum), no cut can occur and the exact pass is skipped.  ``scratch``
@@ -171,11 +176,12 @@ def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
 
     Returns (psi, e): the solution is psi * 2**e on its last ``rows`` rows
     (all of them for None).  Each segment (see the module docstring) is one
-    banded solve seeded from the previous segment's last two rows; before it,
-    every kept row solved so far is divided by the power of two that brings
-    those seeds into [0.5, 1).  ``work``, (3 + ncol) len(a) floats if given,
-    holds the right-hand side and the band, which the solve overwrites; the
-    psi of a one-segment shot is a view of it, valid until its next use.
+    banded solve, its rows divided by their diagonal a_i, seeded from the
+    previous segment's last two rows; before it, every kept row solved so far
+    is divided by the power of two that brings those seeds into [0.5, 1).
+    ``work``, (3 + ncol) len(a) floats if given, holds the right-hand side
+    and the band, which the solve overwrites; the psi of a one-segment shot
+    is a view of it, valid until its next use.
     """
     n, ncol = len(a), seeds.shape[1]
     first = 0 if rows is None else n - rows
@@ -192,18 +198,19 @@ def _shoot(a, b, seeds, rows=None, work=None) -> tuple[np.ndarray, int]:
             solved = psi[: start - first]
             np.ldexp(solved, -shift, out=solved)
         exponent += shift
-        # Lower band storage: column j holds A[j, j], A[j+1, j], A[j+2, j];
-        # the first two rows are the identity on the seeds.
+        # Lower band storage, each row divided by its diagonal: column j
+        # holds A[j+1, j] = b_j / a_{j+1} and A[j+2, j] = a_j / a_{j+2}.  The
+        # unit diagonal (band row 0) is never read, and the first two rows
+        # are the identity on the seeds.
         size = stop - start
         rhs = work[: ncol * size].reshape(ncol, size).T
         ab = work[ncol * size : (3 + ncol) * size].reshape(size, 3).T
-        ab[0] = ab[2] = a[start:stop]
-        np.negative(b[start:stop], out=ab[1])
-        ab[0, :2] = 1.0
+        np.divide(b[start : stop - 1], a[start + 1 : stop], out=ab[1, :-1])
+        np.divide(a[start : stop - 2], a[start + 2 : stop], out=ab[2, :-2])
         ab[1, 0] = 0.0
         np.ldexp(seeds, -shift, out=rhs[:2])
         rhs[2:] = 0.0
-        x, info = linalg.lapack.dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
+        x, info = linalg.lapack.dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
         if info != 0:
             raise NumericalError(f"banded Numerov solve failed: LAPACK info = {info}")
         if psi is None:
@@ -227,13 +234,13 @@ def _left_edge_decomposition(xs, psi, k_left) -> tuple[complex, complex]:
 
 
 def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
-    """(T, R, xs, psi) at each energy in order, from one set-up of the grid.
+    """(T, R, xs, v, psi) at each energy in order, from one set-up of the grid.
 
-    Raw T and R, the grid, and the wave of unit incident amplitude on its
-    first ``rows`` points (all of them for None; the edge decomposition reads
-    5).  Each energy runs every check in turn -- flat edges, open channel,
-    Numerov breakdown, overflow of |A|, |T + R - 1| <= ``tolerance`` -- so
-    a scan raises for its first failing energy.
+    Raw T and R, the grid, V on it, and the wave of unit incident amplitude
+    on its first ``rows`` points (all of them for None; the edge decomposition
+    reads 5).  Each energy runs every check in turn -- flat edges, open
+    channel, Numerov breakdown, overflow of |A|, |T + R - 1| <= ``tolerance``
+    -- so a scan raises for its first failing energy.
     """
     xs, v = _grid_and_potential(problem, config)
     lo, hi = problem.domain
@@ -281,7 +288,7 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
             raise NumericalError(
                 f"unitarity violated: T + R - 1 = {t + r - 1.0:.3e}; refine the grid"
             )
-        yield t, r, xs, psi / amplitude
+        yield t, r, xs, v, psi / amplitude
 
 
 def scan_scattering_exact(
@@ -307,7 +314,7 @@ def scan_scattering_exact(
             sigma_star=None,
             method=Method.EXACT_NUMEROV,
         )
-        for t, r, _, _ in _scattering_rows(problem, energies, config or OracleConfig())
+        for t, r, *_ in _scattering_rows(problem, energies, config or OracleConfig())
     ]
 
 
@@ -322,7 +329,7 @@ def unitarity_defect(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> float:
     """Raw T + R - 1, the defect :func:`solve_scattering_exact` checks."""
-    [(t, r, _, _)] = _scattering_rows(
+    [(t, r, *_)] = _scattering_rows(
         problem, [problem.energy], config or OracleConfig(), tolerance=math.inf
     )
     return t + r - 1.0
@@ -333,6 +340,18 @@ def _count_nodes(a, b, work=None) -> int:
     psi, _ = _shoot(a, b, _EDGE_SEEDS, work=work)
     negative = np.signbit(psi[1:, 0])
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
+
+
+def _batch_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of at least (2, rows, n) and (rows, n + 2) floats: this thread's
+    bound-state work area, allocated afresh only when it is too small or its
+    grid differs, so it holds the largest batch asked for on the last grid.
+    Fresh pages cost a minor page fault each, about 180 (7 % of the call)
+    for 8 levels at 3001 points."""
+    arrays = getattr(_BATCH, "arrays", None)
+    if arrays is None or arrays[1].shape[0] < rows or arrays[0].shape[2] != n:
+        arrays = _BATCH.arrays = np.empty((2, rows, n)), np.empty((rows, n + 2))
+    return arrays
 
 
 def solve_bound_states_exact(
@@ -391,7 +410,7 @@ def solve_bound_states_exact(
     # are then checked in level order.
     ends = list(dict.fromkeys(e for _, lo, hi in isolated for e in (lo, hi)))
     # One row per energy; the bracket ends are the most that come at once.
-    batch, halves = np.empty((2, len(ends), len(v))), np.empty((len(ends), len(v) + 2))
+    batch, halves = _batch_arrays(len(ends), len(v))
 
     def mismatch(energies) -> np.ndarray:
         count = len(energies)
@@ -434,10 +453,10 @@ def wavefunction_exact(
 ) -> WavefunctionTable:
     """The integrated scattering wave on the grid, unit incident amplitude,
     checked as :func:`solve_scattering_exact` checks T and R."""
-    [(_, _, xs, psi)] = _scattering_rows(
+    [(_, _, xs, v, psi)] = _scattering_rows(
         problem, [problem.energy], config or OracleConfig(), rows=None
     )
-    tags = _region_tags(problem, xs, find_turning_points(problem))
+    tags = _region_tags(problem, xs, find_turning_points(problem), v)
     return WavefunctionTable(xs=xs, psi=psi, region_tags=tags)
 
 

@@ -166,9 +166,15 @@ def airy_asymptotic(z: float) -> AiryPair:
     For z > 0 the exponential forms Ai ~ exp(-zeta)/(2 sqrt(pi) z^(1/4)) and
     Bi ~ exp(zeta)/(sqrt(pi) z^(1/4)); for z < 0 the oscillatory forms with
     phase zeta - pi/4, zeta = (2/3)|z|^(3/2).  Correction terms through
-    zeta^(-5) are included, so the relative error at |z| = 10 is ~1e-7 and
-    falls rapidly with |z|.  A z below -:data:`_PHASE_MAX_ABS_Z`, where the
-    phase has no correct digit, raises :class:`RangeError`.
+    zeta^(-5) are included, so the relative error of the series at |z| = 10
+    is ~1e-7 and falls rapidly with |z|.  On the oscillatory side the phase
+    is rounded to a double, which bounds the error instead once |z| passes
+    ~100: each value is then within 2 ulp(zeta) of its envelope
+    (sqrt(Ai^2 + Bi^2) for Ai and Bi, sqrt(Ai'^2 + Bi'^2) for the
+    derivatives), an error that grows as |z|^(3/2): 5.3e-13 of the envelope
+    at z = -1e3, 1.6e-9 at -1e5 and 1.5e-6 at -1e7 for Ai.  A z below
+    -:data:`_PHASE_MAX_ABS_Z`, where ulp(zeta) exceeds 1 and the phase has no
+    correct digit, raises :class:`RangeError`.
     """
     z = _exponential_range(z, "airy_asymptotic")
     if abs(z) < 3.0:
@@ -178,8 +184,9 @@ def airy_asymptotic(z: float) -> AiryPair:
         )
     if z < -_PHASE_MAX_ABS_Z:
         raise RangeError(
-            f"airy_asymptotic: z = {z:g} is below {-_PHASE_MAX_ABS_Z:.6g}, where the "
-            "phase zeta - pi/4 has no correct digit left"
+            f"airy_asymptotic: z = {z:g} is below {-_PHASE_MAX_ABS_Z:.6g}, where "
+            "ulp(zeta) exceeds 1: the oscillatory values are only within 2 ulp(zeta) "
+            "of their envelope, and the phase zeta - pi/4 has no correct digit left"
         )
     az = abs(z)
     zeta = (2.0 / 3.0) * az**1.5

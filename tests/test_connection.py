@@ -17,6 +17,7 @@ from semiclassic import (
     NumericalError,
     PhysicalContext,
     ScatteringProblem,
+    SquareBarrier,
     TurningPointProximityError,
     action_integral,
     airy,
@@ -170,6 +171,18 @@ class TestPatchedSolution:
         ):
             expected = tuple(reference_region(DEEP_ECKART, x, tp) for x in table.xs)
             assert table.region_tags == expected
+        # Both turning points of the square barrier fall on nodes of the exact
+        # wave's grid, where V = E: neither node is forbidden, and the right
+        # one is not beyond the last turning point.
+        square = ScatteringProblem(
+            potential=SquareBarrier(height=1.0, width=2.0), energy=0.5, domain=(-8.0, 8.0)
+        )
+        tp = find_turning_points(square)
+        table = wavefunction_exact(square, OracleConfig(grid_points=2001))
+        on_nodes = np.flatnonzero(np.isin(table.xs, [tp.a, tp.b]))
+        assert table.xs[on_nodes].tolist() == [tp.a, tp.b]
+        assert [table.region_tags[i] for i in on_nodes] == [Region.ALLOWED_LEFT] * 2
+        assert table.region_tags == tuple(reference_region(square, x, tp) for x in table.xs)
         # Two roots of a well, one root of a ramp, none on a flat line.
         xs = np.linspace(-3.0, 3.0, 61)
         for potential in (HarmonicWell(stiffness=1.0), LinearRamp(0.0, 1.0), LinearRamp(0.0, 0.0)):

@@ -238,10 +238,10 @@ class TestScattering:
         a = np.ones(200)
         a[-12:] = 0.5
         seeds = np.array([[1.0, 0.3], [0.9, 0.5]])
-        whole = np.ldexp(*exact_oracle._shoot(a, 12.0 - 10.0 * a, seeds))
+        whole = np.ldexp(*exact_oracle._shoot(a, 10.0 * a - 12.0, seeds))
         monkeypatch.setattr(exact_oracle, "_SEGMENT_GROWTH", 5.0)
         for rows in (2, 3, 5, 9, 200):
-            tail, exponent = exact_oracle._shoot(a, 12.0 - 10.0 * a, seeds, rows)
+            tail, exponent = exact_oracle._shoot(a, 10.0 * a - 12.0, seeds, rows)
             assert exponent == 41
             assert np.array_equal(np.ldexp(tail, exponent), whole[-rows:])
 

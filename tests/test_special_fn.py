@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize, special
@@ -126,6 +127,24 @@ class TestAsymptotic:
     def test_accuracy_guard(self):
         with pytest.raises(RangeError):
             airy_asymptotic(2.0)
+
+    @pytest.mark.parametrize("z", [-1e3, -1e5, -1e7])
+    def test_oscillatory_error_is_within_two_ulp_of_zeta(self, z):
+        # The phase zeta - pi/4 is rounded to a double, so the error grows
+        # with ulp(zeta) instead of falling with |z|: 0.1-0.9 ulp(zeta) of
+        # the envelope was seen at these z and at -3.3e3, -7.7e5 and -2e9.
+        bound = 2.0 * math.ulp((2.0 / 3.0) * abs(z) ** 1.5)
+        pair = airy_asymptotic(z)
+        with mpmath.workdps(40):
+            ai, bi = mpmath.airyai(z), mpmath.airybi(z)
+            aip, bip = mpmath.airyai(z, 1), mpmath.airybi(z, 1)
+            for values, exact in (
+                ((pair.ai, pair.bi), (ai, bi)),
+                ((pair.ai_prime, pair.bi_prime), (aip, bip)),
+            ):
+                envelope = mpmath.hypot(*exact)
+                for value, reference in zip(values, exact):
+                    assert abs(value - reference) <= bound * envelope
 
 
 class TestBesselForm:
