@@ -272,8 +272,9 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
         k2 /= hbar**2
         a, b = _numerov_coefficients(xs, k2, coefficients)
         seed = np.exp(1j * k_r * xs[:-3:-1])
-        psi, exponent = _shoot(a, b, np.column_stack([seed.real, seed.imag]), rows, work)
-        psi = psi[::-1, 0] + 1j * psi[::-1, 1]
+        shot, exponent = _shoot(a, b, np.column_stack([seed.real, seed.imag]), rows, work)
+        psi = np.empty(len(shot), dtype=complex)
+        psi.real, psi.imag = shot[::-1, 0], shot[::-1, 1]
         amplitude, c = _left_edge_decomposition(xs, psi, k_l)
         mag = math.hypot(amplitude.real, amplitude.imag)
         log10_mag = math.log10(mag) + exponent * _LOG10_2
@@ -288,7 +289,7 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
             raise NumericalError(
                 f"unitarity violated: T + R - 1 = {t + r - 1.0:.3e}; refine the grid"
             )
-        yield t, r, xs, v, psi / amplitude
+        yield t, r, xs, v, np.divide(psi, amplitude, out=psi)
 
 
 def scan_scattering_exact(

@@ -567,22 +567,22 @@ def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
 
 
 def _geometry(problem: ScatteringProblem) -> tuple:
-    """``(knots, kx, kv, xs, vs, runs)``: the extrema of V and the monotone runs between them.
+    """``(kx, kv, xs, vs, runs)``: the extrema of V and the monotone runs between them.
 
     One vectorised pass over ``_SCAN_PANELS + 1`` samples finds where the
     slope of V changes sign (a flat run counts once).  Each extremum is the
     root of the analytic V' between the samples around it, all from one
     :func:`_bracketed_roots` call; where V' does not change sign there (a
     jump of SquareBarrier, a finite-difference slope) or its root is worse
-    than the best sample, the best sample stands in.  ``knots`` are the
-    domain edges and the extrema as increasing (x, V) pairs, ``kx`` and
-    ``kv`` the same as arrays; ``xs``, ``vs`` the samples with the extrema
-    merged in.  ``runs`` is ``(s, up, keys, xtol)``; entry k is of the run
-    from knot k to knot k + 1: its first index in xs, +1 if V rises on it
-    else -1, up * V on it (increasing), and its root tolerance.  All of it
-    depends on the potential and the domain only, so it is found once per
-    domain and kept on the (frozen) potential instance, outside its fields:
-    equality, hash and repr do not see it.
+    than the best sample, the best sample stands in.  The knots ``kx`` are
+    the domain edges and the extrema, increasing, and ``kv`` is V there;
+    ``xs``, ``vs`` the samples with the extrema merged in.  ``runs`` is
+    ``(s, up, keys, xtol)``; entry k is of the run from knot k to knot
+    k + 1: its first index in xs, +1 if V rises on it else -1, up * V on it
+    (increasing), and its root tolerance.  All of it depends on the
+    potential and the domain only, so it is found once per domain and kept
+    on the (frozen) potential instance, outside its fields: equality, hash
+    and repr do not see it.
     """
     stored = vars(problem.potential).setdefault("_knots_by_domain", {})
     if problem.domain in stored:
@@ -611,18 +611,12 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     at = np.searchsorted(xs, x_ext)
     cuts = np.concatenate([[0], at + np.arange(len(at)), [len(xs) + len(at) - 1]])
     xs, vs = np.insert(xs, at, x_ext), np.insert(vs, at, v_ext)
-    knots = tuple(zip(xs[cuts].tolist(), vs[cuts].tolist()))
     kx, kv = xs[cuts], vs[cuts]
     ups = np.where(kv[1:] > kv[:-1], 1.0, -1.0)
     keys = tuple(up * vs[s : t + 1] for s, t, up in zip(cuts, cuts[1:], ups))
     xtol = 4e-16 * np.maximum(1.0, np.maximum(np.abs(kx[:-1]), np.abs(kx[1:])))
-    stored[problem.domain] = (knots, kx, kv, xs, vs, (cuts[:-1], ups, keys, xtol))
+    stored[problem.domain] = (kx, kv, xs, vs, (cuts[:-1], ups, keys, xtol))
     return stored[problem.domain]
-
-
-def _knots(problem: ScatteringProblem) -> tuple:
-    """Domain edges and refined interior extrema of V, as increasing (x, V) pairs."""
-    return _geometry(problem)[0]
 
 
 def _turning_points(problem: ScatteringProblem, energies) -> tuple:
@@ -637,7 +631,7 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     in one :func:`_bracketed_roots` call, each to 4e-16 max(1, |x|) over its
     run's ends.
     """
-    _, kx, kv, xs, vs, (starts, ups, keys, tols) = _geometry(problem)
+    kx, kv, xs, vs, (starts, ups, keys, tols) = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     # Column k: the root at knot k, or inside run k.
     roots = np.where(e[:, None] == kv, kx, np.nan)

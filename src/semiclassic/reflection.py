@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legval, legvander
 
 from .errors import DomainError, NumericalError, RegimeError
-from .potential import ScatteringProblem, _knots, _require_count, _require_finite
+from .potential import ScatteringProblem, _geometry, _require_count, _require_finite
 from .wkb_core import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -117,7 +117,7 @@ class PicardAmplitudes:
 
 def _v_max(problem: ScatteringProblem) -> float:
     """max V on the domain, from its edges and refined extrema."""
-    return max(v for _, v in _knots(problem))
+    return max(_geometry(problem)[1].tolist())
 
 
 def _require_over_barrier(problem: ScatteringProblem, energy: float) -> None:
@@ -144,7 +144,7 @@ def _require_smooth(problem: ScatteringProblem) -> None:
 
 
 def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
-    """w(x0, x) at ascending xs: the phase accumulator run from the left edge.
+    """w(x0, x) at xs in the domain: the phase accumulator run from the left edge.
 
     The left edge may be a turning point (E = V there), which the
     accumulator's turning-point substitution handles; x0 defaults to it.
@@ -152,11 +152,9 @@ def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarra
     x0 = _reference_point(problem, x0)
     lo = problem.domain[0]
     pts = np.append(xs, x0)
-    order = np.argsort(pts, kind="stable")
-    inside = pts[order] > lo
+    inside = pts > lo
     w = np.zeros(len(pts))
-    turning = problem.v(lo) == problem.energy
-    w[order[inside]] = _accumulate(problem, lo, pts[order][inside], turning)
+    w[inside] = _accumulate(problem, lo, pts[inside], problem.v(lo) == problem.energy)
     return w[:-1] - w[-1]
 
 
@@ -359,9 +357,14 @@ def effective_perturbation_profile(
 
     In the phase variable the wave equation reads
     d^2 phi/dw^2 + [1/hbar^2 + Vtilde(w)] phi = 0 after the amplitude
-    rescaling phi = sqrt(p/hbar) psi.
+    rescaling phi = sqrt(p/hbar) psi.  Points outside the domain, which the
+    phase is accumulated over, raise :class:`DomainError`.
     """
     xs = np.sort(np.atleast_1d(_require_finite(xs, "the points")))
+    lo, hi = problem.domain
+    outside = xs[(xs < lo) | (xs > hi)]
+    if len(outside):
+        raise DomainError(f"points {outside.tolist()} lie outside the domain [{lo:g}, {hi:g}]")
     if np.any(problem.energy <= problem.v(xs)) or problem.energy < _v_max(problem):
         raise RegimeError(
             "all sample points, and the domain the phase is accumulated "

@@ -24,18 +24,16 @@ from .errors import (
     NumericalError,
     RegionError,
     SpectrumError,
-    TurningPointProximityError,
 )
 from .potential import (
     ScatteringProblem,
     _SCAN_PANELS,
     _bracketed_roots,
-    _knots,
+    _geometry,
     _multi_well,
     _require_count,
     _require_finite,
     _turning_points,
-    exclusion_radius,
     find_turning_points,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "transmission_leading",
     "quantize",
     "quantize_levels",
-    "assert_outside_exclusion",
     "effective_perturbation",
 ]
 
@@ -114,35 +111,25 @@ class TransmissionReport:
             )
 
 
-def assert_outside_exclusion(problem: ScatteringProblem, xs) -> None:
-    """Raise if any x lies within one Airy length of a turning point."""
-    tp = find_turning_points(problem)
-    points = [p for p in (tp.a, tp.b) if p is not None]
-    xa = np.atleast_1d(np.asarray(xs, dtype=float))
-    for x_c in points:
-        r = exclusion_radius(problem, x_c)
-        bad = np.abs(xa - x_c) < r
-        if np.any(bad):
-            raise TurningPointProximityError(
-                f"x = {float(xa[bad][0]):g} is within one Airy length "
-                f"({r:g}) of the turning point at {x_c:g}"
-            )
-
-
 def _accumulate(
     problem: ScatteringProblem, start: float, xs, turning=False, forbidden=False
 ) -> np.ndarray:
     """Cumulative integral of sqrt(2m|E - V|) from ``start`` to each x in ``xs``.
 
-    ``xs`` runs monotonically away from ``start`` inside one region: allowed
-    (the integrand is p) or, with ``forbidden``, forbidden (hbar beta).  Each
-    gap between successive xs is cut into equal panels no wider than the
-    span's share of the accumulator grid, each with a 10-point Gauss-Legendre
-    rule.  When ``start`` is a turning point the variable is
-    s = sqrt(|x - start|), and extra panels are graded toward s = 0.
+    The xs lie in any order on one side of ``start``, inside one region:
+    allowed (the integrand is p) or, with ``forbidden``, forbidden (hbar
+    beta).  They are taken in order of distance from ``start`` (a stable
+    sort, so the panels do not depend on the given order), and each gap
+    between successive ones is cut into equal panels no wider than the span's
+    share of the accumulator grid, each with a 10-point Gauss-Legendre rule.
+    When ``start`` is a turning point the variable is s = sqrt(|x - start|),
+    and extra panels are graded toward s = 0.  The integrals come back in
+    the order of ``xs``.
     """
     xs = np.asarray(xs, dtype=float)
     dist = np.abs(xs - start)
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
     if len(xs) == 0 or dist[-1] == 0.0:
         return np.zeros(len(xs))
     lo, hi = problem.domain
@@ -160,13 +147,15 @@ def _accumulate(
         edges = np.concatenate([[0.0], graded, edges[1:]])
         ends = ends + _GRADED_PANELS
     nodes, half = _panel_nodes(edges)
-    x = start + (1.0 if xs[-1] > start else -1.0) * (nodes * nodes if turning else nodes)
+    x = start + (1.0 if xs[order[-1]] > start else -1.0) * (nodes * nodes if turning else nodes)
     excess = problem.v(x) - problem.energy
     vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0))
     if turning:
         vals *= 2.0 * nodes
     weights = math.sqrt(2.0 * problem.context.mass) * half
-    return np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
+    out = np.empty(len(xs))
+    out[order] = np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
+    return out
 
 
 def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.ndarray:
@@ -246,7 +235,8 @@ def barrier_integral(problem: ScatteringProblem) -> float:
     The batch of one of :func:`opacities`: the same checks and sum.
     """
     tp = find_turning_points(problem)
-    return float(_opacities(problem, problem.energy, tp.a, tp.b, tp.count)[0])
+    sigma = _across(problem, problem.energy, tp.a, tp.b, tp.count, barrier=True)
+    return float(sigma[0] / problem.context.hbar)
 
 
 def opacities(problem: ScatteringProblem, energies) -> np.ndarray:
@@ -257,29 +247,37 @@ def opacities(problem: ScatteringProblem, energies) -> np.ndarray:
     is not finite raises :class:`DomainError` first.
     """
     e = np.atleast_1d(_require_finite(energies, "energies"))
-    return _opacities(problem, e, *_turning_points(problem, e))
+    return _across(problem, e, *_turning_points(problem, e), barrier=True) / problem.context.hbar
 
 
-def _opacities(problem: ScatteringProblem, energies, a, b, count) -> np.ndarray:
-    """sigma* at each energy from its turning points a < b and their count."""
+def _across(problem: ScatteringProblem, energies, a, b, count, barrier) -> np.ndarray:
+    """:func:`_between` at energies whose turning points a < b enclose a barrier
+    (``barrier``) or a well, by V at their midpoint.  The first energy that does
+    not raises :class:`MultiWellError` for more than two turning points, else
+    :class:`NoBarrierError` (barrier) or :class:`BracketError` (well)."""
     e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
     count = np.atleast_1d(count)
-    barrier = count == 2
-    barrier[barrier] = problem.v(0.5 * (a[barrier] + b[barrier])) > e[barrier]
-    if not barrier.all():
-        i = int(np.flatnonzero(~barrier)[0])
-        if count[i] > 2:
-            raise _multi_well(int(count[i]))
-        if count[i] != 2:
+    ok = count == 2
+    mid = problem.v(0.5 * (a[ok] + b[ok]))
+    ok[ok] = mid > e[ok] if barrier else mid < e[ok]
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        n = int(count[i])
+        if n > 2:
+            raise _multi_well(n)
+        if barrier:
             raise NoBarrierError(
-                f"barrier integral needs 2 turning points, found {count[i]} "
-                "(E >= max V or no barrier in the domain)"
+                ("interval between turning points is classically allowed; "
+                 "this is a well, not a barrier") if n == 2 else
+                (f"barrier integral needs 2 turning points, found {n} "
+                 "(E >= max V or no barrier in the domain)")
             )
-        raise NoBarrierError(
-            "interval between turning points is classically allowed; "
-            "this is a well, not a barrier"
+        raise BracketError(
+            f"E = {e[i]:g}: interval between roots is not a well" if n == 2 else
+            (f"E = {e[i]:g} has {n} turning points; the bracket must keep the well "
+             "topology (exactly 2)")
         )
-    return _between(problem, e, a, b, forbidden=True) / problem.context.hbar
+    return _between(problem, e, a, b, forbidden=barrier)
 
 
 def effective_perturbation(problem: ScatteringProblem, x):
@@ -351,26 +349,10 @@ def _opacity_report(sigma_star: float, method: Method) -> TransmissionReport:
 
 
 def _well_actions(problem: ScatteringProblem, energies) -> np.ndarray:
-    """integral_a^b sqrt(2m(E - V)) dx across the well at each energy.
-
-    The first energy (in order) that does not see exactly two turning points
-    around a well raises :class:`BracketError`.
-    """
+    """integral_a^b sqrt(2m(E - V)) dx across the well at each energy, checked
+    by :func:`_across`."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    a, b, count = _turning_points(problem, e)
-    well = count == 2
-    well[well] = problem.v(0.5 * (a[well] + b[well])) < e[well]
-    if not well.all():
-        i = int(np.flatnonzero(~well)[0])
-        if count[i] > 2:
-            raise _multi_well(int(count[i]))
-        if count[i] != 2:
-            raise BracketError(
-                f"E = {e[i]:g} has {count[i]} turning points; the bracket must "
-                "keep the well topology (exactly 2)"
-            )
-        raise BracketError(f"E = {e[i]:g}: interval between roots is not a well")
-    return _between(problem, e, a, b)
+    return _across(problem, e, *_turning_points(problem, e), barrier=False)
 
 
 def _levels(problem: ScatteringProblem, ns, bracket, actions) -> np.ndarray:
@@ -430,7 +412,7 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     converges one.
     """
     n_max = _require_count(n_max, "n_max")
-    vs = [v for _, v in _knots(problem)]
+    vs = _geometry(problem)[1].tolist()
     v_min = min(vs)
     rim = min(vs[0], vs[-1])
     if rim <= v_min:

@@ -30,7 +30,7 @@ from semiclassic import (
     transmission_from_currents,
     transmission_leading,
 )
-from semiclassic.connection import Region, classify_region
+from semiclassic.connection import Region, _region_tags, classify_region
 
 DEEP_ECKART = ScatteringProblem(
     potential=EckartBarrier(height=1.0, width=1.0), energy=0.15, domain=(-14.0, 14.0)
@@ -190,6 +190,21 @@ class TestPatchedSolution:
             tp = find_turning_points(problem)
             for x in xs:
                 assert classify_region(problem, x, tp) is reference_region(problem, x, tp)
+        # The patched wave tags its points by the region it places them in,
+        # which is the rule on V, on default grids and on given points.
+        for problem in (DEEP_ECKART, square):
+            tp = find_turning_points(problem)
+            xs = np.linspace(*problem.domain, 161)
+            clear = np.minimum(
+                np.abs(xs - tp.a) / exclusion_radius(problem, tp.a),
+                np.abs(xs - tp.b) / exclusion_radius(problem, tp.b),
+            ) >= 1.0
+            for table in (
+                patched_barrier_solution(problem, n_per_region=20),
+                patched_barrier_solution(problem, xs=xs[clear]),
+            ):
+                assert table.region_tags == _region_tags(problem, table.xs, tp)
+                assert set(table.region_tags) == set(Region)
 
     def test_outgoing_region_is_pure_traveling_wave(self):
         table = patched_barrier_solution(DEEP_ECKART)
@@ -362,6 +377,20 @@ class TestAiryLocalSolution:
             ratios.append(wkb / airy(z).ai)
         ratios = np.array(ratios)
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 0.05
+
+    def test_anchor_off_the_turning_point_raises(self):
+        # 0.3 Airy lengths past the turning point, E - V(a) shifts z by -0.3:
+        # the bridge would be the Airy function of the wrong z.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0), energy=0.55, domain=(-14, 14),
+            context=PhysicalContext(mass=64.0),
+        )
+        a = find_turning_points(problem).a
+        r = exclusion_radius(problem, a)
+        xs = np.linspace(a - r, a + r, 5)
+        assert len(airy_local_solution(problem, a, xs)) == 5
+        with pytest.raises(DomainError, match=r"is not a turning point: .* shifts z by -0\.299"):
+            airy_local_solution(problem, a + 0.3 * r, xs)
 
     def test_bad_solution_name(self):
         problem = self.ramp_problem()

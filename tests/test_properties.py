@@ -88,7 +88,7 @@ from semiclassic import (
 )
 from semiclassic import exact_oracle
 from semiclassic.exact_oracle import _EDGE_SEEDS, _count_nodes, _numerov_coefficients
-from semiclassic.potential import _FEW_ROOTS, _bracketed_roots, _knots, _turning_points
+from semiclassic.potential import _FEW_ROOTS, _bracketed_roots, _geometry, _turning_points
 from semiclassic.reflection import (
     _LAGRANGE_INTEGRALS,
     _SPECTRAL,
@@ -218,6 +218,33 @@ def test_accumulated_action_matches_adaptive_quad(case):
     assert right == pytest.approx(adaptive(problem, tp.b, hi), rel=1e-10)
 
 
+@PROPERTY
+@given(barriers(), st.data())
+def test_accumulate_takes_points_in_any_order(case, data):
+    # The points are taken by distance from the start in a stable sort: shuffled,
+    # each gets the bits it gets among the points in order, from a turning point
+    # or not, in the allowed region or the forbidden one.
+    problem, _, _, _ = case
+    tp = find_turning_points(problem)
+    lo, hi = problem.domain
+    mid = 0.5 * (tp.a + tp.b)
+    spans = (
+        (tp.a, lo, True, False),
+        (tp.b, hi, True, False),
+        (tp.a, mid, True, True),
+        (tp.b, mid, True, True),
+        (lo, 0.5 * (lo + tp.a), False, False),
+        (mid, 0.5 * (mid + tp.b), False, True),
+    )
+    for start, end, turning, forbidden in spans:
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+        in_order = start + (end - start) * np.array(sorted(fractions))
+        shuffle = np.array(data.draw(st.permutations(range(len(in_order)))))
+        expected = _accumulate(problem, start, in_order, turning, forbidden)
+        got = _accumulate(problem, start, in_order[shuffle], turning, forbidden)
+        assert got.tobytes() == expected[shuffle].tobytes()
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(
     st.floats(0.5, 2.0), st.floats(0.5, 8.0), st.floats(0.3, 1.5), st.integers(0, 3)
@@ -240,16 +267,17 @@ def test_harmonic_levels_are_half_integer_quanta(stiffness, mass, hbar, n_max):
 def reference_turning_points(problem):
     """The roots of V - E one energy at a time, by brentq on each monotone
     piece between the extrema of V: the reference for the batched solve."""
-    knots, e = _knots(problem), problem.energy
+    kx, kv = (k.tolist() for k in _geometry(problem)[:2])
+    e = problem.energy
     roots = []
-    for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+    for x0, v0, x1, v1 in zip(kx, kv, kx[1:], kv[1:]):
         if v0 == e:
             roots.append(x0)
         elif (v0 - e) * (v1 - e) < 0.0:
             xtol = 4e-16 * max(1.0, abs(x0), abs(x1))
             roots.append(brentq(lambda x: problem.v(x) - e, x0, x1, xtol=xtol))
-    if knots[-1][1] == e:
-        roots.append(knots[-1][0])
+    if kv[-1] == e:
+        roots.append(kx[-1])
     return roots
 
 
@@ -301,7 +329,7 @@ def test_batched_scan_matches_per_energy_route(case):
     problem, energies, near_top = case
     a, b, count = _turning_points(problem, energies)
     sigma = opacities(problem, energies)
-    v_top = max(v for _, v in _knots(problem))
+    v_top = max(_geometry(problem)[1].tolist())
     for i, e in enumerate(energies):
         one = dataclasses.replace(problem, energy=float(e))
         ref = reference_turning_points(one)
@@ -640,7 +668,7 @@ WELL_GRID = OracleConfig(grid_points=3001)
 def reference_levels(problem, n_max):
     """Each WKB level alone, by brentq on the action through the per-energy
     turning points, over the whole well: the reference for quantize_levels."""
-    vs = [v for _, v in _knots(problem)]
+    vs = _geometry(problem)[1].tolist()
     v_min, rim = min(vs), min(vs[0], vs[-1])
     lo, hi = v_min + 1e-9 * (rim - v_min), rim - 1e-9 * (rim - v_min)
 
@@ -1108,7 +1136,7 @@ def test_reflection_rows_do_not_depend_on_their_batch(case, fractions, kd, data)
     # energies alone.  One more energy sits at k d 5-15, between the bulk of
     # the weak bumps and where the sums must refuse.
     problem, x0 = case
-    v_max = max(v for _, v in _knots(problem))
+    v_max = max(_geometry(problem)[1].tolist())
     hbar_k = problem.context.hbar * kd / problem.potential.width
     e_kd = hbar_k * hbar_k / (2.0 * problem.context.mass)
     energies = np.array([problem.energy, *(v_max / f for f in fractions), e_kd])
@@ -1348,6 +1376,8 @@ def test_reference_point_outside_domain_rejected(x0):
         lambda: once_reflected_coefficient(problem, x0=x0),
         lambda: matrix_element(problem, 1.0, -1.0, x0=x0),
         lambda: effective_perturbation_profile(problem, [0.0], x0=x0),
+        # A point outside the domain, where the phase is not accumulated.
+        lambda: effective_perturbation_profile(problem, [0.0, x0]),
     ):
         with pytest.raises(DomainError):
             call()

@@ -15,6 +15,7 @@ from semiclassic import (
     HarmonicWell,
     LinearRamp,
     Method,
+    MultiWellError,
     NoBarrierError,
     ParabolicBarrier,
     PhysicalContext,
@@ -22,9 +23,11 @@ from semiclassic import (
     ScatteringProblem,
     SpectrumError,
     SquareBarrier,
+    TabulatedPotential,
     action_integral,
     barrier_integral,
     find_turning_points,
+    opacities,
     quantize,
     quantize_levels,
     transmission_leading,
@@ -246,3 +249,44 @@ class TestQuantize:
         level = dataclasses.replace(problem, energy=quantize(problem, 2, (-0.5, -1e-6)))
         tp = find_turning_points(level)
         assert abs(action_integral(level, tp.a, tp.b) - 2.5 * math.pi) <= 1e-13
+
+
+class TestTurningPairCheck:
+    """The one check that two turning points enclose a barrier (opacities) or a
+    well (quantization): each refusal and its message, for the first energy in
+    order that fails."""
+
+    BUMP = problem_for(GaussianBump(amplitude=1.0, width=1.0), 0.0)
+    WELL = problem_for(HarmonicWell(stiffness=1.0), 0.0)
+    XS = np.linspace(-2.0, 2.0, 401)
+    DOUBLE_WELL = problem_for(TabulatedPotential(XS, (XS**2 - 1.0) ** 2), 0.0, (-2.0, 2.0))
+    MULTI_WELL = (
+        "found 4 turning points; only single-barrier/single-well potentials (at most 2) "
+        "are supported"
+    )
+
+    @pytest.mark.parametrize("problem, energies, failing, error, message", [
+        (BUMP, [0.5, 1.5, 0.7], 1.5, NoBarrierError, "barrier integral needs 2 turning "
+         "points, found 0 (E >= max V or no barrier in the domain)"),
+        (WELL, [0.5], 0.5, NoBarrierError, "interval between turning points is classically "
+         "allowed; this is a well, not a barrier"),
+        (DOUBLE_WELL, [0.5], 0.5, MultiWellError, MULTI_WELL),
+    ])
+    def test_barrier_refusals(self, problem, energies, failing, error, message):
+        with pytest.raises(error) as info:
+            opacities(problem, energies)
+        assert str(info.value) == message
+        with pytest.raises(error) as info:
+            barrier_integral(dataclasses.replace(problem, energy=failing))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("problem, bracket, error, message", [
+        (WELL, (0.5, 60.0), BracketError,
+         "E = 60 has 0 turning points; the bracket must keep the well topology (exactly 2)"),
+        (BUMP, (0.2, 0.5), BracketError, "E = 0.2: interval between roots is not a well"),
+        (DOUBLE_WELL, (0.2, 0.5), MultiWellError, MULTI_WELL),
+    ])
+    def test_well_refusals(self, problem, bracket, error, message):
+        with pytest.raises(error) as info:
+            quantize(problem, 0, bracket)
+        assert str(info.value) == message
