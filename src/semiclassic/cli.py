@@ -13,7 +13,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import functools
 import math
@@ -22,8 +21,9 @@ import sys
 
 import numpy as np
 
-from . import connection, exact_oracle, reflection, special_fn, verify, wkb_core
+from . import connection, exact_oracle, reflection, special_fn, wkb_core
 from ._format import table_text
+from ._lazy import lazy
 from .errors import ConfigError, SemiclassicError
 from .potential import (
     EckartBarrier,
@@ -38,6 +38,10 @@ from .potential import (
 )
 
 __all__ = ["main"]
+
+# Only ``--config`` and the ``verify`` command need these.
+configparser = lazy("configparser")
+verify = lazy("semiclassic.verify")
 
 TRANSMISSION_METHODS = ("wkb", "wkb-corrected", "connection", "exact")
 REFLECTION_METHODS = ("born1", "once-reflected")

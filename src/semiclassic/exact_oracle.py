@@ -72,6 +72,7 @@ from .potential import (
     _bracketed_roots,
     _require_count,
     _require_finite,
+    _well,
     find_turning_points,
 )
 from .wkb_core import Method, TransmissionReport
@@ -374,10 +375,9 @@ def solve_bound_states_exact(
     config = config or OracleConfig()
     xs, v = _grid_and_potential(problem, config)
     scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    _well(problem)  # refused from the extrema of V, as quantize_levels refuses it
     j = int(np.argmin(v))
     v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
-    if v_edge <= v_min:
-        raise SpectrumError("potential does not confine: no well below the edges")
     work, coefficients = np.empty(4 * len(v)), np.empty((2, len(v)))
 
     def nodes_at(energy: float) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lazy import lazy
-from .errors import DomainError, MultiWellError, NumericalError
+from .errors import DomainError, MultiWellError, NumericalError, SpectrumError
 
 interpolate = lazy("scipy.interpolate")
 
@@ -89,9 +89,15 @@ class PotentialModel:
     ones are frozen dataclasses): the extrema of V found on a domain are kept
     on the instance.  Every field of a dataclass model must be finite, and
     those named in ``_positive`` must also be > 0.
+
+    A model with its one extremum at ``center`` and V invertible in closed
+    form states ``_reach(e)``, on arrays: the distance from ``center`` to the
+    root of V = e on either side (to the jump, for a step), so its turning
+    points need no scan and no root solve; ``_reach = None`` has them scanned.
     """
 
     _positive = ()
+    _reach = None
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -160,6 +166,9 @@ class SquareBarrier(PotentialModel):
     def _second_derivative(self, x):
         return np.zeros_like(x)
 
+    def _reach(self, e):
+        return np.full_like(e, 0.5 * self.width)
+
 
 @dataclass(frozen=True)
 class GaussianBump(PotentialModel):
@@ -182,6 +191,9 @@ class GaussianBump(PotentialModel):
     def _second_derivative(self, x):
         u = (x - self.center) / self.width
         return self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
+
+    def _reach(self, e):
+        return self.width * np.sqrt(np.log1p((self.amplitude - e) / e))
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,9 @@ class EckartBarrier(PotentialModel):
             s2 = 1.0 / np.cosh(u) ** 2
         return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
+    def _reach(self, e):
+        return self.width * np.arcsinh(np.sqrt((self.height - e) / e))
+
 
 @dataclass(frozen=True)
 class HarmonicWell(PotentialModel):
@@ -222,6 +237,7 @@ class HarmonicWell(PotentialModel):
     stiffness: float
 
     _positive = ("stiffness",)
+    center = 0.0
 
     def _value(self, x):
         return 0.5 * self.stiffness * x * x
@@ -231,6 +247,9 @@ class HarmonicWell(PotentialModel):
 
     def _second_derivative(self, x):
         return np.full_like(x, self.stiffness)
+
+    def _reach(self, e):
+        return np.sqrt(2.0 * e / self.stiffness)
 
 
 @dataclass(frozen=True)
@@ -274,6 +293,9 @@ class ParabolicBarrier(PotentialModel):
 
     def _second_derivative(self, x):
         return np.full_like(x, -self.curvature)
+
+    def _reach(self, e):
+        return np.sqrt(2.0 * (self.height - e) / self.curvature)
 
 
 @dataclass(frozen=True)
@@ -567,47 +589,60 @@ def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
 
 
 def _geometry(problem: ScatteringProblem) -> tuple:
-    """``(kx, kv, xs, vs, runs)``: the extrema of V and the monotone runs between them.
+    """``(kx, kv, scan)``: the knots of V on the domain, V there, and the scan.
 
-    One vectorised pass over ``_SCAN_PANELS + 1`` samples finds where the
-    slope of V changes sign (a flat run counts once).  Each extremum is the
-    root of the analytic V' between the samples around it, all from one
-    :func:`_bracketed_roots` call; where V' does not change sign there (a
-    jump of SquareBarrier, a finite-difference slope) or its root is worse
-    than the best sample, the best sample stands in.  The knots ``kx`` are
-    the domain edges and the extrema, increasing, and ``kv`` is V there;
-    ``xs``, ``vs`` the samples with the extrema merged in.  ``runs`` is
-    ``(s, up, keys, xtol)``; entry k is of the run from knot k to knot
-    k + 1: its first index in xs, +1 if V rises on it else -1, up * V on it
-    (increasing), and its root tolerance.  All of it depends on the
-    potential and the domain only, so it is found once per domain and kept
-    on the (frozen) potential instance, outside its fields: equality, hash
-    and repr do not see it.
+    The knots ``kx`` are the domain edges and the extrema of V between them,
+    increasing, and ``kv`` is V there; a run is the monotone stretch of V
+    between two neighbouring knots.  With ``_reach``, ``center`` is the one
+    extremum where it lies inside the domain and V there differs from V at
+    both edges (a flat model, or an edge inside a square barrier's plateau,
+    has none), and ``scan`` is None.  Any other model is scanned: one pass
+    over ``_SCAN_PANELS + 1`` samples finds where the slope of V changes sign
+    (a flat run counts once; V' at each edge is the slope of one more panel
+    beyond it, so an extremum inside an edge panel is found too), and one
+    :func:`_bracketed_roots` call refines each to the root of V' between the
+    samples around it.  The best sample stands in where V' does not change
+    sign there (a jump, a finite-difference slope) or its root is worse, and
+    none in an edge panel.  ``scan`` is ``(xs, vs, (s, up, keys, xtol))``: the
+    samples with the extrema merged in, and per run its first index in xs, +1
+    if V rises on it else -1, up * V on it (increasing), and its root
+    tolerance.  It all depends on the potential and the domain only, so it is
+    kept on the (frozen) potential per domain, outside its fields: equality,
+    hash and repr do not see it.
     """
     stored = vars(problem.potential).setdefault("_knots_by_domain", {})
     if problem.domain in stored:
         return stored[problem.domain]
     lo, hi = problem.domain
+    if problem.potential._reach is not None:
+        kx = np.array([lo, problem.potential.center, hi])
+        kv = problem.v(kx)
+        if not (lo < kx[1] < hi and kv[0] != kv[1] != kv[2]):
+            kx, kv = kx[::2], kv[::2]
+        return stored.setdefault(problem.domain, (kx, kv, None))
     xs = np.linspace(lo, hi, _SCAN_PANELS + 1)
     vs = problem.v(xs)
-    slope = np.sign(np.diff(vs))
+    # slope[k] is that of panel k - 1; V' at the edges stands for panels -1 and 2048.
+    slope = np.sign(np.concatenate([problem.dv(xs[:1]), np.diff(vs), problem.dv(xs[-1:])]))
     steps = np.flatnonzero(slope)
     turns = np.flatnonzero(slope[steps[:-1]] != slope[steps[1:]])
-    i, j = steps[turns], steps[turns + 1] + 1  # an extremum lies in (xs[i], xs[j])
-    sign = slope[i]  # +1 at a maximum, -1 at a minimum
-    x_ext, v_ext = xs[i + 1], vs[i + 1]
-    if len(i):
+    k, m = steps[turns], steps[turns + 1]
+    i, j = np.maximum(k - 1, 0), np.minimum(m, _SCAN_PANELS)  # an extremum lies in (xs[i], xs[j])
+    sign = slope[k]  # +1 at a maximum, -1 at a minimum
+    x_ext, v_ext = xs[k], vs[k]
+    if len(k):
         d_lo, d_hi = np.split(problem.dv(xs[np.concatenate([i, j])]), 2)
-        k = np.flatnonzero(np.sign(d_lo) * np.sign(d_hi) < 0.0)
+        r = np.flatnonzero(np.sign(d_lo) * np.sign(d_hi) < 0.0)
         x_ext = x_ext.copy()
         # To 1e-6 of a panel, where V is flat to rounding.
-        x_ext[k] = _bracketed_roots(
-            lambda x, _: problem.dv(x), xs[i[k]], xs[j[k]], d_lo[k], d_hi[k],
+        x_ext[r] = _bracketed_roots(
+            lambda x, _: problem.dv(x), xs[i[r]], xs[j[r]], d_lo[r], d_hi[r],
             1e-6 * (xs[1] - xs[0]), _ROOT_POINTS,
         )
         refined = problem.v(x_ext)
         better = sign * refined >= sign * v_ext
-        x_ext, v_ext = np.where(better, x_ext, xs[i + 1]), np.where(better, refined, v_ext)
+        keep = ((k > 0) & (m <= _SCAN_PANELS)) | (sign * refined > sign * v_ext)
+        x_ext, v_ext = np.where(better, x_ext, xs[k])[keep], np.where(better, refined, v_ext)[keep]
     at = np.searchsorted(xs, x_ext)
     cuts = np.concatenate([[0], at + np.arange(len(at)), [len(xs) + len(at) - 1]])
     xs, vs = np.insert(xs, at, x_ext), np.insert(vs, at, v_ext)
@@ -615,28 +650,34 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     ups = np.where(kv[1:] > kv[:-1], 1.0, -1.0)
     keys = tuple(up * vs[s : t + 1] for s, t, up in zip(cuts, cuts[1:], ups))
     xtol = 4e-16 * np.maximum(1.0, np.maximum(np.abs(kx[:-1]), np.abs(kx[1:])))
-    stored[problem.domain] = (kx, kv, xs, vs, (cuts[:-1], ups, keys, xtol))
-    return stored[problem.domain]
+    return stored.setdefault(problem.domain, (kx, kv, (xs, vs, (cuts[:-1], ups, keys, xtol))))
 
 
 def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     """Arrays ``(a, b, count)`` of the roots of V - E, one entry per energy.
 
     ``count`` is the number of roots in the domain; a < b are the first two
-    (nan where there are fewer).  Each monotone run between the extrema of V
-    holds at most one root; an energy equal to V at a knot has its root
-    there.  Any other root is bracketed by the two samples around it, found
-    by searchsorted in its run (whose ends are the refined extrema, so two
-    roots inside one scan panel are both found), and all of them are solved
-    in one :func:`_bracketed_roots` call, each to 4e-16 max(1, |x|) over its
-    run's ends.
+    (nan where there are fewer).  An energy equal to V at a knot of
+    :func:`_geometry` has its root there, and a run at whose ends V - E has
+    strictly opposite signs has one inside: with ``_reach``, whichever of
+    center -/+ reach lies nearer the run, clipped into it; else bracketed by
+    the two samples around it, found by searchsorted in its run (whose ends
+    are the refined extrema, so two roots inside one scan panel are both
+    found), and solved in one :func:`_bracketed_roots` call with all the
+    others, each to 4e-16 max(1, |x|) over its run's ends.
     """
-    kx, kv, xs, vs, (starts, ups, keys, tols) = _geometry(problem)
+    kx, kv, scan = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     # Column k: the root at knot k, or inside run k.
     roots = np.where(e[:, None] == kv, kx, np.nan)
     rows, cols = np.nonzero((kv[:-1] - e[:, None]) * (kv[1:] - e[:, None]) < 0.0)
-    if len(rows):
+    if len(rows) and scan is None:
+        c, reach = problem.potential.center, problem.potential._reach(e[rows])
+        left, right = (np.clip(x, kx[cols], kx[cols + 1]) for x in (c - reach, c + reach))
+        nearer = np.abs(left - (c - reach)) <= np.abs(right - (c + reach))
+        roots[rows, cols] = np.where(nearer, left, right)
+    elif len(rows):
+        xs, vs, (starts, ups, keys, tols) = scan
         target = e[rows]
         # Column k: the samples of run k below each energy.
         below = np.column_stack([np.searchsorted(key, up * e) for key, up in zip(keys, ups)])
@@ -652,6 +693,15 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     return roots[:, 0], roots[:, 1], count
 
 
+def _well(problem: ScatteringProblem) -> tuple:
+    """``(v_min, rim)`` of the knots' V; no well below the edges: :class:`SpectrumError`."""
+    kv = _geometry(problem)[1].tolist()
+    v_min, rim = min(kv), min(kv[0], kv[-1])
+    if rim <= v_min:
+        raise SpectrumError("potential has no well below the domain edges")
+    return v_min, rim
+
+
 def _multi_well(count: int) -> MultiWellError:
     return MultiWellError(
         f"found {count} turning points; only single-barrier/single-well "
@@ -662,10 +712,10 @@ def _multi_well(count: int) -> MultiWellError:
 def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
     """Locate the roots of V(x) - E inside the problem domain.
 
-    The batch of one of :func:`_turning_points`: each monotone piece between
-    the extrema of V (found once per potential and domain) holds at most one
-    root, bracketed within one scan panel, so two roots closer than a panel
-    are both found.  More than two roots means a multi-well landscape, which
+    The batch of one of :func:`_turning_points`: each monotone run between
+    the extrema of V (known in closed form or found once per potential and
+    domain) holds at most one root, so two roots closer than a scan panel are
+    both found.  More than two roots means a multi-well landscape, which
     is rejected rather than silently truncated.  The result is kept on the
     (frozen) problem instance, outside its fields, so the wave, its Airy
     bridges and the integrals of one problem share one solve.

@@ -29,11 +29,11 @@ from .potential import (
     ScatteringProblem,
     _SCAN_PANELS,
     _bracketed_roots,
-    _geometry,
     _multi_well,
     _require_count,
     _require_finite,
     _turning_points,
+    _well,
     find_turning_points,
 )
 
@@ -412,11 +412,7 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     converges one.
     """
     n_max = _require_count(n_max, "n_max")
-    vs = _geometry(problem)[1].tolist()
-    v_min = min(vs)
-    rim = min(vs[0], vs[-1])
-    if rim <= v_min:
-        raise SpectrumError("potential has no well below the domain edges")
+    v_min, rim = _well(problem)
     span = rim - v_min
     top = dataclasses.replace(problem, energy=rim - 1e-9 * span)
     tp = find_turning_points(top)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,8 +65,27 @@ class TestTransmission:
         ])
         assert code == 0
         _, t, r, sigma, name = capsys.readouterr().out.splitlines()[1].split(",")
-        assert (t, r, name) == ("1.372494479987334e-277", "1", method)
+        assert (t, r, name) == ("1.3724944799871782e-277", "1", method)
         assert float(sigma) == pytest.approx(318.75, abs=5e-3)
+        # sigma* = pi d sqrt(2m) (sqrt(V0) - sqrt(E)) / hbar, T = b / (1 + b/4)^2.
+        with mpmath.workdps(40):
+            b = mpmath.exp(-2 * mpmath.pi * mpmath.sqrt(120000) * (1 - mpmath.sqrt(0.5)))
+            assert abs(float(t) / (b / (1 + b / 4) ** 2) - 1) <= 1e-13
+
+    @pytest.mark.parametrize("form", ["eckart", "gaussian"])
+    def test_peak_inside_the_first_scan_panel(self, capsys, form):
+        # The peak lies 0.001 inside the domain, closer to its edge than one
+        # panel of a 2048-panel scan of V.
+        height = ["--height", "1"] if form == "eckart" else ["--amplitude", "1"]
+        code = run_cli([
+            "transmission", "--form", form, *height, "--width", "1",
+            "--x-min=-0.001", "--x-max", "14", "--energy", "0.9999999",
+        ])
+        assert code == 0
+        sigma = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+        if form == "eckart":
+            exact = math.pi * (math.sqrt(2.0) - math.sqrt(2.0 * 0.9999999))
+            assert sigma == pytest.approx(exact, rel=1e-8)
 
     def test_exact_has_empty_sigma(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -126,17 +146,26 @@ class TestScan:
         "method", ["wkb", "wkb-corrected", "connection", "once-reflected", "born1"]
     )
     def test_extrema_scanned_once(self, method, knot_scans, tmp_path):
+        # A built-in model knows its extrema, so V is never sampled on the
+        # scan grid; a table of the same V is scanned once for the whole scan.
         if method in ("once-reflected", "born1"):
-            problem = ["--form", "gaussian", "--amplitude", "0.05", "--width", "1",
-                       "--x-min", "-12", "--x-max", "12", "--e-min", "0.5", "--e-max", "3"]
+            shape = ["--form", "gaussian", "--amplitude", "0.05", "--width", "1"]
+            domain = ["--x-min", "-12", "--x-max", "12", "--e-min", "0.5", "--e-max", "3"]
+            xs = np.linspace(-12.0, 12.0, 481)
+            vs = 0.05 * np.exp(-xs * xs)
         else:
-            problem = ["--form", "eckart", "--height", "1", "--width", "1",
-                       "--x-min", "-14", "--x-max", "14", "--e-min", "0.05", "--e-max", "0.95"]
+            shape = ["--form", "eckart", "--height", "1", "--width", "1"]
+            domain = ["--x-min", "-14", "--x-max", "14", "--e-min", "0.05", "--e-max", "0.95"]
+            xs = np.linspace(-14.0, 14.0, 561)
+            vs = 1.0 / np.cosh(xs) ** 2
+        table = tmp_path / "v.txt"
+        np.savetxt(table, np.column_stack([xs, vs]))
         out = tmp_path / "scan.csv"
-        args = ["scan", *problem, "--method", method, "--steps", "12", "--output", str(out)]
-        assert run_cli(args) == 0
-        assert len(out.read_text().splitlines()) == 13
-        assert knot_scans() == 1
+        for form, scans in ((shape, 0), (["--form", "tabulated", "--table-file", str(table)], 1)):
+            args = [*form, *domain, "--method", method, "--steps", "12", "--output", str(out)]
+            assert run_cli(["scan", *args]) == 0
+            assert len(out.read_text().splitlines()) == 13
+            assert knot_scans() == scans
 
 
 class TestOutputFile:
@@ -199,6 +228,17 @@ class TestBoundStates:
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(
             0.5, abs=1e-7
         )
+
+    def test_no_well_refused_once_for_both_methods(self, capsys):
+        # A barrier has no well below its domain edges: both methods refuse
+        # it from its extrema, with one message.
+        barrier = ["bound-states", "--form", "eckart", "--height", "1", "--width", "1",
+                   "--x-min", "-14", "--x-max", "14", "--n-max", "1"]
+        errors = []
+        for method in ("wkb", "exact"):
+            assert run_cli([*barrier, "--method", method]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == ["E_SPECTRUM: potential has no well below the domain edges\n"] * 2
 
 
 class TestWavefunction:

@@ -3,7 +3,8 @@
 Every root the package finds comes from its own bracketed solver
 (``potential._bracketed_roots``): no module imports ``scipy.optimize``.
 ``import semiclassic`` loads numpy and the package alone; scipy's submodules
-and mpmath run their code on first use (``semiclassic._lazy``).  Every name
+and mpmath run their code on first use (``semiclassic._lazy``), and so do
+``configparser`` and ``semiclassic.verify`` under ``semiclassic.cli``.  Every name
 the package exports has a user besides its own tests.
 """
 
@@ -156,7 +157,8 @@ def test_import_loads_no_heavy_dependency():
     out = _fresh(
         "import types\n"
         "import semiclassic, semiclassic.cli\n"
-        "for name in ('mpmath', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg'):\n"
+        "for name in ('mpmath', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg',\n"
+        "             'configparser', 'semiclassic.verify'):\n"
         "    module = sys.modules.get(name)\n"
         "    print(name, module is None or type(module) is not types.ModuleType)\n"
         "for name in ('scipy.optimize', 'scipy.special'):\n"

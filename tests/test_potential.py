@@ -237,6 +237,18 @@ class TestTurningPoints:
         assert abs(tp.a - (0.005 - half)) < 1e-10
         assert abs(tp.b - (0.005 + half)) < 1e-10
 
+    @pytest.mark.parametrize("domain", [(-0.001, 14.0), (-14.0, 0.001)])
+    def test_extremum_inside_an_edge_panel(self, domain):
+        # The peak of a scanned table lies 0.001 inside the domain, within
+        # its first or last scan panel.
+        xs = np.linspace(-14.0, 14.0, 2001)
+        table = TabulatedPotential(xs, 1.0 / np.cosh(xs) ** 2)
+        tp = find_turning_points(problem_for(table, 0.9999999, domain))
+        assert tp.count == 2
+        half = math.asinh(math.sqrt(1e-7 / 0.9999999))
+        assert tp.a == pytest.approx(-half, abs=1e-7)
+        assert tp.b == pytest.approx(half, abs=1e-7)
+
     def test_multi_well_rejected(self):
         xs = np.linspace(-2.0, 2.0, 401)
         double_well = TabulatedPotential(xs, (xs**2 - 1.0) ** 2)
@@ -245,15 +257,21 @@ class TestTurningPoints:
 
 
 class TestStoredKnots:
-    def test_found_once_per_domain(self, knot_scans):
-        potential = EckartBarrier(height=1.0, width=1.0)
+    @pytest.mark.parametrize("potential, scans", [
+        (EckartBarrier(height=1.0, width=1.0), 0),
+        (TabulatedPotential(np.linspace(-14, 14, 561),
+                            1.0 / np.cosh(np.linspace(-14, 14, 561)) ** 2), 1),
+    ], ids=["closed-form", "tabulated"])
+    def test_found_once_per_domain(self, potential, scans, knot_scans):
+        # A built-in model never samples V on the scan grid; a table is
+        # scanned once per potential instance and domain.
         for e in (0.2, 0.5, 0.8, 0.5):
             find_turning_points(problem_for(potential, e, (-14, 14)))
-        assert knot_scans() == 1
+        assert knot_scans() == scans
         find_turning_points(problem_for(potential, 0.5, (0.0, 14)))
-        assert knot_scans() == 2
+        assert knot_scans() == 2 * scans
         find_turning_points(problem_for(dataclasses.replace(potential), 0.5, (-14, 14)))
-        assert knot_scans() == 3
+        assert knot_scans() == 3 * scans
 
     def test_domains_kept_apart(self):
         potential = GaussianBump(amplitude=1.0, width=1.0, center=0.5)

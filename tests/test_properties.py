@@ -12,6 +12,9 @@ Every property runs on a fixed, derandomised set of examples, so the suite
 stays deterministic.  Barriers are Eckart, parabolic and Gaussian (and
 square, for scans) with random height, width, centre, m and hbar; energies
 are drawn from the bulk of the barrier and from within 1e-8 of its top.
+The closed-form knots and turning points of the five model profiles (Eckart,
+Gaussian and square of either sign, parabolic, harmonic) are held to the scan
+and root solve on domains that hold, cut off or nearly touch their centre.
 Tabulated sech^2, Gaussian and kinked profiles (20 to 2000 knots), as
 barriers and as wells, check the opacity and well action on their fixed
 panels against the accumulator.  The oracle properties draw Eckart,
@@ -88,7 +91,13 @@ from semiclassic import (
 )
 from semiclassic import exact_oracle
 from semiclassic.exact_oracle import _EDGE_SEEDS, _count_nodes, _numerov_coefficients
-from semiclassic.potential import _FEW_ROOTS, _bracketed_roots, _geometry, _turning_points
+from semiclassic.potential import (
+    _FEW_ROOTS,
+    _SCAN_PANELS,
+    _bracketed_roots,
+    _geometry,
+    _turning_points,
+)
 from semiclassic.reflection import (
     _LAGRANGE_INTEGRALS,
     _SPECTRAL,
@@ -359,6 +368,102 @@ def test_rows_do_not_depend_on_their_batch(case, data):
         tp = find_turning_points(dataclasses.replace(problem, energy=float(e)))
         assert (tp.a, tp.b) == (a[i], b[i])
         assert barrier_integral(dataclasses.replace(problem, energy=float(e))) == whole[i]
+
+
+#: Each model with ``_reach`` as a subclass without it, whose knots and
+#: turning points come from the scan and the root solve: the reference.
+SCANNED = {
+    cls: type(f"Scanned{cls.__name__}", (cls,), {"_reach": None})
+    for cls in (EckartBarrier, GaussianBump, SquareBarrier, ParabolicBarrier, HarmonicWell)
+}
+
+
+@st.composite
+def closed_forms(draw):
+    """(problem, energies): an Eckart, Gaussian or square profile of either
+    sign, a parabolic barrier or a harmonic well, on a domain that holds its
+    centre, cuts it off, ends within half a scan panel of it or ends inside
+    the square's plateau, with random energies, V at each knot, 0, V0/2 and
+    V0 (1 - 1e-8), V0 the top of a barrier or the well's V at one reach."""
+    form = draw(st.sampled_from(["eckart", "gaussian", "square", "parabolic", "harmonic"]))
+    height, width = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    center = draw(st.floats(-2.0, 2.0))
+    if form in ("eckart", "gaussian", "square"):
+        height *= draw(st.sampled_from([1.0, -1.0]))
+    if form == "eckart":
+        potential, reach = EckartBarrier(height=height, width=width, center=center), 14.0 * width
+    elif form == "gaussian":
+        potential, reach = GaussianBump(amplitude=height, width=width, center=center), 10.0 * width
+    elif form == "square":
+        potential = SquareBarrier(height=height, width=width, center=center)
+        reach = 0.5 * width + 4.0
+    elif form == "parabolic":
+        potential = ParabolicBarrier(height=height, curvature=width, center=center)
+        reach = 1.5 * math.sqrt(2.0 * height / width)
+    else:
+        potential, center, reach = HarmonicWell(stiffness=width), 0.0, 3.0
+        height = potential.value(reach)
+    kind = draw(st.sampled_from(["holds", "cuts", "near", "plateau"]))
+    if kind == "holds":
+        shift = draw(st.floats(-0.2, 0.2)) * reach
+        domain = (center - reach + shift, center + reach + shift)
+    else:
+        scale = {"cuts": 0.8 * reach, "near": 0.5 * reach / _SCAN_PANELS, "plateau": 0.5 * width}
+        cut = center + draw(st.floats(-1.0, 1.0)) * scale[kind]
+        domain = (cut, center + reach) if draw(st.booleans()) else (center - reach, cut)
+    problem = ScatteringProblem(
+        potential=potential, energy=0.0, domain=domain,
+        context=PhysicalContext(mass=draw(st.floats(0.5, 8.0)), hbar=draw(st.floats(0.3, 1.5))),
+    )
+    fractions = draw(st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=8))
+    knots = _geometry(problem)[1].tolist()
+    energies = [height * f for f in fractions] + knots + [0.0, 0.5 * height, height * (1.0 - 1e-8)]
+    return problem, np.array(energies)
+
+
+def result_or_refusal(call, problem):
+    """``call(problem)``, or the class and message of the error it raises."""
+    try:
+        return call(problem)
+    except SemiclassicError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(closed_forms())
+def test_closed_form_matches_the_scan(case):
+    problem, energies = case
+    model = problem.potential
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    scan = dataclasses.replace(problem, potential=SCANNED[type(model)](**fields))
+    assert _geometry(problem)[2] is None and _geometry(scan)[2] is not None
+    a, b, count = _turning_points(problem, energies)
+    a_ref, b_ref, count_ref = _turning_points(scan, energies)
+    # The scan refines an extremum to 1e-6 of a panel, so V there may miss
+    # V(centre) in its last bits; an energy between the two has its roots
+    # near the centre on one path only.  At E = V(centre) the root is the
+    # knot itself: the centre on one path, the refined extremum on the other.
+    (kx, kv), (kx_ref, kv_ref) = (_geometry(p)[:2] for p in (problem, scan))
+    top = kv[1] if len(kv) == 3 else math.nan
+    v_ref = kv_ref[np.argmin(np.abs(kx_ref - kx[1]))] if len(kv) == 3 else math.nan
+    gap = (energies >= min(top, v_ref)) & (energies <= max(top, v_ref)) & (top != v_ref)
+    assert count[~gap].tolist() == count_ref[~gap].tolist()
+    rest = ~gap & (energies != top)
+    v_top = max(map(abs, kv_ref.tolist()))
+    for i in np.flatnonzero(rest):
+        for found, exact in ((a[i], a_ref[i]), (b[i], b_ref[i])):
+            if math.isnan(exact):
+                assert math.isnan(found)
+                continue
+            slope = abs(problem.dv(exact))
+            noise = 8e-16 * v_top / slope if slope else 0.0
+            assert abs(found - exact) <= 1e-13 * max(1.0, abs(exact)) + noise
+    for call in (lambda p: opacities(p, energies[rest]), lambda p: quantize_levels(p, 1)):
+        got, ref = result_or_refusal(call, problem), result_or_refusal(call, scan)
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-9)
 
 
 #: The kinds of function that root_brackets draws (see there).
@@ -840,10 +945,11 @@ def per_energy_levels(problem, n_max, config):
     xs = np.linspace(*problem.domain, config.grid_points)
     v = problem.v(xs)
     scale = 2.0 * problem.context.mass / problem.context.hbar**2
+    knots = _geometry(problem)[1].tolist()
+    if min(knots[0], knots[-1]) <= min(knots):
+        raise SpectrumError("potential has no well below the domain edges")
     j = int(np.argmin(v))
     v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
-    if v_edge <= v_min:
-        raise SpectrumError("potential does not confine: no well below the edges")
 
     def nodes_at(energy):
         return _count_nodes(*per_energy_coefficients(xs, scale * (energy - v)))

@@ -224,7 +224,11 @@ class TestQuantize:
             quantize_levels(problem, 4)
 
     def test_levels_scan_the_extrema_once(self, knot_scans):
+        # The harmonic well knows its minimum; a table of it is scanned once.
         quantize_levels(problem_for(HarmonicWell(stiffness=1.0), 0.0, (-6.0, 6.0)), 3)
+        assert knot_scans() == 0
+        xs = np.linspace(-6.0, 6.0, 481)
+        quantize_levels(problem_for(TabulatedPotential(xs, 0.5 * xs * xs), 0.0, (-6.0, 6.0)), 3)
         assert knot_scans() == 1
 
     def test_levels_share_action_sums(self, monkeypatch):
