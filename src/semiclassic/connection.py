@@ -126,8 +126,9 @@ def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints, v=None) -> t
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
-    forbidden = (problem.v(xs) if v is None else v) > problem.energy
-    codes = np.where(forbidden, 1, np.where(xs > last, 2, 0))
+    # One byte per x: an int64 code would add two grid-sized temporaries.
+    codes = np.where(xs > last, np.int8(2), np.int8(0))
+    codes[(problem.v(xs) if v is None else v) > problem.energy] = 1
     if not len(codes):
         return ()
     tags, lo = (), -1

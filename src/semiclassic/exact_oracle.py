@@ -21,10 +21,11 @@ through by its diagonal a_i, one vectorised division per band row, and
 LAPACK's ``dtbtrs`` solves the unit-diagonal band by substitution on
 multiply-adds alone, with no division per row, in compiled code: one call per energy, the leftward
 sweep being the same solve on the reversed grid, with Re and Im of the seed
-as two right-hand sides.  A scan of energies sets up the grid, V and the
-work arrays once; each energy solves into the reused band and right-hand-
-side arrays and keeps only the five left-edge rows that T and R read.  The
-wavefunction runs the same checks, T + R = 1 included.
+as two right-hand sides.  A scan of energies sets up the grid and V once;
+each energy solves into this thread's work area for k^2, the band and the
+right-hand sides, kept from call to call, and keeps only the five left-edge
+rows that T and R read.  The wavefunction runs the same checks, T + R = 1
+included.
 
 Behind a barrier the solution grows by up to lambda_i = c + sqrt(c^2 - 1),
 c = -b_i / 2 a_i, per step, and an opaque barrier would carry |psi| past the
@@ -102,8 +103,9 @@ _MATCH_MARGIN = 0.05
 _V_EPS = 1e-10
 #: First two rows of a bound-state shot: a node at the edge row.
 _EDGE_SEEDS = np.array([[0.0], [1e-8]])
-#: Per thread, the batch arrays of the last bound-state solve (_batch_arrays).
-_BATCH = threading.local()
+#: Per thread, the work areas of the sweep and of the last bound-state solve
+#: (_sweep_arrays, _batch_arrays).
+_AREAS = threading.local()
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,20 @@ def _left_edge_decomposition(xs, psi, k_left) -> tuple[complex, complex]:
     return complex(a), complex(c)
 
 
+def _sweep_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k2, coefficients, work) of n, (2, n) and 5 n floats: views of this
+    thread's sweep work area, allocated afresh only when it is too small, so
+    it holds the largest grid asked for.  Each energy of a sweep uses them up
+    before it yields.  Fresh arrays per call would leave it to malloc whether
+    their 1.3 MB of pages (20001 points) are kept, or given back and faulted
+    in again (~200 minor faults, a third of a wavefunction's time), and that
+    differs from one process to the next."""
+    area = getattr(_AREAS, "sweep", None)
+    if area is None or len(area) < 8 * n:
+        area = _AREAS.sweep = np.empty(8 * n)
+    return area[:n], area[n : 3 * n].reshape(2, n), area[3 * n : 8 * n]
+
+
 def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
     """(T, R, xs, v, psi) at each energy in order, from one set-up of the grid.
 
@@ -249,9 +265,7 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
     left, right = v[xs <= lo + margin], v[xs >= hi - margin]
     deviation = max(np.max(np.abs(left - v[0])), np.max(np.abs(right - v[-1])))
     m, hbar = problem.context.mass, problem.context.hbar
-    # The leftward sweep is the shot on the reversed grid.
-    v_reversed = v[::-1].copy()
-    k2, coefficients, work = np.empty(len(xs)), np.empty((2, len(xs))), np.empty(5 * len(xs))
+    k2, coefficients, work = _sweep_arrays(len(xs))
     for e in energies:
         e = float(e)
         if deviation > _V_EPS * max(1.0, abs(e)):
@@ -268,7 +282,8 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
             )
         k_l = math.sqrt(2.0 * m * (e - v[0])) / hbar
         k_r = math.sqrt(2.0 * m * (e - v[-1])) / hbar
-        np.subtract(e, v_reversed, out=k2)
+        # The leftward sweep is the shot on the reversed grid.
+        np.subtract(e, v[::-1], out=k2)
         k2 *= 2.0 * m
         k2 /= hbar**2
         a, b = _numerov_coefficients(xs, k2, coefficients)
@@ -350,9 +365,9 @@ def _batch_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     grid differs, so it holds the largest batch asked for on the last grid.
     Fresh pages cost a minor page fault each, about 180 (7 % of the call)
     for 8 levels at 3001 points."""
-    arrays = getattr(_BATCH, "arrays", None)
+    arrays = getattr(_AREAS, "batch", None)
     if arrays is None or arrays[1].shape[0] < rows or arrays[0].shape[2] != n:
-        arrays = _BATCH.arrays = np.empty((2, rows, n)), np.empty((rows, n + 2))
+        arrays = _AREAS.batch = np.empty((2, rows, n)), np.empty((rows, n + 2))
     return arrays
 
 
