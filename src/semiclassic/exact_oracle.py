@@ -103,8 +103,8 @@ _MATCH_MARGIN = 0.05
 _V_EPS = 1e-10
 #: First two rows of a bound-state shot: a node at the edge row.
 _EDGE_SEEDS = np.array([[0.0], [1e-8]])
-#: Per thread, the work areas of the sweep and of the last bound-state solve
-#: (_sweep_arrays, _batch_arrays).
+#: Per thread, the floats that the sweep and the bound-state solve work in
+#: (_work_area).
 _AREAS = threading.local()
 
 
@@ -236,18 +236,19 @@ def _left_edge_decomposition(xs, psi, k_left) -> tuple[complex, complex]:
     return complex(a), complex(c)
 
 
-def _sweep_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k2, coefficients, work) of n, (2, n) and 5 n floats: views of this
-    thread's sweep work area, allocated afresh only when it is too small, so
-    it holds the largest grid asked for.  Each energy of a sweep uses them up
-    before it yields.  Fresh arrays per call would leave it to malloc whether
-    their 1.3 MB of pages (20001 points) are kept, or given back and faulted
-    in again (~200 minor faults, a third of a wavefunction's time), and that
-    differs from one process to the next."""
-    area = getattr(_AREAS, "sweep", None)
-    if area is None or len(area) < 8 * n:
-        area = _AREAS.sweep = np.empty(8 * n)
-    return area[:n], area[n : 3 * n].reshape(2, n), area[3 * n : 8 * n]
+def _work_area(size: int) -> np.ndarray:
+    """The first ``size`` floats of this thread's work area, allocated afresh
+    only when it is too small, so it holds the largest size asked for.  The
+    sweep and the bound-state solve carve their arrays from it and use them
+    up within a call (a sweep, within each energy, before it yields).  Fresh
+    arrays per call would leave it to malloc whether their pages are kept,
+    or given back and faulted in again (~200 minor faults, a third of a
+    wavefunction's time at 20001 points; ~180, 7 % of the call, for 8
+    levels at 3001 points), and that differs from one process to the next."""
+    area = getattr(_AREAS, "floats", None)
+    if area is None or len(area) < size:
+        area = _AREAS.floats = np.empty(size)
+    return area[:size]
 
 
 def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
@@ -265,7 +266,9 @@ def _scattering_rows(problem, energies, config, rows=5, tolerance=1e-8):
     left, right = v[xs <= lo + margin], v[xs >= hi - margin]
     deviation = max(np.max(np.abs(left - v[0])), np.max(np.abs(right - v[-1])))
     m, hbar = problem.context.mass, problem.context.hbar
-    k2, coefficients, work = _sweep_arrays(len(xs))
+    n = len(xs)
+    area = _work_area(8 * n)
+    k2, coefficients, work = area[:n], area[n : 3 * n].reshape(2, n), area[3 * n :]
     for e in energies:
         e = float(e)
         if deviation > _V_EPS * max(1.0, abs(e)):
@@ -359,18 +362,6 @@ def _count_nodes(a, b, work=None) -> int:
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
-def _batch_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of at least (2, rows, n) and (rows, n + 2) floats: this thread's
-    bound-state work area, allocated afresh only when it is too small or its
-    grid differs, so it holds the largest batch asked for on the last grid.
-    Fresh pages cost a minor page fault each, about 180 (7 % of the call)
-    for 8 levels at 3001 points."""
-    arrays = getattr(_AREAS, "batch", None)
-    if arrays is None or arrays[1].shape[0] < rows or arrays[0].shape[2] != n:
-        arrays = _AREAS.batch = np.empty((2, rows, n)), np.empty((rows, n + 2))
-    return arrays
-
-
 def solve_bound_states_exact(
     problem: ScatteringProblem, n_max: int, config: OracleConfig | None = None
 ) -> list[float]:
@@ -393,7 +384,9 @@ def solve_bound_states_exact(
     _well(problem)  # refused from the extrema of V, as quantize_levels refuses it
     j = int(np.argmin(v))
     v_min, v_edge = float(v[j]), float(min(v[0], v[-1]))
-    work, coefficients = np.empty(4 * len(v)), np.empty((2, len(v)))
+    points = len(v)
+    area = _work_area(6 * points)
+    work, coefficients = area[: 4 * points], area[4 * points :].reshape(2, points)
 
     def nodes_at(energy: float) -> int:
         k2 = np.multiply(np.subtract(energy, v, out=coefficients[0]), scale, out=coefficients[0])
@@ -426,7 +419,11 @@ def solve_bound_states_exact(
     # are then checked in level order.
     ends = list(dict.fromkeys(e for _, lo, hi in isolated for e in (lo, hi)))
     # One row per energy; the bracket ends are the most that come at once.
-    batch, halves = _batch_arrays(len(ends), len(v))
+    rows = len(ends)
+    area = _work_area(4 * points + rows * (3 * points + 2))
+    work = area[: 4 * points]
+    batch = area[4 * points : (4 + 2 * rows) * points].reshape(2, rows, points)
+    halves = area[(4 + 2 * rows) * points :].reshape(rows, points + 2)
 
     def mismatch(energies) -> np.ndarray:
         count = len(energies)
@@ -456,7 +453,7 @@ def solve_bound_states_exact(
             )
     ns, lo, hi = (np.array(column) for column in zip(*isolated))
     roots = _bracketed_roots(
-        lambda es, _: mismatch(es[:, 0]), lo, hi, [at[e] for e in lo.tolist()],
+        lambda es, _: mismatch(es), lo, hi, [at[e] for e in lo.tolist()],
         [at[e] for e in hi.tolist()], 2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
     )
     for n, root in zip(ns, roots.tolist()):

@@ -8,7 +8,6 @@ an energy and a working domain; everything downstream consumes that bundle.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -46,16 +45,13 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps
 #: Steps after which :func:`_bracketed_roots` gives up (bisection alone
 #: narrows a bracket by 2^-200).
 _ROOT_MAX_STEPS = 200
-#: Points per step when the roots of V - E and of V' are solved: a step then
-#: narrows a bracket at least 30-fold, so a jump of V is found in ~10 steps.
-_ROOT_POINTS = 32
 #: Roots per solver call in :func:`_turning_points`, so that a long scan
 #: holds arrays of about a megabyte, not of its whole length.
 _ROOT_BLOCK = 4096
 #: Brackets up to which :func:`_bracketed_roots` steps in Python floats: a
-#: step on arrays makes ~80 numpy calls, which cost more than the float
-#: steps up to 3 brackets of 32 points (0.91 of the time at 3, 1.1 at 4; of
-#: 1 point, 0.78 at 12; BENCH_batch_of_one.json).
+#: step on arrays makes ~55 numpy calls, which cost more than the float
+#: steps (Eckart roots from scan panels, on 2 cores: 0.36 of the time at 1
+#: bracket, 0.38 at 3, 0.45 at 6).
 _FEW_ROOTS = 3
 
 
@@ -435,40 +431,19 @@ def second_derivative(potential: PotentialModel, x):
     return potential.second_derivative(x)
 
 
-@functools.cache
-def _step_tables(points: int) -> tuple:
-    """For :func:`_bracketed_roots` with ``points`` points per step: the even
-    fractions of a bracket, and for each position i of the first point past
-    the root in a row (a, the points in order, b), the positions of the new
-    a (a new point), b and c (the old end on the far side of a from b).  At
-    i = 0, where no point qualifies (a nan value), a and b stay."""
-    i = np.arange(points + 2)
-    even = np.arange(1, points - 2) / (points - 2)
-    past_b = i > points
-    new_b = np.where(past_b, i, i - 1) % (points + 2)
-    return even, np.minimum(i, points), new_b, np.where(past_b, 0, points + 1)
-
-
-def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
+def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol) -> np.ndarray:
     """A root of f in each of many brackets, all solved in one loop.
 
     Chandrupatla's hybrid of inverse quadratic interpolation and bisection
     (T. R. Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)), on arrays.  Entry
     i brackets a root between lo[i] and hi[i], where its values f_lo[i] and
     f_hi[i] differ in sign or vanish; ``f(x, idx)`` evaluates the function of
-    entry idx[k] at the points in row k of x.  An entry stops at a zero value
-    or once its bracket is narrower than xtol[i] + 4 eps |x|, at the end with
-    the smaller |f|, and is dropped from the loop, so its root depends on its
-    own bracket and values only, not on the other entries of the call.
-
-    ``points`` is 1 or m >= 3.  With m, each step evaluates m points of every
-    bracket in one call of f (for a cheap f, about the cost of one point):
-    the interpolated point, a point half a tolerance to either side of it,
-    which close the bracket in the step the interpolation converges, and
-    m - 3 points evenly spaced across the bracket, which narrow it
-    (m - 2)-fold where interpolation fails, e.g. at a jump.  A call of at
-    most :data:`_FEW_ROOTS` brackets takes the same steps in Python floats
-    (:func:`_few_roots`), to the same roots.
+    entry idx[k] at x[k], one point per live bracket and step.  An entry
+    stops at a zero value or once its bracket is narrower than xtol[i] +
+    4 eps |x|, at the end with the smaller |f|, and is dropped from the loop,
+    so its root depends on its own bracket and values only, not on the other
+    entries of the call.  A call of at most :data:`_FEW_ROOTS` brackets takes
+    the same steps in Python floats (:func:`_few_roots`), to the same roots.
     """
     lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     roots = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
@@ -478,29 +453,22 @@ def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, points=1) -> np.ndarray:
     a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
     xtol = (np.zeros_like(roots) + xtol)[live]
     if len(live) <= _FEW_ROOTS:
-        return _few_roots(f, roots, live, a, b, fa, fb, xtol, points)
-    even, new_a, new_b, new_c = _step_tables(points)
+        return _few_roots(f, roots, live, a, b, fa, fb, xtol)
     width = b - a
     t = fa / (fa - fb)  # the first step interpolates linearly
-    tl = (xtol + _ROOT_RTOL * np.abs(a)) / np.abs(width + width)
     for _ in range(_ROOT_MAX_STEPS):
-        n = len(live)
-        step = np.empty((n, points))
-        step[:, 0] = t
-        if points > 1:
-            step[:, 1], step[:, 2], step[:, 3:] = t - tl, t + tl, even
-            step.sort(axis=1)
-        x, fx = np.empty((n, points + 2)), np.empty((n, points + 2))
-        x[:, 0], x[:, -1], fx[:, 0], fx[:, -1] = a, b, fa, fb
-        x[:, 1:-1] = a[:, None] + step * width[:, None]
-        fx[:, 1:-1] = np.reshape(f(x[:, 1:-1], live), (n, points))
-        # The new bracket is x[i - 1], x[i] for the first i whose value is 0
-        # or has lost a's sign.
-        i = np.argmax(fx * np.sign(fa)[:, None] <= 0.0, axis=1)
-        row = np.arange(0, n * (points + 2), points + 2)
-        x, fx = x.ravel(), fx.ravel()
-        ra, rb, rc = row + new_a[i], row + new_b[i], row + new_c[i]
-        a, b, c, fa, fb, fc = x[ra], x[rb], x[rc], fx[ra], fx[rb], fx[rc]
+        x = a + t * width
+        fx = np.asarray(f(x, live), dtype=float)
+        # x becomes a.  b becomes the old a where f has lost a's sign at x,
+        # else stays, and c is the end dropped; where neither f(x) nor fb
+        # has lost it (a nan value), a and b stay and c = b.
+        sign = np.sign(fa)
+        lost = fx * sign <= 0.0
+        stay = ~lost & ~(fb * sign <= 0.0)
+        to_b = lost | stay
+        c, fc = np.where(to_b, b, a), np.where(to_b, fb, fa)
+        b, fb = np.where(lost, a, b), np.where(lost, fa, fb)
+        a, fa = np.where(stay, a, x), np.where(stay, fa, fx)
         width = b - a
         tol = xtol + _ROOT_RTOL * np.abs(a)
         done = (np.abs(width) < tol) | (fa == 0.0)
@@ -532,39 +500,29 @@ def _quotient(u: float, v: float) -> float:
     return math.copysign(math.inf, u) * math.copysign(1.0, v) if u and u == u else math.nan
 
 
-def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
+def _few_roots(f, roots, live, a, b, fa, fb, xtol) -> np.ndarray:
     """The steps of :func:`_bracketed_roots` for a few brackets, each kept in
-    Python floats.  f gets the same (n, points) array once per step, and each
+    Python floats.  f gets the same points in one array per step, and each
     float operation is the one numpy makes on that bracket's entry, so every
     root is the same bit for bit; only numpy's per-call cost is saved."""
-    even, new_a, new_b, new_c = (v.tolist() for v in _step_tables(points))
-    brackets = []
-    for a, b, fa, fb, xtol, k in zip(*(v.tolist() for v in (a, b, fa, fb, xtol, live))):
-        width = b - a
-        tl = (xtol + _ROOT_RTOL * abs(a)) / abs(width + width)
-        brackets.append((a, width, fa / (fa - fb), tl, b, fa, fb, xtol, k))
+    brackets = [
+        (a, b - a, fa / (fa - fb), b, fa, fb, xtol, k)
+        for a, b, fa, fb, xtol, k in zip(*(v.tolist() for v in (a, b, fa, fb, xtol, live)))
+    ]
     for _ in range(_ROOT_MAX_STEPS):
-        rows = []
-        for a, width, t, tl, *_ in brackets:
-            step = [t, t - tl, t + tl, *even] if points > 1 else [t]
-            # numpy sorts the points of a nan t last (a nan tl makes every x nan).
-            step = sorted(step) if t == t else [*even, *step[:3]]
-            rows.append([a + s * width for s in step])
+        xs = [a + t * width for a, width, t, *_ in brackets]
         ks = [bracket[-1] for bracket in brackets]
-        values = np.asarray(f(np.array(rows), np.array(ks))).reshape(len(ks), points).tolist()
+        values = np.asarray(f(np.array(xs), np.array(ks)), dtype=float).tolist()
         still = []
-        for (a, _, _, _, b, fa, fb, xtol, k), x, fx in zip(brackets, rows, values):
-            x, fx = [a, *x, b], [fa, *fx, fb]
-            # The first point whose value is 0 or has lost a's sign (none
-            # where fa or fb is nan, and then numpy's argmax gives 0).
+        for (a, _, _, b, fa, fb, xtol, k), x, fx in zip(brackets, xs, values):
+            # numpy's sign, nan for a nan fa, so that no value loses it.
             sign = 1.0 if fa > 0.0 else -1.0 if fa < 0.0 else math.nan
-            for i, v in enumerate(fx):
-                if v * sign <= 0.0:
-                    break
+            if fx * sign <= 0.0:
+                a, b, c, fa, fb, fc = x, a, b, fx, fa, fb
+            elif fb * sign <= 0.0:
+                a, c, fa, fc = x, a, fx, fa
             else:
-                i = 0
-            a, b, c = x[new_a[i]], x[new_b[i]], x[new_c[i]]
-            fa, fb, fc = fx[new_a[i]], fx[new_b[i]], fx[new_c[i]]
+                c, fc = b, fb
             width = b - a
             tol = xtol + _ROOT_RTOL * abs(a)
             if abs(width) < tol or fa == 0.0:
@@ -581,7 +539,7 @@ def _few_roots(f, roots, live, a, b, fa, fb, xtol, points) -> np.ndarray:
                 if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
                     t = fa / d_cb * (fc / d_ab - _quotient((c - a) * fb, width * (fc - fa)))
             tl = tol / abs(width + width)
-            still.append((a, width, min(max(t, tl), 1.0 - tl), tl, b, fa, fb, xtol, k))
+            still.append((a, width, min(max(t, tl), 1.0 - tl), b, fa, fb, xtol, k))
         if not still:
             return roots
         brackets = still
@@ -600,15 +558,16 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     over ``_SCAN_PANELS + 1`` samples finds where the slope of V changes sign
     (a flat run counts once; V' at each edge is the slope of one more panel
     beyond it, so an extremum inside an edge panel is found too), and one
-    :func:`_bracketed_roots` call refines each to the root of V' between the
-    samples around it.  The best sample stands in where V' does not change
-    sign there (a jump, a finite-difference slope) or its root is worse, and
-    none in an edge panel.  ``scan`` is ``(xs, vs, (s, up, keys, xtol))``: the
-    samples with the extrema merged in, and per run its first index in xs, +1
-    if V rises on it else -1, up * V on it (increasing), and its root
-    tolerance.  It all depends on the potential and the domain only, so it is
-    kept on the (frozen) potential per domain, outside its fields: equality,
-    hash and repr do not see it.
+    :func:`_bracketed_roots` call refines them all, each to the root of V'
+    between the samples around it, to 1e-6 of a panel.  The best sample
+    stands in where V' does not change sign there (a jump, a finite-difference
+    slope) or its root is worse, and none in an edge panel.  ``scan`` is
+    ``(xs, vs, (s, up, keys, xtol))``: the samples with the extrema merged
+    in, and per run its first index in xs, +1 if V rises on it else -1,
+    up * V on it (increasing), and its root tolerance.  It all depends on
+    the potential and the domain only, so it is kept on the (frozen)
+    potential per domain, outside its fields: equality, hash and repr do
+    not see it.
     """
     stored = vars(problem.potential).setdefault("_knots_by_domain", {})
     if problem.domain in stored:
@@ -637,7 +596,7 @@ def _geometry(problem: ScatteringProblem) -> tuple:
         # To 1e-6 of a panel, where V is flat to rounding.
         x_ext[r] = _bracketed_roots(
             lambda x, _: problem.dv(x), xs[i[r]], xs[j[r]], d_lo[r], d_hi[r],
-            1e-6 * (xs[1] - xs[0]), _ROOT_POINTS,
+            1e-6 * (xs[1] - xs[0]),
         )
         refined = problem.v(x_ext)
         better = sign * refined >= sign * v_ext
@@ -663,8 +622,9 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     center -/+ reach lies nearer the run, clipped into it; else bracketed by
     the two samples around it, found by searchsorted in its run (whose ends
     are the refined extrema, so two roots inside one scan panel are both
-    found), and solved in one :func:`_bracketed_roots` call with all the
-    others, each to 4e-16 max(1, |x|) over its run's ends.
+    found), and solved with all the others in :func:`_bracketed_roots` calls
+    of up to ``_ROOT_BLOCK`` roots, each to 4e-16 max(1, |x|) over its run's
+    ends (about 4 steps where V is smooth).
     """
     kx, kv, scan = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -685,8 +645,8 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
         for blk in (slice(r, r + _ROOT_BLOCK) for r in range(0, len(rows), _ROOT_BLOCK)):
             e_blk, j = target[blk], left[blk]
             roots[rows[blk], cols[blk]] = _bracketed_roots(
-                lambda x, idx: problem.v(x) - e_blk[idx, None],
-                xs[j], xs[j + 1], vs[j] - e_blk, vs[j + 1] - e_blk, xtol[blk], _ROOT_POINTS,
+                lambda x, idx: problem.v(x) - e_blk[idx],
+                xs[j], xs[j + 1], vs[j] - e_blk, vs[j + 1] - e_blk, xtol[blk],
             )
     count = np.sum(~np.isnan(roots), axis=1)
     roots = np.sort(roots, axis=1)  # nan last

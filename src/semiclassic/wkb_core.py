@@ -153,8 +153,15 @@ def _accumulate(
     if turning:
         vals *= 2.0 * nodes
     weights = math.sqrt(2.0 * problem.context.mass) * half
+    sums = np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
+    if not gaps.all():
+        # A point no farther out than the one before it takes that one's sum
+        # (0 at start): its gap's empty panel ends on the rounded first edge
+        # of the next gap, not on the point.
+        grew = np.maximum.accumulate(np.where(gaps > 0.0, np.arange(1, len(u) + 1), 0))
+        sums = np.concatenate([[0.0], sums])[grew]
     out = np.empty(len(xs))
-    out[order] = np.cumsum(weights * (vals @ _GL_WEIGHTS))[ends - 1]
+    out[order] = sums
     return out
 
 
@@ -191,9 +198,15 @@ def action_integral(problem: ScatteringProblem, x0: float, x: float) -> float:
 
     The signed integral is returned (negative when x < x0).  An interior
     turning point is an error: the path must stay inside one allowed region,
-    though either endpoint may sit exactly on a turning point.
+    though either endpoint may sit exactly on a turning point.  A point
+    outside the domain, where no turning point is sought, raises
+    :class:`DomainError`.
     """
     _require_finite([x0, x], "x0 and x")
+    x_min, x_max = problem.domain
+    outside = [float(p) for p in (x0, x) if not x_min <= p <= x_max]
+    if outside:
+        raise DomainError(f"points {outside} lie outside the domain [{x_min:g}, {x_max:g}]")
     if x == x0:
         return 0.0
     sign = 1.0 if x > x0 else -1.0
@@ -373,7 +386,7 @@ def _levels(problem: ScatteringProblem, ns, bracket, actions) -> np.ndarray:
             f"for n = {ns[bad[0]]}"
         )
     return _bracketed_roots(
-        lambda e, idx: _well_actions(problem, e[:, 0]) - targets[idx],
+        lambda e, idx: _well_actions(problem, e) - targets[idx],
         np.full(len(ns), float(e_lo)), np.full(len(ns), float(e_hi)), f_lo, f_hi,
         4e-16 * (e_hi - e_lo),
     )

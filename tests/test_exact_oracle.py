@@ -421,23 +421,28 @@ class TestWavefunction:
         assert values == {"allowed_left", "forbidden", "allowed_right"}
 
     def test_sweeps_reuse_one_work_area(self, monkeypatch):
-        # A wave, a larger grid and a smaller one solve in the same thread's
-        # area, which grows once and is never handed out fresh for a smaller
-        # grid; the first wave comes out the same after the others.
-        monkeypatch.delattr(exact_oracle._AREAS, "sweep", raising=False)
+        # A wave, a larger grid, a level solve and a smaller grid again work
+        # in the same thread's area, which grows once and is never handed out
+        # fresh for a smaller size; the first wave and the levels come out
+        # the same after the others.
+        monkeypatch.delattr(exact_oracle._AREAS, "floats", raising=False)
         problem = ScatteringProblem(
             potential=EckartBarrier(height=1.0, width=1.0), energy=0.5, domain=(-14, 14)
         )
+        well = ScatteringProblem(potential=HarmonicWell(stiffness=1.0), energy=0.0, domain=(-8, 8))
         small, large = OracleConfig(grid_points=2001), OracleConfig(grid_points=4001)
         first = wavefunction_exact(problem, small)
-        area = exact_oracle._sweep_arrays(2001)[2]
+        area = exact_oracle._work_area(8 * 2001)
         solve_scattering_exact(problem, large)
-        grown = exact_oracle._sweep_arrays(4001)[2]
+        grown = exact_oracle._work_area(8 * 4001)
+        levels = solve_bound_states_exact(well, 1, small)
         again = wavefunction_exact(problem, small)
-        assert np.shares_memory(exact_oracle._sweep_arrays(2001)[2], grown)
+        assert np.shares_memory(exact_oracle._work_area(8 * 2001), grown)
+        assert np.shares_memory(exact_oracle._work_area(1), grown)
         assert not np.shares_memory(area, grown)
         assert np.array_equal(first.psi, again.psi)
         assert first.region_tags == again.region_tags
+        assert solve_bound_states_exact(well, 1, small) == levels
 
     @pytest.mark.parametrize("mass", [20.0, 120.0])
     def test_coarse_grid_wave_is_checked_for_unitarity(self, mass):

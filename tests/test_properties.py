@@ -505,7 +505,7 @@ def root_brackets(draw, forms=ROOT_FORMS):
     return (lambda x: sign * (v(x) - e)), lo, hi
 
 
-def assert_few_match_padded(few, padding, points, xtol):
+def assert_few_match_padded(few, padding, xtol):
     """The roots of the brackets ``few`` (at most _FEW_ROOTS, which step in
     Python floats) are the same bit for bit as theirs among ``few + padding``
     (which step on arrays), or both calls fail alike."""
@@ -513,13 +513,13 @@ def assert_few_match_padded(few, padding, points, xtol):
     lo, hi = np.array(lo), np.array(hi)
 
     def f(x, idx):
-        return np.array([gs[i](row) for i, row in zip(idx, x)])
+        return np.array([gs[i](point) for i, point in zip(idx, x)])
 
-    f_lo, f_hi = f(lo[:, None], range(len(lo)))[:, 0], f(hi[:, None], range(len(hi)))[:, 0]
+    f_lo, f_hi = f(lo, range(len(lo))), f(hi, range(len(hi)))
 
     def solve(n):
         try:
-            return _bracketed_roots(f, lo[:n], hi[:n], f_lo[:n], f_hi[:n], xtol, points)
+            return _bracketed_roots(f, lo[:n], hi[:n], f_lo[:n], f_hi[:n], xtol)
         except NumericalError as exc:
             return str(exc)
 
@@ -535,39 +535,70 @@ def assert_few_match_padded(few, padding, points, xtol):
 @given(
     st.lists(root_brackets(), min_size=1, max_size=_FEW_ROOTS),
     st.lists(root_brackets(ROOT_FORMS[:-1]), min_size=_FEW_ROOTS, max_size=_FEW_ROOTS + 4),
-    st.sampled_from([1, 32]),
     st.sampled_from([1e-15, 1e-9, 1e-4]),
 )
-def test_few_bracket_steps_match_the_array_steps(few, padding, points, xtol):
+def test_few_bracket_steps_match_the_array_steps(few, padding, xtol):
     # Only the few draw subnormal values, some of which do not converge; the
     # padding does, so that the padded call fails only where the few do.
-    assert_few_match_padded(few, padding, points, xtol)
+    assert_few_match_padded(few, padding, xtol)
 
 
 @pytest.mark.parametrize("exponent, r, lo, hi", [
     (-315, -0.875, -2.161, 0.832), (-317, 0.279, -1.333, 2.207), (-316, -0.25, -0.89, 1.136),
     (-317, -0.967, -1.959, 0.976), (-318, 0.593, -0.753, 2.285), (-317, -0.869, -1.21, -0.308),
 ])
-def test_a_nan_step_sorts_last_on_both_paths(exponent, r, lo, hi):
-    # At values near 1e-316 an inverse-quadratic step can underflow to a nan
-    # t; numpy sorts the row's nan points last, and so must the float steps,
+def test_subnormal_brackets_match_on_both_paths(exponent, r, lo, hi):
+    # At values near 1e-316 the products and quotients of an inverse-quadratic
+    # step lose bits to underflow; the float steps must lose the same ones,
     # for these brackets to converge to the same roots.
     scale = 10.0**exponent
     few = [(lambda x: scale * ((x - r) ** 3 + 0.3 * np.tanh(5.0 * (x - r))), lo, hi)]
     padding = [(lambda x, q=q: x - q, -1.0, 1.0) for q in (-0.5, 0.0, 0.5)]
-    assert_few_match_padded(few, padding, 32, 1e-15)
+    assert_few_match_padded(few, padding, 1e-15)
 
 
 @pytest.mark.parametrize("brackets", [1, 2, _FEW_ROOTS + 1])
 def test_a_nan_bracket_end_does_not_converge_on_either_path(brackets):
-    # No point of a row loses a nan's sign, so the bracket keeps its ends and
-    # bisects to the step limit.  Its b must be its own: the other brackets
-    # close in on its lower end, and their b would pass for its root.
+    # No value loses a nan's sign, so the bracket keeps its ends up to the
+    # step limit.  Its b must be its own: the other brackets close in on its
+    # lower end, and their b would pass for its root.
     lo, hi = np.array([0.5] + [0.0] * (brackets - 1)), np.array([1.0] + [0.5 + 1e-9] * (brackets - 1))
     f_lo, f_hi = lo - 0.5, hi - 0.5
     f_lo[0] = np.nan
     with pytest.raises(NumericalError, match="did not converge"):
-        _bracketed_roots(lambda x, _: x - 0.5, lo, hi, f_lo, f_hi, 1e-6, 32)
+        _bracketed_roots(lambda x, _: x - 0.5, lo, hi, f_lo, f_hi, 1e-6)
+
+
+def scan_panel(x):
+    """The panel of the 2049-sample scan of (-14, 14) around x."""
+    xs = np.linspace(-14.0, 14.0, _SCAN_PANELS + 1)
+    j = np.searchsorted(xs, x) - 1
+    return xs[j], xs[j + 1]
+
+
+@pytest.mark.parametrize("brackets", [1, _FEW_ROOTS + 1])
+@pytest.mark.parametrize("g, lo, hi, root, most", [
+    # Across the jump of a square barrier, from a bracket of 1e-2 (43 calls):
+    # interpolation fails there, and bisection sets the pace.
+    *[(lambda x: SquareBarrier(1.0, 2.0).value(x) - 0.5, -1.0 - d, -1.0 + 1e-2 - d, -1.0, 60)
+      for d in (3e-3, 4.5e-3, 8.77e-3)],
+    # A root of sech^2 from the scan panel around it (4 calls).
+    *[(lambda x, e=e: EckartBarrier(1.0, 1.0).value(x) - e, *scan_panel(-x), -x, 6)
+      for e, x in ((e, math.asinh(math.sqrt((1.0 - e) / e))) for e in (0.1, 0.5, 0.9))],
+])
+def test_root_solves_take_few_calls(brackets, g, lo, hi, root, most):
+    # One point per bracket and step: a step of inverse quadratic interpolation
+    # or of bisection costs one call of f, on both paths.
+    calls = []
+
+    def f(x, _):
+        calls.append(len(x))
+        return g(x)
+
+    lo, hi = np.full(brackets, lo), np.full(brackets, hi)
+    roots = _bracketed_roots(f, lo, hi, g(lo), g(hi), 4e-16)
+    np.testing.assert_allclose(roots, root, rtol=0.0, atol=2e-15)
+    assert len(calls) <= most and max(calls) == brackets
 
 
 #: Profiles of height 1 for tables: smooth (sech^2, Gaussian) and with a kink.
@@ -990,7 +1021,7 @@ def per_energy_levels(problem, n_max, config):
     if isolated:
         ns, lo, hi, f_lo, f_hi = (np.array(column) for column in zip(*isolated))
         roots = _bracketed_roots(
-            lambda es, _: [mismatch(e) for e in es[:, 0].tolist()], lo, hi, f_lo, f_hi,
+            lambda es, _: [mismatch(e) for e in es.tolist()], lo, hi, f_lo, f_hi,
             2e-12 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi)),
         )
         for n, root in zip(ns, roots.tolist()):

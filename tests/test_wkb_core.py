@@ -81,6 +81,33 @@ class TestActionIntegral:
         with pytest.raises(RegionError, match="forbidden"):
             action_integral(problem, -0.5, 0.5)
 
+    def test_points_outside_the_domain_rejected(self):
+        # On (-14, 14) the path crosses the turning point at -0.8814; on the
+        # narrower domain it is not sought there, and the path once summed
+        # to 1.7585070891 through it.
+        eckart = EckartBarrier(height=1.0, width=1.0)
+        with pytest.raises(RegionError):
+            action_integral(problem_for(eckart, 0.5, (-14, 14)), -3.0, -0.6)
+        problem = problem_for(eckart, 0.5, (-0.5, 0.5))
+        for x0, x in ((-3.0, -0.6), (-0.4, -0.6), (0.6, 0.6)):
+            with pytest.raises(DomainError, match="outside the domain"):
+                action_integral(problem, x0, x)
+
+    @pytest.mark.parametrize("turning", [True, False])
+    @pytest.mark.parametrize("fractions", [[0.0, 0.0, 0.5], [0.25, 0.25, 0.5]])
+    def test_equal_points_get_equal_sums(self, turning, fractions):
+        # The second of a pair once ended on the rounded first edge of the
+        # next gap and took a sliver more: 7.3e-40 at a turning point here.
+        problem = problem_for(
+            GaussianBump(amplitude=1.0, width=0.75, center=0.23380036264749426),
+            0.34375, (-7.266199637352505, 7.733800362647495),
+        )
+        a, lo = find_turning_points(problem).a, problem.domain[0]
+        start, end = (a, lo) if turning else (lo, a)
+        xs = start + (end - start) * np.array(fractions)
+        sums = wkb_core._accumulate(problem, start, xs, turning)
+        assert sums[0] == sums[1] and (sums[0] == 0.0) == (fractions[0] == 0.0)
+
     def test_against_independent_quadrature(self):
         problem = problem_for(EckartBarrier(height=1.0, width=1.0), 2.0, (-14, 14))
         w = action_integral(problem, -2.0, 2.0)
