@@ -294,8 +294,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=None)
-def _make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def _make_parser() -> tuple:
+    """The argument parser and its ``{command: parser}`` map, built once per process."""
     parser = _Parser(
         prog="semiclassic",
         description="1-D barrier scattering: WKB methods against an exact oracle",
@@ -331,14 +331,26 @@ def _make_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--output", default=None, help="write the results CSV here")
 
-    for each in (parser, *subs.choices.values()):
+    commands = {"transmission": t, "scan": s, "bound-states": b, "wavefunction": w, "airy": a,
+                "verify": v}
+    for each in (parser, *commands.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by the parser of the command that argv[0] names, as the top-level
+    parser would hand it on, without that parser's pass; else by the top-level one."""
+    parser, commands = _make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _make_parser().parse_args(argv)
+        args = _parse(argv)
         if args.command == "verify":
             results = verify.run_all()
             results.append(verify.criterion_9_determinism(results))

@@ -48,10 +48,11 @@ _ROOT_MAX_STEPS = 200
 #: Roots per solver call in :func:`_turning_points`, so that a long scan
 #: holds arrays of about a megabyte, not of its whole length.
 _ROOT_BLOCK = 4096
-#: Brackets up to which :func:`_bracketed_roots` steps in Python floats: a
-#: step on arrays makes ~55 numpy calls, which cost more than the float
-#: steps (Eckart roots from scan panels, on 2 cores: 0.36 of the time at 1
-#: bracket, 0.38 at 3, 0.45 at 6).
+#: Brackets up to which :func:`_bracketed_roots` steps in Python floats, and
+#: energies up to which :func:`_turning_points` places closed-form roots in
+#: floats: on so few entries numpy's per-call cost outweighs the arithmetic
+#: (a root step on arrays makes ~55 numpy calls; Eckart roots from scan
+#: panels, on 2 cores: 0.36 of the time at 1 bracket, 0.38 at 3, 0.45 at 6).
 _FEW_ROOTS = 3
 
 
@@ -628,6 +629,8 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     """
     kx, kv, scan = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
+    if scan is None and len(e) <= _FEW_ROOTS:
+        return _few_turning_points(problem.potential, e.tolist(), kx.tolist(), kv.tolist())
     # Column k: the root at knot k, or inside run k.
     roots = np.where(e[:, None] == kv, kx, np.nan)
     rows, cols = np.nonzero((kv[:-1] - e[:, None]) * (kv[1:] - e[:, None]) < 0.0)
@@ -651,6 +654,30 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     count = np.sum(~np.isnan(roots), axis=1)
     roots = np.sort(roots, axis=1)  # nan last
     return roots[:, 0], roots[:, 1], count
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """numpy's clip of x into [lo, hi]: nan stays, and a tie (0 against -0) takes the bound."""
+    x = x if x > lo or x != x else lo
+    return x if x < hi or x != x else hi
+
+
+def _few_turning_points(potential: PotentialModel, energies, kx, kv) -> tuple:
+    """The ``_reach`` branch of :func:`_turning_points` for a few energies in
+    Python floats, as :func:`_few_roots`: ``_reach`` gets the same energies in
+    one array, and each float operation is the one numpy makes on that entry,
+    so a, b and count are the same bits; a row's roots already lie in order."""
+    runs = [(i, k) for i, e in enumerate(energies) for k in range(len(kx) - 1)
+            if (kv[k] - e) * (kv[k + 1] - e) < 0.0]
+    reach = potential._reach(np.array([energies[i] for i, _ in runs])).tolist() if runs else []
+    roots = [[x if e == v else math.nan for x, v in zip(kx, kv)] for e in energies]
+    c = potential.center
+    for (i, k), r in zip(runs, reach):
+        left, right = (_clip(x, kx[k], kx[k + 1]) for x in (c - r, c + r))
+        roots[i][k] = left if abs(left - (c - r)) <= abs(right - (c + r)) else right
+    found = [[x for x in row if x == x] for row in roots]
+    a, b = ([row[j] if len(row) > j else math.nan for row in found] for j in (0, 1))
+    return np.array(a), np.array(b), np.array([len(row) for row in found])
 
 
 def _well(problem: ScatteringProblem) -> tuple:

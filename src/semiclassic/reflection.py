@@ -49,6 +49,7 @@ from .wkb_core import (
     _GL_WEIGHTS,
     _accumulate,
     _panel_nodes,
+    _require_allowed,
     _vtilde,
     effective_perturbation,
 )
@@ -236,7 +237,14 @@ def _sum(nodes: _Nodes, energy: float, dk: float, integrand):
     # The phase w(x0, x) at the nodes, across the domain and across each panel.
     w, span, action = nodes.cumulative(p, from_x0=True)
     g = integrand(energy, gap, p)
-    terms = g * np.exp(1j * dk * w / hbar)
+    # e^{i dk w/hbar} from cos and sin of theta, formed as numpy forms the imaginary
+    # part of 1j dk w / hbar, zero signs included (its complex division by hbar
+    # multiplies by 1/hbar): np.exp's bits, without its complex loop.
+    z = 1j * dk
+    theta = (z.imag * w + z.real * 0.0) * (1.0 / hbar)
+    turn = np.empty(theta.shape, dtype=complex)
+    turn.real, turn.imag = np.cos(theta), np.sin(theta)
+    terms = g * turn
     total = nodes.integral(terms)
     size = abs(total)
     if not math.isfinite(size):
@@ -405,9 +413,11 @@ def _matrix_elements(
     _require_smooth(problem)
     m, dk = problem.context.mass, k_f - k_i
     nodes = _Nodes(problem, x0)
+    forces = -m * nodes.dv, -m * nodes.d2v, (m * nodes.dv) ** 2
 
     def vtilde_p(energy, gap, p):
-        return _vtilde(m, energy, nodes.x, nodes.v, nodes.dv, nodes.d2v) * p
+        _require_allowed(gap, nodes.x)
+        return _vtilde(p, *forces) * p
 
     energies = np.atleast_1d(np.asarray(energies, dtype=float)).tolist()
     return np.array([_sum(nodes, e, dk, vtilde_p)[1] for e in energies], dtype=complex)

@@ -83,6 +83,8 @@ _BETWEEN_NODES, _BETWEEN_HALF = _panel_nodes(np.concatenate([
 #: blocks of ``_BLOCK_ROWS``, so that a long scan never holds more at once.
 _BLOCK_NODES = 1 << 17
 _BLOCK_ROWS = _BLOCK_NODES // _BETWEEN_NODES.size
+#: Directions of :func:`_between`'s rows: its half-spans from a rightward, then from b leftward.
+_FROM_A_AND_B = np.array([1.0, -1.0])
 
 
 class Method(enum.Enum):
@@ -176,9 +178,10 @@ def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.
     not depend on the other rows of the call.
     """
     e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
-    start, energy = np.concatenate([a, b]), np.tile(e, 2)
-    u = np.sqrt(np.abs(np.tile(0.5 * (a + b), 2) - start))
-    sign = np.repeat([1.0, -1.0], len(e))[:, None, None]  # from a rightward, from b leftward
+    mid = 0.5 * (a + b)
+    start, energy = np.concatenate([a, b]), np.concatenate([e, e])
+    u = np.sqrt(np.abs(np.concatenate([mid, mid]) - start))
+    sign = np.repeat(_FROM_A_AND_B, len(e))[:, None, None]
     out = np.empty(len(start))
     for r in range(0, len(start), _BLOCK_ROWS):
         blk = slice(r, r + _BLOCK_ROWS)
@@ -302,15 +305,16 @@ def effective_perturbation(problem: ScatteringProblem, x):
     a free particle.  An x that is not finite raises :class:`DomainError`.
     """
     xa = _require_finite(x, "x")
-    out = _vtilde(
-        problem.context.mass, problem.energy, xa, problem.v(xa), problem.dv(xa), problem.d2v(xa)
-    )
+    m = problem.context.mass
+    gap = problem.energy - problem.v(xa)
+    _require_allowed(gap, xa)
+    dv = problem.dv(xa)
+    out = _vtilde(np.sqrt(2.0 * m * gap), -m * dv, -m * problem.d2v(xa), (m * dv) ** 2)
     return out if xa.ndim else float(out)
 
 
-def _vtilde(m: float, e: float, x, v, dv, d2v):
-    """Vtilde at the points x from V, V' and V'' there, for mass m at energy e."""
-    gap = e - v
+def _require_allowed(gap, x) -> None:
+    """Refuse gap = E - V at the points x unless it is > 0 at every one."""
     bad = np.flatnonzero(gap <= 0.0)
     if bad.size:
         i = bad[0]
@@ -318,9 +322,12 @@ def _vtilde(m: float, e: float, x, v, dv, d2v):
             "effective perturbation needs the allowed region; "
             f"E - V = {np.ravel(gap)[i]:g} at x = {x.flat[i]:g}"
         )
-    p = np.sqrt(2.0 * m * gap)
-    p1 = -m * dv / p
-    p2 = -m * d2v / p - (m * dv) ** 2 / p**3
+
+
+def _vtilde(p, f1, f2, f1_sq):
+    """Vtilde at some points from p, f1 = -m V', f2 = -m V'' and f1_sq = (m V')^2 there."""
+    p1 = f1 / p
+    p2 = f2 / p - f1_sq / p**3
     return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semiclassic import cli
+from semiclassic.errors import SemiclassicError
 
 
 def run_cli(args):
@@ -1163,3 +1164,63 @@ class TestPatchedWaveRegime:
         assert captured.out == ""
         assert captured.err == transmission_err
         assert captured.err.startswith("E_NO_BARRIER: ")
+
+
+#: Argument lists that a command's own parser and the top-level parser must
+#: treat alike: every command, the shared options, negative values in any
+#: notation, help, and each kind of usage error.
+PARSE_CASES = [
+    ["transmission", *BARRIER_FORMS["eckart"], "--energy=0.5", "--method=born1"],
+    ["transmission", "--config", "run.cfg", "--mass", "2", "--x-min", "-3e-05"],
+    ["transmission", "--form=eckart", "--center", "-1E+0", "--x-min=-inf", "--format=csv"],
+    ["scan", *BARRIER_FORMS["square"], "--e-min=0.2", "--e-max=0.8", "--steps=5",
+     "--format", "structured-text", "--output", "out.txt"],
+    ["bound-states", "--form=harmonic", "--stiffness=1", "--n-max", "2", "--method=exact"],
+    ["wavefunction", *BARRIER_FORMS["eckart"], "--outgoing-amplitude", "-2.5"],
+    ["airy", "--z", "-1e-3", "--z=2", "--format=structured-text"],
+    ["verify", "--output", "verify.csv"],
+    ["verify"],
+    ["scan", "--help"],
+    ["airy", "-h"],
+    ["--help"],
+    [],
+    ["transmision", "--energy=0.5"],
+    ["--energy=0.5", "transmission"],
+    ["transmission", "--bogus", "1"],
+    ["transmission", "--energy", "abc"],
+    ["transmission", "--energy"],
+    ["transmission", "--method=wkb", "extra"],
+    ["bound-states", "--method=connection"],
+    ["airy"],
+    ["verify", "--x-min=1"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """What ``parse(argv)`` gives: a Namespace, the stderr line and exit code
+    that ``main`` reports for its error, or a help exit; with what it printed."""
+    try:
+        outcome = parse(argv)
+    except SemiclassicError as exc:
+        outcome = (f"{exc.code}: {exc}\n", exc.exit_code)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+class TestDispatch:
+    """argv[0] naming a command goes straight to that command's parser."""
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_command_parser_matches_top_level(self, capsys, argv):
+        top = parse_outcome(cli._make_parser()[0].parse_args, argv, capsys)
+        assert parse_outcome(cli._parse, argv, capsys) == top
+
+    def test_command_skips_the_top_level_parser(self, monkeypatch, capsys):
+        parser, calls = cli._make_parser()[0], []
+        top = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or top(argv))
+        assert run_cli(["airy", "--z=0"]) == 0
+        assert calls == []
+        assert run_cli(["transmision"]) == 2
+        assert calls == [["transmision"]]

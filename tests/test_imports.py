@@ -78,7 +78,7 @@ def test_every_public_name_of_the_package_resolves():
 
 
 #: Exported though only tests call them: the checked wrappers of V, V' and
-#: V'' (ROADMAP item 7 keeps them with their reasons).
+#: V'' (ROADMAP's "Settled" list keeps them with their reasons).
 UNCALLED_EXPORTS = {"evaluate", "derivative", "second_derivative"}
 
 

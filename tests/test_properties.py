@@ -14,7 +14,8 @@ square, for scans) with random height, width, centre, m and hbar; energies
 are drawn from the bulk of the barrier and from within 1e-8 of its top.
 The closed-form knots and turning points of the five model profiles (Eckart,
 Gaussian and square of either sign, parabolic, harmonic) are held to the scan
-and root solve on domains that hold, cut off or nearly touch their centre.
+and root solve on domains that hold, cut off or nearly touch their centre,
+and those of 1 to 3 energies, placed in Python floats, to the array path.
 Tabulated sech^2, Gaussian and kinked profiles (20 to 2000 knots), as
 barriers and as wells, check the opacity and well action on their fixed
 panels against the accumulator.  The oracle properties draw Eckart,
@@ -464,6 +465,36 @@ def test_closed_form_matches_the_scan(case):
             assert got == ref
         else:
             np.testing.assert_allclose(got, ref, rtol=1e-9)
+
+
+def pinned(model, domain, energies):
+    """A ``closed_forms`` case with the given model, domain and energies."""
+    return ScatteringProblem(potential=model, energy=0.0, domain=domain), np.array(energies)
+
+
+@PROPERTY
+@given(closed_forms(), st.lists(st.integers(0, 63), min_size=1, max_size=_FEW_ROOTS))
+# V at each knot, above the top, a domain that cuts one side of the centre,
+# ends at -0.0 or ends inside a square's plateau, and a root clipped from 0
+# to an edge at -0.0.
+@example(pinned(EckartBarrier(1.0, 1.0), (-14.0, 14.0), [1.0, 1.5, 1.0 / math.cosh(14.0) ** 2]),
+         [0, 1, 2])
+@example(pinned(GaussianBump(-1.0, 1.0), (0.3, 10.0), [-math.exp(-0.09), -0.5, 0.1]), [0, 1, 2])
+@example(pinned(SquareBarrier(1.0, 1.0), (0.2, 4.5), [1.0, 0.5, 0.0]), [0, 1, 2])
+@example(pinned(HarmonicWell(1.0), (-3.0, 1.2), [4.5e-69, 0.72, 2.0]), [0, 1, 2])
+@example(pinned(ParabolicBarrier(1.0, 1.0), (-2.0, -0.0), [1.0, 0.5, -1.0]), [0, 1, 2])
+@example(pinned(SquareBarrier(1.0, 1.0, 0.5), (-0.0, 3.0), [0.75, 0.5, 1.0]), [0, 1, 2])
+def test_few_closed_form_turning_points_match_the_array_path(case, picks):
+    # At most _FEW_ROOTS energies take the float path; patched to 0, the arrays.
+    problem, energies = case
+    few = energies[[i % len(energies) for i in picks]]
+    got = _turning_points(problem, few)
+    with mock.patch("semiclassic.potential._FEW_ROOTS", 0):
+        ref = _turning_points(problem, few)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(r))
 
 
 #: The kinds of function that root_brackets draws (see there).
