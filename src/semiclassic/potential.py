@@ -45,9 +45,6 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps
 #: Steps after which :func:`_bracketed_roots` gives up (bisection alone
 #: narrows a bracket by 2^-200).
 _ROOT_MAX_STEPS = 200
-#: Roots per solver call in :func:`_turning_points`, so that a long scan
-#: holds arrays of about a megabyte, not of its whole length.
-_ROOT_BLOCK = 4096
 #: Brackets up to which :func:`_bracketed_roots` steps in Python floats, and
 #: energies up to which :func:`_turning_points` places closed-form roots in
 #: floats: on so few entries numpy's per-call cost outweighs the arithmetic
@@ -167,6 +164,14 @@ class SquareBarrier(PotentialModel):
         return np.full_like(e, 0.5 * self.width)
 
 
+def _ratio(top: float, e: np.ndarray) -> tuple:
+    """(top - e)/e, with no warning where a subnormal e overflows it, and its log there,
+    where top - e rounds to top."""
+    with np.errstate(over="ignore"):
+        ratio = (top - e) / e
+    return ratio, math.log(abs(top)) - np.log(np.abs(e))
+
+
 @dataclass(frozen=True)
 class GaussianBump(PotentialModel):
     """V(x) = A exp(-((x - c)/d)^2)."""
@@ -190,7 +195,8 @@ class GaussianBump(PotentialModel):
         return self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
 
     def _reach(self, e):
-        return self.width * np.sqrt(np.log1p((self.amplitude - e) / e))
+        ratio, log_ratio = _ratio(self.amplitude, e)
+        return self.width * np.sqrt(np.where(np.isinf(ratio), log_ratio, np.log1p(ratio)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,9 @@ class EckartBarrier(PotentialModel):
         return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
     def _reach(self, e):
-        return self.width * np.arcsinh(np.sqrt((self.height - e) / e))
+        ratio, log_ratio = _ratio(self.height, e)  # arcsinh(y) = log 2y once y^2 overflows
+        return self.width * np.where(np.isinf(ratio), math.log(2.0) + 0.5 * log_ratio,
+                                     np.arcsinh(np.sqrt(ratio)))
 
 
 @dataclass(frozen=True)
@@ -623,9 +631,9 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
     center -/+ reach lies nearer the run, clipped into it; else bracketed by
     the two samples around it, found by searchsorted in its run (whose ends
     are the refined extrema, so two roots inside one scan panel are both
-    found), and solved with all the others in :func:`_bracketed_roots` calls
-    of up to ``_ROOT_BLOCK`` roots, each to 4e-16 max(1, |x|) over its run's
-    ends (about 4 steps where V is smooth).
+    found), and solved with all the others in one :func:`_bracketed_roots`
+    call, each to 4e-16 max(1, |x|) over its run's ends (about 4 steps where
+    V is smooth).  A long scan comes in blocks (see ``wkb_core._in_blocks``).
     """
     kx, kv, scan = _geometry(problem)
     e = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -644,13 +652,11 @@ def _turning_points(problem: ScatteringProblem, energies) -> tuple:
         target = e[rows]
         # Column k: the samples of run k below each energy.
         below = np.column_stack([np.searchsorted(key, up * e) for key, up in zip(keys, ups)])
-        left, xtol = starts[cols] - 1 + below[rows, cols], tols[cols]
-        for blk in (slice(r, r + _ROOT_BLOCK) for r in range(0, len(rows), _ROOT_BLOCK)):
-            e_blk, j = target[blk], left[blk]
-            roots[rows[blk], cols[blk]] = _bracketed_roots(
-                lambda x, idx: problem.v(x) - e_blk[idx],
-                xs[j], xs[j + 1], vs[j] - e_blk, vs[j + 1] - e_blk, xtol[blk],
-            )
+        j = starts[cols] - 1 + below[rows, cols]
+        roots[rows, cols] = _bracketed_roots(
+            lambda x, idx: problem.v(x) - target[idx],
+            xs[j], xs[j + 1], vs[j] - target, vs[j + 1] - target, tols[cols],
+        )
     count = np.sum(~np.isnan(roots), axis=1)
     roots = np.sort(roots, axis=1)  # nan last
     return roots[:, 0], roots[:, 1], count

@@ -218,55 +218,14 @@ def airy_asymptotic(z: float) -> AiryPair:
     return AiryPair(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip)
 
 
-def _bessel_i_diff_plus_mp(numerator: int, x: float) -> tuple[float, float]:
-    """I_{-nu} -/+ I_{nu}, nu = numerator/3, ascending series with guard digits.
-
-    The difference cancels to ~e^{-2x} of either term, so the series is
-    summed in escalated precision (with nu as an exact rational, since any
-    rounding of nu is amplified by the same e^{2x} factor) and only the
-    combination is rounded back to double.
-    """
-    dps = 30 + int(2.0 * x / math.log(10.0))
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        x2 = 0.25 * xm * xm
-        eps = mp.mpf(10) ** (-dps)
-
-        def series(order):
-            t = (0.5 * xm) ** order / mp.gamma(order + 1)
-            total = t
-            k = 0
-            while True:
-                k += 1
-                t = t * x2 / (k * (k + order))
-                total += t
-                if abs(t) < eps * abs(total):
-                    return total
-
+def _bessel_i_pair(numerator: int, x: float) -> tuple[float, float]:
+    """I_{-nu}(x) -/+ I_nu(x), nu = numerator/3 (exact): (2/pi) sin(nu pi) K_nu(x)
+    (DLMF 10.27.4), which has no cancellation, and 2 I_nu(x) plus that, from mpmath
+    at 30 digits and rounded once to double."""
+    with mp.workdps(30):
         nu = mp.mpf(numerator) / 3
-        minus, plus = series(-nu), series(nu)
-        return float(minus - plus), float(minus + plus)
-
-
-def _bessel_i_pair_asymptotic(nu: float, x: float) -> tuple[float, float]:
-    """I_{-nu}(x) - I_nu(x) and I_{-nu}(x) + I_nu(x) for large x.
-
-    Both orders share the same exponentially growing series (the expansion
-    coefficients depend on nu^2 only), so the difference is carried entirely
-    by the subdominant exp(-x) reflection term with weight -sin(nu pi):
-    I_nu ~ [e^x S(-1/x) - sin(nu pi) e^{-x} S(1/x)] / sqrt(2 pi x).
-    """
-    n_terms = 12
-    a = [1.0]
-    for k in range(1, n_terms):
-        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
-    s_plus = sum(a[k] / x**k for k in range(n_terms))
-    s_minus = sum((-1) ** k * a[k] / x**k for k in range(n_terms))
-    pref = 1.0 / math.sqrt(2.0 * math.pi * x)
-    sin_pi_nu = math.sin(math.pi * nu)
-    diff = 2.0 * sin_pi_nu * math.exp(-x) * s_plus * pref
-    plus = 2.0 * math.exp(x) * s_minus * pref  # reflection terms cancel in the sum
-    return diff, plus
+        diff = 2 / mp.pi * mp.sinpi(nu) * mp.besselk(nu, x)
+        return float(diff), float(2 * mp.besseli(nu, x) + diff)
 
 
 def airy_bessel_form(z: float) -> AiryPair:
@@ -274,21 +233,18 @@ def airy_bessel_form(z: float) -> AiryPair:
 
     Ai(z) = (sqrt(z)/3)[I_{-1/3}(zeta) - I_{1/3}(zeta)],
     Bi(z) = sqrt(z/3) [I_{-1/3}(zeta) + I_{1/3}(zeta)], zeta = (2/3)z^(3/2).
-    Derivatives use the analogous order-2/3 combinations.  For zeta <= 12
-    each combination I_{-nu} -/+ I_nu is one ascending series summed in
-    mpmath with guard digits; beyond, it comes from the exponential
-    asymptotic series.
+    Derivatives use the analogous order-2/3 combinations.  Each combination
+    I_{-nu} -/+ I_nu comes from mpmath's K_nu and I_nu (see
+    :func:`_bessel_i_pair`), for z up to :data:`_EXP_MAX_Z` and down to about
+    1e-205, below which zeta is subnormal and :class:`RangeError` is raised.
     """
     z = _exponential_range(z, "airy_bessel_form")
     if z <= 0.0:
         raise DomainError("airy_bessel_form: representation valid for z > 0 only")
     zeta = (2.0 / 3.0) * z**1.5
-    if zeta <= 12.0:
-        diff13, plus13 = _bessel_i_diff_plus_mp(1, zeta)
-        diff23, plus23 = _bessel_i_diff_plus_mp(2, zeta)
-    else:
-        diff13, plus13 = _bessel_i_pair_asymptotic(1.0 / 3.0, zeta)
-        diff23, plus23 = _bessel_i_pair_asymptotic(2.0 / 3.0, zeta)
+    if zeta < sys.float_info.min:  # subnormal or 0: zeta has lost its digits
+        raise RangeError(f"airy_bessel_form: z = {z:g} is too small: zeta underflows")
+    (diff13, plus13), (diff23, plus23) = _bessel_i_pair(1, zeta), _bessel_i_pair(2, zeta)
 
     ai = (math.sqrt(z) / 3.0) * diff13
     bi = math.sqrt(z / 3.0) * plus13

@@ -79,10 +79,9 @@ _BETWEEN_PANELS = 64
 _BETWEEN_NODES, _BETWEEN_HALF = _panel_nodes(np.concatenate([
     [0.0], 0.5 ** np.arange(_GRADED_PANELS, 0, -1), np.arange(1, _BETWEEN_PANELS + 1)
 ]) / _BETWEEN_PANELS)
-#: Nodes in one block of the 2-D sum of :func:`_between`: rows are cut into
-#: blocks of ``_BLOCK_ROWS``, so that a long scan never holds more at once.
-_BLOCK_NODES = 1 << 17
-_BLOCK_ROWS = _BLOCK_NODES // _BETWEEN_NODES.size
+#: Energies per block of :func:`_in_blocks`: their :func:`_between` sum (two
+#: half-spans each) holds at most 2^17 nodes, so a long scan never holds more.
+_BLOCK_ENERGIES = (1 << 17) // (2 * _BETWEEN_NODES.size)
 #: Directions of :func:`_between`'s rows: its half-spans from a rightward, then from b leftward.
 _FROM_A_AND_B = np.array([1.0, -1.0])
 
@@ -173,26 +172,22 @@ def _between(problem: ScatteringProblem, energies, a, b, forbidden=False) -> np.
     Each half of [a, b] is summed from its own turning point in
     s = sqrt(|x - a|), on 12 panels graded toward s = 0, then
     ``_BETWEEN_PANELS`` even ones whatever the half's length, all halves of
-    all energies in one 2-D Gauss-Legendre sum cut into blocks of
-    ``_BLOCK_ROWS`` rows.  Each row is summed on its own, so its value does
-    not depend on the other rows of the call.
+    all energies in one 2-D Gauss-Legendre sum.  Each row is summed on its
+    own, so its value does not depend on the other rows of the call.
     """
     e, a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (energies, a, b))
     mid = 0.5 * (a + b)
     start, energy = np.concatenate([a, b]), np.concatenate([e, e])
     u = np.sqrt(np.abs(np.concatenate([mid, mid]) - start))
     sign = np.repeat(_FROM_A_AND_B, len(e))[:, None, None]
-    out = np.empty(len(start))
-    for r in range(0, len(start), _BLOCK_ROWS):
-        blk = slice(r, r + _BLOCK_ROWS)
-        nodes = u[blk, None, None] * _BETWEEN_NODES
-        excess = problem.v(start[blk, None, None] + sign[blk] * (nodes * nodes))
-        excess -= energy[blk, None, None]
-        vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0)) * (2.0 * nodes)
-        # einsum sums each panel's 10 nodes on its own (a BLAS matmul would
-        # round a panel differently by its place in the block).
-        panels = np.einsum("rpk,k->rp", vals, _GL_WEIGHTS)
-        out[blk] = u[blk] * np.sum(_BETWEEN_HALF * panels, axis=1)
+    nodes = u[:, None, None] * _BETWEEN_NODES
+    excess = problem.v(start[:, None, None] + sign * (nodes * nodes))
+    excess -= energy[:, None, None]
+    vals = np.sqrt(np.maximum(excess if forbidden else -excess, 0.0)) * (2.0 * nodes)
+    # einsum sums each panel's 10 nodes on its own (a BLAS matmul would
+    # round a panel differently by its place in the call).
+    panels = np.einsum("rpk,k->rp", vals, _GL_WEIGHTS)
+    out = u * np.sum(_BETWEEN_HALF * panels, axis=1)
     return math.sqrt(2.0 * problem.context.mass) * (out[: len(e)] + out[len(e) :])
 
 
@@ -256,14 +251,22 @@ def barrier_integral(problem: ScatteringProblem) -> float:
 
 
 def opacities(problem: ScatteringProblem, energies) -> np.ndarray:
-    """sigma* at each energy of a scan, from one turning-point solve and one sum.
+    """sigma* at each energy of a scan, from :func:`_in_blocks`.
 
     An energy without a barrier raises as :func:`barrier_integral` would; the
     first such energy in the given order is the one reported.  An energy that
     is not finite raises :class:`DomainError` first.
     """
     e = np.atleast_1d(_require_finite(energies, "energies"))
-    return _across(problem, e, *_turning_points(problem, e), barrier=True) / problem.context.hbar
+    return _in_blocks(problem, e, barrier=True) / problem.context.hbar
+
+
+def _in_blocks(problem: ScatteringProblem, e: np.ndarray, barrier) -> np.ndarray:
+    """:func:`_across` at the energies ``e``, one turning-point solve and sum per
+    ``_BLOCK_ENERGIES`` (one empty block for none); a row depends on its energy alone."""
+    blocks = (e[r : r + _BLOCK_ENERGIES] for r in range(0, len(e) or 1, _BLOCK_ENERGIES))
+    return np.concatenate([_across(problem, blk, *_turning_points(problem, blk), barrier)
+                           for blk in blocks])
 
 
 def _across(problem: ScatteringProblem, energies, a, b, count, barrier) -> np.ndarray:
@@ -371,8 +374,7 @@ def _opacity_report(sigma_star: float, method: Method) -> TransmissionReport:
 def _well_actions(problem: ScatteringProblem, energies) -> np.ndarray:
     """integral_a^b sqrt(2m(E - V)) dx across the well at each energy, checked
     by :func:`_across`."""
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
-    return _across(problem, e, *_turning_points(problem, e), barrier=False)
+    return _in_blocks(problem, np.atleast_1d(np.asarray(energies, dtype=float)), barrier=False)
 
 
 def _levels(problem: ScatteringProblem, ns, bracket, actions) -> np.ndarray:

@@ -480,11 +480,8 @@ class TestBatchedScan:
         from semiclassic import wkb_core
         from semiclassic.potential import ScatteringProblem
 
-        # Each energy is two rows of the opacity sum, one per half-span; one
-        # block holds this many rows, so the scan fills two blocks.
-        steps = wkb_core._BLOCK_NODES // (
-            len(wkb_core._GL_NODES) * (wkb_core._GRADED_PANELS + wkb_core._BETWEEN_PANELS)
-        )
+        # One block holds this many energies, so the scan fills two blocks.
+        steps = 2 * wkb_core._BLOCK_ENERGIES
         blocks = []
         v = ScatteringProblem.v
         monkeypatch.setattr(
@@ -504,6 +501,36 @@ class TestBatchedScan:
                  f"--energy={row.split(',')[0]}"],
             )
             assert one[1] == row
+
+    def test_tabulated_scan_longer_than_a_block(self, tmp_path, monkeypatch):
+        from semiclassic import wkb_core
+
+        # A table's roots are solved, not placed: each block is one solve.
+        xs = np.linspace(-8.0, 8.0, 161)
+        table = tmp_path / "v.txt"
+        np.savetxt(table, np.column_stack([xs, 1.0 / np.cosh(xs) ** 2]))
+        form = ["--form=tabulated", f"--table-file={table}", "--x-min=-8", "--x-max=8"]
+        solves = []
+        turning_points = wkb_core._turning_points
+        monkeypatch.setattr(
+            wkb_core, "_turning_points",
+            lambda p, e: solves.append(len(e)) or turning_points(p, e),
+        )
+        steps = 2 * wkb_core._BLOCK_ENERGIES + 1
+        scan = self._rows(
+            tmp_path,
+            ["scan", *form, "--method=wkb-corrected", "--e-min=0.05", "--e-max=0.95",
+             f"--steps={steps}"],
+        )
+        assert solves == [wkb_core._BLOCK_ENERGIES] * 2 + [1]
+        ends = [0, wkb_core._BLOCK_ENERGIES - 1, wkb_core._BLOCK_ENERGIES, steps - 1]
+        for i in sorted({*ends, *range(0, steps, 17)}):
+            one = self._rows(
+                tmp_path,
+                ["transmission", *form, "--method=wkb-corrected",
+                 f"--energy={scan[1 + i].split(',')[0]}"],
+            )
+            assert one == [scan[0], scan[1 + i]]
 
     @pytest.mark.parametrize("method", ["wkb", "wkb-corrected", "connection"])
     def test_scan_over_the_top_fails_as_one_energy_would(self, capsys, method):

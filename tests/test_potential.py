@@ -293,6 +293,39 @@ class TestStoredKnots:
         assert model == fresh and fresh == model
 
 
+@pytest.mark.filterwarnings("error")
+class TestSubnormalEnergy:
+    """Below V0/1.8e308, (V0 - E)/E overflows; the reach comes from its log."""
+
+    CASES = [
+        # sqrt(log(1/E)) and log 2 + log(1/E)/2 at E = 1e-310.
+        (GaussianBump(amplitude=1.0, width=1.0), 30.0, 26.71706156799722),
+        (EckartBarrier(height=1.0, width=1.0), 400.0, 357.593836594637),
+    ]
+
+    @pytest.mark.parametrize("potential, edge, reach", CASES, ids=["gaussian", "eckart"])
+    def test_one_energy(self, potential, edge, reach):
+        tp = find_turning_points(problem_for(potential, 1e-310, (-edge, edge)))
+        assert tp.count == 2
+        assert tp.a == pytest.approx(-reach, rel=1e-14)
+        assert tp.b == pytest.approx(reach, rel=1e-14)
+
+    @pytest.mark.parametrize("potential, edge, reach", CASES, ids=["gaussian", "eckart"])
+    def test_scan(self, potential, edge, reach):
+        from semiclassic.potential import _FEW_ROOTS, _turning_points
+
+        energies = np.array([5e-324, 1e-310, 1e-300, 0.25, 0.5])
+        assert len(energies) > _FEW_ROOTS
+        a, b, count = _turning_points(problem_for(potential, 0.5, (-edge, edge)), energies)
+        assert count.tolist() == [2] * len(energies)
+        np.testing.assert_array_equal(a, -b)
+        assert b[1] == pytest.approx(reach, rel=1e-14)
+        assert np.all(np.diff(b) < 0.0)  # farther out the lower the energy
+        for e, x in zip(energies, b):
+            one = find_turning_points(problem_for(potential, float(e), (-edge, edge)))
+            assert one.b == x
+
+
 class TestDecayRate:
     def test_forbidden(self):
         problem = problem_for(SquareBarrier(height=1.0, width=2.0), 0.5, (-8, 8))

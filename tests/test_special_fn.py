@@ -163,10 +163,30 @@ class TestBesselForm:
         assert abs(airy_bessel_form(1e-6).ai - airy(0.0).ai) < 1e-5
 
     def test_large_argument_branch(self):
-        # zeta > 12 exercises the compound asymptotic series.
+        # zeta = 15.1: K_nu is ~e^{-2 zeta} of I_nu, and Ai comes from it alone.
         a, b = airy(8.0), airy_bessel_form(8.0)
         assert abs(b.ai - a.ai) < 1e-9 * abs(a.ai)
         assert abs(b.bi - a.bi) < 1e-9 * abs(a.bi)
+
+    @pytest.mark.parametrize("z", np.linspace(6.9, _EXP_MAX_Z, 24).tolist())
+    def test_large_arguments_match_mpmath(self, z):
+        # Up to the overflow cut; an asymptotic series past zeta = 12 was
+        # within 4e-10 only.
+        pair = airy_bessel_form(z)
+        with mpmath.workdps(60):
+            exact = (mpmath.airyai(z), mpmath.airybi(z), mpmath.airyai(z, 1), mpmath.airybi(z, 1))
+            for value, reference in zip(dataclasses.astuple(pair), exact):
+                assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("z", [1e-214, 1e-206])
+    def test_subnormal_zeta_refused(self, z):
+        # zeta = (2/3) z^(3/2) is subnormal here; at 1e-214 it cost 1.6e-4 relative.
+        with pytest.raises(RangeError, match="zeta underflows$"):
+            airy_bessel_form(z)
+
+    def test_smallest_normal_zeta_is_the_value_at_zero(self):
+        a, b = airy(0.0), airy_bessel_form(1.1e-205)
+        assert dataclasses.astuple(b) == pytest.approx(dataclasses.astuple(a), rel=1e-15)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
