@@ -308,9 +308,8 @@ class TabulatedPotential(PotentialModel):
     """Cubic interpolation through (x, V) samples on a strictly increasing grid.
 
     Cubic (not-a-knot) interpolation keeps V'' continuous, which the
-    effective-perturbation machinery needs.  dV/dx follows the stated
-    contract: a central finite difference of the interpolant with step
-    1e-6 max(1, |x|), shrunk near the grid edges to stay in range.
+    effective-perturbation machinery needs.  V' and V'' are the exact
+    derivatives of the interpolant.
     """
 
     xs: tuple
@@ -345,10 +344,7 @@ class TabulatedPotential(PotentialModel):
 
     def _derivative(self, x):
         self._check_range(x)
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        h = np.minimum(h, np.minimum(x - self.xs[0], self.xs[-1] - x))
-        h = np.maximum(h, 1e-12)
-        return (self._spline(x + h) - self._spline(x - h)) / (2.0 * h)
+        return self._spline(x, 1)
 
     def _second_derivative(self, x):
         self._check_range(x)
@@ -569,8 +565,8 @@ def _geometry(problem: ScatteringProblem) -> tuple:
     beyond it, so an extremum inside an edge panel is found too), and one
     :func:`_bracketed_roots` call refines them all, each to the root of V'
     between the samples around it, to 1e-6 of a panel.  The best sample
-    stands in where V' does not change sign there (a jump, a finite-difference
-    slope) or its root is worse, and none in an edge panel.  ``scan`` is
+    stands in where V' does not change sign there (a jump) or its root is
+    worse, and none in an edge panel.  ``scan`` is
     ``(xs, vs, (s, up, keys, xtol))``: the samples with the extrema merged
     in, and per run its first index in xs, +1 if V rises on it else -1,
     up * V on it (increasing), and its root tolerance.  It all depends on
