@@ -43,7 +43,7 @@ __all__ = ["main"]
 configparser = lazy("configparser")
 verify = lazy("semiclassic.verify")
 
-TRANSMISSION_METHODS = ("wkb", "wkb-corrected", "connection", "exact")
+TRANSMISSION_METHODS = tuple(m.value for m in wkb_core.Method)
 REFLECTION_METHODS = ("born1", "once-reflected")
 ALL_METHODS = TRANSMISSION_METHODS + REFLECTION_METHODS
 

@@ -117,18 +117,26 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _REGIONS = (Region.ALLOWED_LEFT, Region.FORBIDDEN, Region.ALLOWED_RIGHT)
 
 
-def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints, v=None) -> tuple:
+def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints | None, v=None) -> tuple:
     """Region of every x, from V on ``xs`` (``v`` if given).
 
     Forbidden where V > E; otherwise allowed_right beyond the last turning
-    point and allowed_left elsewhere (so the inside of a well is left).  The
-    tuple is joined from the runs of equal regions, a handful per table.
+    point and allowed_left elsewhere (so the inside of a well is left).  With
+    ``tp`` None the xs are a grid that spans the domain, and the last of them
+    where V >= E stands for the last turning point, so the grid needs no root
+    solve and may cross any number of barriers.  The tuple is joined from the
+    runs of equal regions, a handful per table.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
+    v = problem.v(xs) if v is None else v
+    if tp is None:
+        reached = np.flatnonzero(v >= problem.energy)
+        last = xs[reached[-1]] if len(reached) else math.inf
+    else:
+        last = tp.b if tp.count == 2 else tp.a if tp.count == 1 else math.inf
     # One byte per x: an int64 code would add two grid-sized temporaries.
     codes = np.where(xs > last, np.int8(2), np.int8(0))
-    codes[(problem.v(xs) if v is None else v) > problem.energy] = 1
+    codes[v > problem.energy] = 1
     if not len(codes):
         return ()
     tags, lo = (), -1

@@ -74,7 +74,6 @@ from .potential import (
     _require_count,
     _require_finite,
     _well,
-    find_turning_points,
 )
 from .wkb_core import Method, TransmissionReport
 
@@ -465,11 +464,16 @@ def wavefunction_exact(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> WavefunctionTable:
     """The integrated scattering wave on the grid, unit incident amplitude,
-    checked as :func:`solve_scattering_exact` checks T and R."""
+    checked as :func:`solve_scattering_exact` checks T and R.
+
+    Its regions come from V on the same grid: forbidden where V > E,
+    allowed_right past the last grid point where V >= E, allowed_left
+    elsewhere; no turning point is solved for, so a wave across several
+    barriers is tagged as one across a single barrier."""
     [(_, _, xs, v, psi)] = _scattering_rows(
         problem, [problem.energy], config or OracleConfig(), rows=None
     )
-    tags = _region_tags(problem, xs, find_turning_points(problem), v)
+    tags = _region_tags(problem, xs, None, v)
     return WavefunctionTable(xs=xs, psi=psi, region_tags=tags)
 
 

@@ -165,11 +165,12 @@ class SquareBarrier(PotentialModel):
 
 
 def _ratio(top: float, e: np.ndarray) -> tuple:
-    """(top - e)/e, with no warning where a subnormal e overflows it, and its log there,
-    where top - e rounds to top."""
+    """(top - e)/e, with no warning where a subnormal e overflows it, the entries
+    where it does, and the log of the ratio there, where top - e rounds to top."""
     with np.errstate(over="ignore"):
         ratio = (top - e) / e
-    return ratio, math.log(abs(top)) - np.log(np.abs(e))
+    over = np.isinf(ratio)
+    return ratio, over, math.log(abs(top)) - np.log(np.abs(e[over]))
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,10 @@ class GaussianBump(PotentialModel):
         return self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
 
     def _reach(self, e):
-        ratio, log_ratio = _ratio(self.amplitude, e)
-        return self.width * np.sqrt(np.where(np.isinf(ratio), log_ratio, np.log1p(ratio)))
+        ratio, over, log_ratio = _ratio(self.amplitude, e)
+        out = np.log1p(ratio)
+        out[over] = log_ratio
+        return self.width * np.sqrt(out)
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,10 @@ class EckartBarrier(PotentialModel):
         return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
     def _reach(self, e):
-        ratio, log_ratio = _ratio(self.height, e)  # arcsinh(y) = log 2y once y^2 overflows
-        return self.width * np.where(np.isinf(ratio), math.log(2.0) + 0.5 * log_ratio,
-                                     np.arcsinh(np.sqrt(ratio)))
+        ratio, over, log_ratio = _ratio(self.height, e)
+        out = np.arcsinh(np.sqrt(ratio))
+        out[over] = math.log(2.0) + 0.5 * log_ratio  # arcsinh(y) = log 2y once y^2 overflows
+        return self.width * out
 
 
 @dataclass(frozen=True)

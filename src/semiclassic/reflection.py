@@ -25,7 +25,10 @@ one.  Every sum, g e^{i dk w/hbar} with g = r (once-reflected) or Vtilde p
 that is not finite, that does not clear its rounding floor, that the 10-point
 rule may miss by more than 1 %, or that would gain more than 1 % past the
 domain edges, which stand in for +/- infinity.  The sums read V' and V''
-only, so a potential that jumps inside the domain is refused.
+only, so a potential that jumps inside the domain is refused, once, where
+the nodes are laid out (:class:`_Nodes`).  The phase-variable residual
+Vtilde (:func:`effective_perturbation`) is defined here too, next to the
+matrix element that sums it.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -44,15 +47,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 
 from .errors import DomainError, NumericalError, RegimeError
 from .potential import ScatteringProblem, _geometry, _require_count, _require_finite
-from .wkb_core import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _accumulate,
-    _panel_nodes,
-    _require_allowed,
-    _vtilde,
-    effective_perturbation,
-)
+from .wkb_core import _GL_NODES, _GL_WEIGHTS, _accumulate, _panel_nodes
 
 __all__ = [
     "EffectivePerturbation",
@@ -144,6 +139,41 @@ def _require_smooth(problem: ScatteringProblem) -> None:
         )
 
 
+def effective_perturbation(problem: ScatteringProblem, x):
+    """Vtilde = (3 p'^2 - 2 p p'') / (4 p^4) from analytic V derivatives.
+
+    Valid in the classically allowed region (p > 0), at a scalar x or an
+    array of them.  This is the residual coupling left over when the wave
+    equation is rewritten in the phase variable; it vanishes identically for
+    a free particle.  An x that is not finite raises :class:`DomainError`.
+    """
+    xa = _require_finite(x, "x")
+    m = problem.context.mass
+    gap = problem.energy - problem.v(xa)
+    _require_allowed(gap, xa)
+    dv = problem.dv(xa)
+    out = _vtilde(np.sqrt(2.0 * m * gap), -m * dv, -m * problem.d2v(xa), (m * dv) ** 2)
+    return out if xa.ndim else float(out)
+
+
+def _require_allowed(gap, x) -> None:
+    """Refuse gap = E - V at the points x unless it is > 0 at every one."""
+    bad = np.flatnonzero(gap <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            "effective perturbation needs the allowed region; "
+            f"E - V = {np.ravel(gap)[i]:g} at x = {x.flat[i]:g}"
+        )
+
+
+def _vtilde(p, f1, f2, f1_sq):
+    """Vtilde at some points from p, f1 = -m V', f2 = -m V'' and f1_sq = (m V')^2 there."""
+    p1 = f1 / p
+    p2 = f2 / p - f1_sq / p**3
+    return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
+
+
 def _phase(problem: ScatteringProblem, xs, x0: float | None = None) -> np.ndarray:
     """w(x0, x) at xs in the domain: the phase accumulator run from the left edge.
 
@@ -178,9 +208,13 @@ class _Nodes:
     :meth:`cumulative` integrates the interpolant of the integrand on each
     panel with the spectral integration matrix, and takes its value at x0
     from the row of that matrix at x0's place in its panel, laid out here.
+    Every reflection sum lays out its nodes here, so a potential that jumps
+    inside the domain (:func:`_require_smooth`) is refused here, before x0
+    is checked.
     """
 
     def __init__(self, problem, x0):
+        _require_smooth(problem)
         x0 = _reference_point(problem, x0)
         edges = np.linspace(*problem.domain, _PANELS_PER_DOMAIN + 1)
         self.problem = problem
@@ -299,7 +333,6 @@ def picard_amplitudes(
     drops below ``tol``.
     """
     iterations = _require_count(iterations, "iterations", 1)
-    _require_smooth(problem)
     nodes = _Nodes(problem, None)
     coupling, _ = _once_reflected(nodes, problem.energy)
     c_plus = np.ones(nodes.x.shape, dtype=complex)
@@ -352,7 +385,6 @@ def once_reflected_coefficients(
     with a jump raises, and each energy raises as :func:`_sum` says; the first
     failing energy in the given order is reported.
     """
-    _require_smooth(problem)
     nodes = _Nodes(problem, x0)
     energies = np.atleast_1d(np.asarray(energies, dtype=float)).tolist()
     return np.array([-_once_reflected(nodes, e)[1] for e in energies], dtype=complex)
@@ -410,7 +442,6 @@ def _matrix_elements(
     :class:`DomainError` first.
     """
     _require_finite([k_i, k_f], "k_i and k_f")
-    _require_smooth(problem)
     m, dk = problem.context.mass, k_f - k_i
     nodes = _Nodes(problem, x0)
     forces = -m * nodes.dv, -m * nodes.d2v, (m * nodes.dv) ** 2

@@ -1,5 +1,11 @@
 """Action integrals, leading transmission, quantization.
 
+Every integral between two turning points, the opacity of a barrier or the
+action across a well, is checked by :func:`_across`: two turning points
+enclosing a barrier or a well, else a typed refusal.  The over-barrier
+residual Vtilde belongs with the reflection sums that read it
+(``semiclassic.reflection``).
+
 Quadrature policy: every action and decay integral is a 10-point
 Gauss-Legendre sum: cumulative along one span on panels sized by the domain
 (:func:`_accumulate`), or between two turning points one row per energy of a
@@ -10,7 +16,6 @@ in s is analytic and does not wind, so the count need not follow the span.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -46,7 +51,6 @@ __all__ = [
     "transmission_leading",
     "quantize",
     "quantize_levels",
-    "effective_perturbation",
 ]
 
 #: E - V may dip this far (times max(1, |E|)) below 0 on an allowed path.
@@ -299,41 +303,6 @@ def _across(problem: ScatteringProblem, energies, a, b, count, barrier) -> np.nd
     return _between(problem, e, a, b, forbidden=barrier)
 
 
-def effective_perturbation(problem: ScatteringProblem, x):
-    """Vtilde = (3 p'^2 - 2 p p'') / (4 p^4) from analytic V derivatives.
-
-    Valid in the classically allowed region (p > 0), at a scalar x or an
-    array of them.  This is the residual coupling left over when the wave
-    equation is rewritten in the phase variable; it vanishes identically for
-    a free particle.  An x that is not finite raises :class:`DomainError`.
-    """
-    xa = _require_finite(x, "x")
-    m = problem.context.mass
-    gap = problem.energy - problem.v(xa)
-    _require_allowed(gap, xa)
-    dv = problem.dv(xa)
-    out = _vtilde(np.sqrt(2.0 * m * gap), -m * dv, -m * problem.d2v(xa), (m * dv) ** 2)
-    return out if xa.ndim else float(out)
-
-
-def _require_allowed(gap, x) -> None:
-    """Refuse gap = E - V at the points x unless it is > 0 at every one."""
-    bad = np.flatnonzero(gap <= 0.0)
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            "effective perturbation needs the allowed region; "
-            f"E - V = {np.ravel(gap)[i]:g} at x = {x.flat[i]:g}"
-        )
-
-
-def _vtilde(p, f1, f2, f1_sq):
-    """Vtilde at some points from p, f1 = -m V', f2 = -m V'' and f1_sq = (m V')^2 there."""
-    p1 = f1 / p
-    p2 = f2 / p - f1_sq / p**3
-    return (3.0 * p1 * p1 - 2.0 * p * p2) / (4.0 * p**4)
-
-
 def transmission_leading(
     problem: ScatteringProblem, corrected: bool = True
 ) -> TransmissionReport:
@@ -427,24 +396,18 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     """E_0..E_n_max of a single well, all solved together.
 
     The well action grows monotonically with E, so one check just below the
-    lowest domain-edge rim (two turning points, and an action above the
-    highest level's target) shows that every level lies between the well
-    bottom and the rim; that whole range is each level's bracket, and one
-    root-solver call converges all the levels at once, as :func:`quantize`
-    converges one.
+    lowest domain-edge rim (an action above the highest level's target)
+    shows that every level lies between the well bottom and the rim; that
+    whole range is each level's bracket, and one root-solver call converges
+    all the levels at once, as :func:`quantize` converges one.  The action at
+    the rim is a well action like any other (:func:`_well_actions`), so its
+    turning points are checked as every trial energy's are.
     """
     n_max = _require_count(n_max, "n_max")
     v_min, rim = _well(problem)
-    span = rim - v_min
-    top = dataclasses.replace(problem, energy=rim - 1e-9 * span)
-    tp = find_turning_points(top)
-    if tp.count != 2:
-        raise SpectrumError(
-            f"E = {top.energy:g} does not see a simple well (found {tp.count} "
-            "turning points)"
-        )
-    action = _between(problem, top.energy, tp.a, tp.b)[0]
+    top = rim - 1e-9 * (rim - v_min)
+    action = _well_actions(problem, top)[0]
     if action <= (n_max + 0.5) * math.pi * problem.context.hbar:
         raise SpectrumError(f"the well holds fewer than {n_max + 1} levels below its rim")
     # The action vanishes at the bottom of the well; trial energies lie strictly inside.
-    return _levels(problem, range(n_max + 1), (v_min, top.energy), (0.0, action)).tolist()
+    return _levels(problem, range(n_max + 1), (v_min, top), (0.0, action)).tolist()
