@@ -728,12 +728,14 @@ def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
 def exclusion_radius(problem: ScatteringProblem, x_c: float) -> float:
     """Airy length (hbar^2 / (2m |V'(x_c)|))^(1/3) around a turning point.
 
-    The slope is the larger of the analytic derivative and a finite
-    difference across the point, so potential jumps (where the analytic
-    slope reads 0 but the physical one is effectively infinite) shrink the
-    zone instead of inflating it.  A genuinely flat turning point, e.g. a
-    smooth barrier top at E = V_max, has no WKB region at all: inf.  An x_c
-    that is not finite raises :class:`DomainError`.
+    Where the model declares a jump of V (``jumps``) within 1e-6 max(1, |x_c|)
+    of x_c, inside the domain, the slope is the larger of |V'(x_c)| and the
+    difference of V across that window, so the jump (where the analytic
+    slope reads 0 but the physical one is effectively infinite) shrinks the
+    zone instead of inflating it.  Everywhere else it is |V'(x_c)| alone.  A
+    genuinely flat turning point, e.g. a smooth barrier top at E = V_max,
+    has no WKB region at all: inf.  An x_c that is not finite raises
+    :class:`DomainError`.
     """
     _require_finite(x_c, "x_c")
     m, hbar = problem.context.mass, problem.context.hbar
@@ -741,7 +743,7 @@ def exclusion_radius(problem: ScatteringProblem, x_c: float) -> float:
     delta = 1e-6 * max(1.0, abs(x_c))
     lo, hi = problem.domain
     lo_pt, hi_pt = max(x_c - delta, lo), min(x_c + delta, hi)
-    if hi_pt > lo_pt:
+    if hi_pt > lo_pt and any(lo_pt <= x <= hi_pt for x in problem.potential.jumps):
         slope = max(
             slope, abs(problem.v(hi_pt) - problem.v(lo_pt)) / (hi_pt - lo_pt)
         )
