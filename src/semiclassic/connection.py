@@ -122,10 +122,9 @@ def _region_tags(problem: ScatteringProblem, xs, tp: TurningPoints | None, v=Non
 
     Forbidden where V > E; otherwise allowed_right beyond the last turning
     point and allowed_left elsewhere (so the inside of a well is left).  With
-    ``tp`` None the xs are a grid that spans the domain, and the last of them
-    where V >= E stands for the last turning point, so the grid needs no root
-    solve and may cross any number of barriers.  The tuple is joined from the
-    runs of equal regions, a handful per table.
+    ``tp`` None the xs span the domain and the last of them where V >= E
+    stands for the last turning point, across any number of barriers.  The
+    tuple is joined from the runs of equal regions, a handful per table.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     v = problem.v(xs) if v is None else v

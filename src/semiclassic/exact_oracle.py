@@ -464,12 +464,8 @@ def wavefunction_exact(
     problem: ScatteringProblem, config: OracleConfig | None = None
 ) -> WavefunctionTable:
     """The integrated scattering wave on the grid, unit incident amplitude,
-    checked as :func:`solve_scattering_exact` checks T and R.
-
-    Its regions come from V on the same grid: forbidden where V > E,
-    allowed_right past the last grid point where V >= E, allowed_left
-    elsewhere; no turning point is solved for, so a wave across several
-    barriers is tagged as one across a single barrier."""
+    checked as :func:`solve_scattering_exact` checks T and R, its regions
+    labelled from V on the same grid, with no turning point solved for."""
     [(_, _, xs, v, psi)] = _scattering_rows(
         problem, [problem.energy], config or OracleConfig(), rows=None
     )

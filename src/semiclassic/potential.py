@@ -164,13 +164,14 @@ class SquareBarrier(PotentialModel):
         return np.full_like(e, 0.5 * self.width)
 
 
-def _ratio(top: float, e: np.ndarray) -> tuple:
-    """(top - e)/e, with no warning where a subnormal e overflows it, the entries
-    where it does, and the log of the ratio there, where top - e rounds to top."""
+def _of_ratio(top: float, e: np.ndarray, body, tail) -> np.ndarray:
+    """body((top - e)/e), but tail(its log) where a subnormal e overflows the ratio
+    (there top - e rounds to top), with no warning."""
     with np.errstate(over="ignore"):
         ratio = (top - e) / e
-    over = np.isinf(ratio)
-    return ratio, over, math.log(abs(top)) - np.log(np.abs(e[over]))
+    out, over = body(ratio), np.isinf(ratio)
+    out[over] = tail(math.log(abs(top)) - np.log(np.abs(e[over])))
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,7 @@ class GaussianBump(PotentialModel):
         return self.amplitude * np.exp(-u * u) * (4.0 * u * u - 2.0) / self.width**2
 
     def _reach(self, e):
-        ratio, over, log_ratio = _ratio(self.amplitude, e)
-        out = np.log1p(ratio)
-        out[over] = log_ratio
-        return self.width * np.sqrt(out)
+        return self.width * np.sqrt(_of_ratio(self.amplitude, e, np.log1p, lambda log: log))
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,9 @@ class EckartBarrier(PotentialModel):
         return (self.height / self.width**2) * (4.0 * s2 - 6.0 * s2 * s2)
 
     def _reach(self, e):
-        ratio, over, log_ratio = _ratio(self.height, e)
-        out = np.arcsinh(np.sqrt(ratio))
-        out[over] = math.log(2.0) + 0.5 * log_ratio  # arcsinh(y) = log 2y once y^2 overflows
-        return self.width * out
+        # arcsinh(y) = log 2y once y^2 overflows.
+        return self.width * _of_ratio(self.height, e, lambda r: np.arcsinh(np.sqrt(r)),
+                                      lambda log: math.log(2.0) + 0.5 * log)
 
 
 @dataclass(frozen=True)
@@ -728,14 +725,12 @@ def find_turning_points(problem: ScatteringProblem) -> TurningPoints:
 def exclusion_radius(problem: ScatteringProblem, x_c: float) -> float:
     """Airy length (hbar^2 / (2m |V'(x_c)|))^(1/3) around a turning point.
 
-    Where the model declares a jump of V (``jumps``) within 1e-6 max(1, |x_c|)
-    of x_c, inside the domain, the slope is the larger of |V'(x_c)| and the
-    difference of V across that window, so the jump (where the analytic
-    slope reads 0 but the physical one is effectively infinite) shrinks the
-    zone instead of inflating it.  Everywhere else it is |V'(x_c)| alone.  A
-    genuinely flat turning point, e.g. a smooth barrier top at E = V_max,
-    has no WKB region at all: inf.  An x_c that is not finite raises
-    :class:`DomainError`.
+    Within 1e-6 max(1, |x_c|) of a jump the model declares (``jumps``), the
+    slope is the larger of |V'(x_c)| and the difference of V across that
+    window, so a jump (where V' reads 0) shrinks the zone instead of
+    inflating it.  A genuinely flat turning point, e.g. a smooth barrier top
+    at E = V_max, has no WKB region at all: inf.  An x_c that is not finite
+    raises :class:`DomainError`.
     """
     _require_finite(x_c, "x_c")
     m, hbar = problem.context.mass, problem.context.hbar

@@ -25,10 +25,8 @@ one.  Every sum, g e^{i dk w/hbar} with g = r (once-reflected) or Vtilde p
 that is not finite, that does not clear its rounding floor, that the 10-point
 rule may miss by more than 1 %, or that would gain more than 1 % past the
 domain edges, which stand in for +/- infinity.  The sums read V' and V''
-only, so a potential that jumps inside the domain is refused, once, where
-the nodes are laid out (:class:`_Nodes`).  The phase-variable residual
-Vtilde (:func:`effective_perturbation`) is defined here too, next to the
-matrix element that sums it.
+(and Vtilde, defined here) only, so :class:`_Nodes` refuses a potential that
+jumps inside the domain.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -208,9 +206,7 @@ class _Nodes:
     :meth:`cumulative` integrates the interpolant of the integrand on each
     panel with the spectral integration matrix, and takes its value at x0
     from the row of that matrix at x0's place in its panel, laid out here.
-    Every reflection sum lays out its nodes here, so a potential that jumps
-    inside the domain (:func:`_require_smooth`) is refused here, before x0
-    is checked.
+    A potential that jumps inside the domain is refused first, then x0.
     """
 
     def __init__(self, problem, x0):

@@ -1,10 +1,7 @@
 """Action integrals, leading transmission, quantization.
 
-Every integral between two turning points, the opacity of a barrier or the
-action across a well, is checked by :func:`_across`: two turning points
-enclosing a barrier or a well, else a typed refusal.  The over-barrier
-residual Vtilde belongs with the reflection sums that read it
-(``semiclassic.reflection``).
+Every opacity and well action between two turning points, the rim's action
+of :func:`quantize_levels` included, is checked by :func:`_across`.
 
 Quadrature policy: every action and decay integral is a 10-point
 Gauss-Legendre sum: cumulative along one span on panels sized by the domain
@@ -399,9 +396,7 @@ def quantize_levels(problem: ScatteringProblem, n_max: int) -> list[float]:
     lowest domain-edge rim (an action above the highest level's target)
     shows that every level lies between the well bottom and the rim; that
     whole range is each level's bracket, and one root-solver call converges
-    all the levels at once, as :func:`quantize` converges one.  The action at
-    the rim is a well action like any other (:func:`_well_actions`), so its
-    turning points are checked as every trial energy's are.
+    all the levels at once, as :func:`quantize` converges one.
     """
     n_max = _require_count(n_max, "n_max")
     v_min, rim = _well(problem)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semiclassic import cli
+from semiclassic._format import format_float, table_text
 from semiclassic.errors import SemiclassicError
 
 
@@ -269,6 +270,27 @@ class TestWavefunction:
         assert code == 0
         assert "forbidden" in out.read_text()
 
+    def test_exact_wave_across_two_barriers(self, tmp_path, capsys):
+        # Four turning points: the oracle labels its own grid and needs none of them.
+        xs = np.linspace(-12.0, 12.0, 601)
+        table = tmp_path / "double.txt"
+        np.savetxt(table, np.column_stack([xs, np.exp(-(xs - 3) ** 2) + np.exp(-(xs + 3) ** 2)]))
+        flags = [
+            "--form", "tabulated", "--table-file", str(table), "--energy", "0.5",
+            "--x-min", "-12", "--x-max", "12", "--method", "exact",
+        ]
+        assert run_cli(["transmission", *flags]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) == pytest.approx(
+            0.011175, abs=5e-7
+        )
+        assert run_cli(["wavefunction", *flags]) == 0
+        regions = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(regions) == 20001
+        runs = [r for i, r in enumerate(regions) if not i or r != regions[i - 1]]
+        assert runs == [
+            "allowed_left", "forbidden", "allowed_left", "forbidden", "allowed_right"
+        ]
+
 
 class TestConfigFile:
     CONFIG = """
@@ -334,6 +356,69 @@ x_max = 3.0
         cfg.write_text("[potential]\nform = morse\n\n[problem]\nenergy = 1\n")
         assert run_cli(["transmission", "--config", str(cfg)]) == 2
         assert "morse" in capsys.readouterr().err
+
+
+class TestInputRefusals:
+    """Refusals of the CLI's inputs that no other test reaches, each pinned to
+    its exit code and its line on stderr."""
+
+    ECKART = ["--form", "eckart", "--height", "1", "--width", "1"]
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run_cli(["transmission", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: cannot read config file {missing}: ")
+        assert "No such file or directory" in err and err.count("\n") == 1
+
+    def test_unloadable_table(self, tmp_path, capsys):
+        table = tmp_path / "pot.txt"
+        table.write_text("a b\nc d\n")
+        code = run_cli(["transmission", "--form", "tabulated", "--table-file", str(table),
+                        "--energy", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG: cannot load tabulated potential {table}: ")
+        assert err.count("\n") == 1
+
+    def test_table_without_two_columns(self, tmp_path, capsys):
+        table = tmp_path / "pot.txt"
+        table.write_text("1\n2\n3\n4\n")
+        code = run_cli(["transmission", "--form", "tabulated", "--table-file", str(table),
+                        "--energy", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"E_CONFIG: tabulated potential file {table} must have two columns (x V)\n"
+        )
+
+    def test_scan_without_steps(self, capsys):
+        assert run_cli(["scan", *self.ECKART, "--e-min", "0.1", "--e-max", "0.9"]) == 2
+        assert capsys.readouterr().err == (
+            "E_CONFIG: scan needs e_min, e_max and steps ([scan] or flags)\n"
+        )
+
+    def test_unknown_format_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TestConfigFile.CONFIG + "\n[output]\nformat = xml\n")
+        assert run_cli(["transmission", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "E_CONFIG: unknown output format 'xml'\n"
+
+    def test_negative_n_max(self, capsys):
+        assert run_cli(["bound-states", "--form", "harmonic", "--stiffness", "1",
+                        "--n-max=-1"]) == 2
+        assert capsys.readouterr().err == "E_CONFIG: --n-max must be >= 0, got -1\n"
+
+    def test_internal_error_is_the_last_resort(self, monkeypatch, capsys):
+        def broken(args, sections):
+            raise RuntimeError("broken dispatch")
+
+        monkeypatch.setattr(cli, "_table", broken)
+        assert run_cli(["transmission", *self.ECKART, "--energy", "0.5"]) == 4
+        assert capsys.readouterr().err == "E_INTERNAL: RuntimeError: broken dispatch\n"
+
+    def test_nan_cell(self):
+        assert format_float(math.nan) == "nan"
+        assert table_text(["E", "T"], [(0.5, math.nan)]) == "E,T\n0.5,nan\n"
 
 
 class TestRegimeErrors:

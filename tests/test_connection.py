@@ -10,12 +10,14 @@ import pytest
 from semiclassic import (
     DomainError,
     EckartBarrier,
+    GaussianBump,
     HarmonicWell,
     LinearRamp,
     LinearizationError,
     Method,
     NoBarrierError,
     NumericalError,
+    ParabolicBarrier,
     PhysicalContext,
     ScatteringProblem,
     SquareBarrier,
@@ -31,7 +33,7 @@ from semiclassic import (
     transmission_from_currents,
     transmission_leading,
 )
-from semiclassic.connection import Region, _region_tags, classify_region
+from semiclassic.connection import Region, WavefunctionTable, _region_tags, classify_region
 
 DEEP_ECKART = ScatteringProblem(
     potential=EckartBarrier(height=1.0, width=1.0), energy=0.15, domain=(-14.0, 14.0)
@@ -184,6 +186,18 @@ class TestPatchedSolution:
         assert table.xs[on_nodes].tolist() == [tp.a, tp.b]
         assert [table.region_tags[i] for i in on_nodes] == [Region.ALLOWED_LEFT] * 2
         assert table.region_tags == tuple(reference_region(square, x, tp) for x in table.xs)
+        # The exact wave labels its grid from V there alone (tp None): on a
+        # single barrier that is the rule of its two turning points.
+        for problem in (
+            DEEP_ECKART, square,
+            ScatteringProblem(potential=GaussianBump(amplitude=2.0, width=0.7), energy=0.3),
+            ScatteringProblem(potential=ParabolicBarrier(height=1.0, curvature=0.4), energy=0.9,
+                              domain=(-5.0, 5.0)),
+        ):
+            tp = find_turning_points(problem)
+            for n in (1001, 2001, 4001):
+                xs = np.linspace(*problem.domain, n)
+                assert _region_tags(problem, xs, None) == _region_tags(problem, xs, tp)
         # Two roots of a well, one root of a ramp, none on a flat line.
         xs = np.linspace(-3.0, 3.0, 61)
         for potential in (HarmonicWell(stiffness=1.0), LinearRamp(0.0, 1.0), LinearRamp(0.0, 0.0)):
@@ -444,3 +458,38 @@ class TestPatchedSolutionRegime:
         with pytest.raises(NoBarrierError) as raised:
             patched_barrier_solution(problem)
         assert str(raised.value) == str(expected.value)
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, pinned to class, code and message."""
+
+    def test_table_columns_of_unequal_length(self):
+        with pytest.raises(DomainError, match="^table columns must have equal length$") as info:
+            WavefunctionTable(xs=[0.0, 1.0], psi=[0.0], region_tags=(Region.ALLOWED_LEFT,) * 2)
+        assert (info.value.code, info.value.exit_code) == ("E_DOMAIN", 4)
+
+    def test_table_xs_not_increasing(self):
+        with pytest.raises(DomainError, match="^xs must be strictly increasing$"):
+            WavefunctionTable(xs=[0.0, 0.0], psi=[0.0, 1.0], region_tags=(Region.FORBIDDEN,) * 2)
+
+    def test_no_room_on_the_default_grid(self):
+        # Near the top the two Airy zones overlap across the barrier.
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=1.0, width=1.0), energy=0.9, domain=(-14.0, 14.0)
+        )
+        with pytest.raises(TurningPointProximityError) as info:
+            patched_barrier_solution(problem)
+        assert str(info.value) == (
+            "exclusion zones leave no room to sample; widen the domain or the barrier"
+        )
+        assert (info.value.code, info.value.exit_code) == ("E_PROXIMITY", 4)
+
+    def test_airy_bridge_at_a_jump(self):
+        # V' reads 0 at the square barrier's edge, where V jumps through E.
+        problem = ScatteringProblem(
+            potential=SquareBarrier(height=1.0, width=2.0), energy=0.5, domain=(-8.0, 8.0)
+        )
+        refusal = r"^V'\(a\) = 0: no linear turning point here$"
+        with pytest.raises(LinearizationError, match=refusal) as info:
+            airy_local_solution(problem, -1.0, [-1.5, -1.2])
+        assert (info.value.code, info.value.exit_code) == ("E_LINEARIZATION", 4)

@@ -57,6 +57,15 @@ class TestAnalyticReferences:
         assert below == pytest.approx(at, rel=1e-6)
         assert above == pytest.approx(at, rel=1e-6)
 
+    def test_eckart_weak_barrier(self):
+        # g = 8 m V0 d^2 / hbar^2 = 0.4 < 1: D = |cos(pi sqrt(1 - g) / 2)|.
+        closed = analytic_eckart_transmission(0.05, 1.0, 0.5)
+        assert closed == pytest.approx(0.9990995164573, abs=1e-13)
+        problem = ScatteringProblem(
+            potential=EckartBarrier(height=0.05, width=1.0), energy=0.5, domain=(-14.0, 14.0)
+        )
+        assert abs(solve_scattering_exact(problem).transmission - closed) <= 1e-9
+
     def test_eckart_monotone_in_energy(self):
         ts = [analytic_eckart_transmission(1.0, 1.0, e) for e in (0.2, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(ts, ts[1:]))

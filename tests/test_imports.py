@@ -41,6 +41,16 @@ def test_no_scipy_optimize(path):
     ]
 
 
+def test_oracle_finds_no_turning_points():
+    """The exact oracle checks the semiclassical layers, so it labels its wave
+    from V on its own grid and imports none of their root placement."""
+    tree = ast.parse((PACKAGE / "exact_oracle.py").read_text())
+    taken = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert taken.isdisjoint({"find_turning_points", "_turning_points"})
+    assert "_bracketed_roots" in taken  # the guard reads the package's relative imports
+
+
 def test_guard_sees_every_spelling(tmp_path):
     for line in ("import scipy.optimize", "from scipy import optimize",
                  "from scipy.optimize import brentq", "import scipy.optimize._zeros as z",

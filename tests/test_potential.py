@@ -137,6 +137,11 @@ class TestTabulated:
         with pytest.raises(DomainError):
             TabulatedPotential([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
 
+    def test_lengths_differ(self):
+        with pytest.raises(DomainError, match="^tabulated grid: x and V lengths differ$") as info:
+            TabulatedPotential([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
+        assert (info.value.code, info.value.exit_code) == ("E_DOMAIN", 4)
+
     @pytest.mark.parametrize("xs, vs", [
         ([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0]),
         ([0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 2.0, 3.0]),
@@ -369,3 +374,28 @@ class TestExclusionRadius:
     def test_flat_is_infinite(self):
         problem = problem_for(LinearRamp(offset=0.0, slope=0.0), 0.5)
         assert exclusion_radius(problem, 0.0) == math.inf
+
+    @pytest.mark.parametrize("model", SMOOTH_MODELS, ids=lambda model: type(model).__name__)
+    def test_smooth_model_takes_its_analytic_slope(self, model):
+        # No jump is declared: the radius is the formula at |V'(x_c)|, bit for bit.
+        context = PhysicalContext(mass=1.7, hbar=0.9)
+        for x in np.linspace(-3.0, 3.0, 13):
+            problem = ScatteringProblem(model, float(model.value(x)), (-10.0, 10.0), context)
+            tp = find_turning_points(problem)
+            for x_c in (tp.a, tp.b)[: tp.count]:
+                slope = abs(model.derivative(x_c))
+                expected = (0.9 * 0.9 / (2.0 * 1.7 * slope)) ** (1.0 / 3.0) if slope else math.inf
+                assert exclusion_radius(problem, x_c) == expected
+
+    def test_tabulated_radius_steady_under_an_ulp(self):
+        # A difference of V over +/-1e-6 moved the radius by ~1e-11 per ulp of x_c.
+        xs = np.linspace(-8.0, 8.0, 400)
+        potential = TabulatedPotential(xs, np.exp(-xs * xs))
+        context = PhysicalContext(mass=64.0)
+        for e in np.linspace(0.02, 0.9, 60).tolist():
+            problem = ScatteringProblem(potential, e, (-8.0, 8.0), context)
+            tp = find_turning_points(problem)
+            for x_c in (tp.a, tp.b):
+                r = exclusion_radius(problem, x_c)
+                for moved in (math.nextafter(x_c, -math.inf), math.nextafter(x_c, math.inf)):
+                    assert abs(exclusion_radius(problem, moved) / r - 1.0) <= 1e-15

@@ -231,6 +231,14 @@ class TestQuantize:
         with pytest.raises(BracketError):
             quantize(problem, 0, (5.1, 5.9))
 
+    @pytest.mark.parametrize("bracket", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_bracket(self, bracket):
+        problem = problem_for(HarmonicWell(stiffness=1.0), 0.5, (-12, 12))
+        with pytest.raises(BracketError) as info:
+            quantize(problem, 0, bracket)
+        assert str(info.value) == f"empty bracket {bracket}"
+        assert (info.value.code, info.value.exit_code) == ("E_BRACKET", 4)
+
     def test_negative_n(self):
         problem = problem_for(HarmonicWell(stiffness=1.0), 0.5, (-12, 12))
         with pytest.raises(DomainError):
