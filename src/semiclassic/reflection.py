@@ -24,9 +24,9 @@ one.  Every sum, g e^{i dk w/hbar} with g = r (once-reflected) or Vtilde p
 (the matrix element), is made and checked by :func:`_sum`, which refuses one
 that is not finite, that does not clear its rounding floor, that the 10-point
 rule may miss by more than 1 %, or that would gain more than 1 % past the
-domain edges, which stand in for +/- infinity.  The sums read V' and V''
-(and Vtilde, defined here) only, so :class:`_Nodes` refuses a potential that
-jumps inside the domain.
+domain edges, which stand in for +/- infinity.  The sums (and Vtilde, defined
+here) read V' and V'' only, so :class:`_Nodes` refuses a potential that jumps
+inside the domain.
 
 Sign convention: with the stated integral equations, one Picard step gives
 C_minus(left edge) exactly equal to the once-reflected amplitude
@@ -206,7 +206,7 @@ class _Nodes:
     :meth:`cumulative` integrates the interpolant of the integrand on each
     panel with the spectral integration matrix, and takes its value at x0
     from the row of that matrix at x0's place in its panel, laid out here.
-    A potential that jumps inside the domain is refused first, then x0.
+    It refuses a potential that jumps inside the domain, then an x0 outside it.
     """
 
     def __init__(self, problem, x0):
